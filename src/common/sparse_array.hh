@@ -52,14 +52,8 @@ class SparseArray
     const T *
     find(uint64_t key) const
     {
-        const size_t mask = slots_.size() - 1;
-        for (size_t i = hash(key) & mask;; i = (i + 1) & mask) {
-            const Slot &s = slots_[i];
-            if (!s.used)
-                return nullptr;
-            if (s.key == key)
-                return &s.value;
-        }
+        const Slot &s = slots_[probe(key)];
+        return s.used ? &s.value : nullptr;
     }
 
     T *
@@ -69,25 +63,28 @@ class SparseArray
             static_cast<const SparseArray *>(this)->find(key));
     }
 
-    /** Entry for @p key, materializing a default-constructed T. */
+    /**
+     * Entry for @p key, materializing a default-constructed T.  Looking
+     * up a key that is already present never moves the table, so
+     * references to other entries stay valid across the call; only an
+     * insertion may grow (rehash) it and invalidate them.
+     */
     T &
     getOrCreate(uint64_t key)
     {
-        if ((size_ + 1) * 10 > slots_.size() * 7)
+        size_t i = probe(key);
+        if (slots_[i].used)
+            return slots_[i].value;
+        if ((size_ + 1) * 10 > slots_.size() * 7) {
             grow();
-        const size_t mask = slots_.size() - 1;
-        for (size_t i = hash(key) & mask;; i = (i + 1) & mask) {
-            Slot &s = slots_[i];
-            if (!s.used) {
-                s.used = true;
-                s.key = key;
-                s.value = T{};
-                ++size_;
-                return s.value;
-            }
-            if (s.key == key)
-                return s.value;
+            i = probe(key);
         }
+        Slot &s = slots_[i];
+        s.used = true;
+        s.key = key;
+        s.value = T{};
+        ++size_;
+        return s.value;
     }
 
     /** Materialize @p key with @p value (overwriting any prior entry). */
@@ -165,6 +162,18 @@ class SparseArray
         // Fibonacci multiplicative hash: sequential frame/block keys
         // spread across the table instead of clustering one probe run.
         return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> 17);
+    }
+
+    /** The slot holding @p key, or the empty slot ending its probe run
+     *  (the load bound guarantees one exists). */
+    size_t
+    probe(uint64_t key) const
+    {
+        const size_t mask = slots_.size() - 1;
+        size_t i = hash(key) & mask;
+        while (slots_[i].used && slots_[i].key != key)
+            i = (i + 1) & mask;
+        return i;
     }
 
     void

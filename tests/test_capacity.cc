@@ -16,6 +16,7 @@
 
 #include "common/env.hh"
 #include "common/serialize.hh"
+#include "common/sparse_array.hh"
 #include "core/bitvector_table.hh"
 #include "core/set_metadata.hh"
 #include "dram/dram_system.hh"
@@ -86,6 +87,35 @@ TEST(Capacity, NmEqualsFmRunsToCompletion)
 }
 
 // ---- Sparse metadata --------------------------------------------------------
+
+TEST(Capacity, SparseArrayLookupOfPresentKeyKeepsReferencesValid)
+{
+    // 16 slots grow once an insertion would pass 70% load, so the 11th
+    // entry lands exactly on that boundary without a rehash.  Holding
+    // its reference and then looking up a present key is the
+    // resolveNative `WayMeta &` + touch() pattern: the lookup must not
+    // rehash, or the held reference dangles.
+    SparseArray<uint64_t> a;
+    for (uint64_t k = 0; k < 10; ++k)
+        a.set(k * 1000, k);
+    uint64_t &held = a.getOrCreate(10'000);
+    ASSERT_EQ(a.size(), 11u);
+    const uint64_t *where = a.find(10'000);
+
+    EXPECT_EQ(a.getOrCreate(10'000), 0u);
+    EXPECT_EQ(a.getOrCreate(5000), 5u);
+    EXPECT_EQ(a.find(10'000), where);
+    held = 42;
+    EXPECT_EQ(*a.find(10'000), 42u);
+
+    // An insertion past the boundary still grows and keeps every entry.
+    a.getOrCreate(99'999) = 7;
+    EXPECT_EQ(a.size(), 12u);
+    EXPECT_EQ(*a.find(10'000), 42u);
+    for (uint64_t k = 0; k < 10; ++k)
+        EXPECT_EQ(*a.find(k * 1000), k);
+    EXPECT_EQ(*a.find(99'999), 7u);
+}
 
 TEST(Capacity, NmMetadataSparseDefaultsAndMaterialization)
 {

@@ -29,43 +29,17 @@ Core::onLoadComplete(uint64_t seq, Tick when)
 }
 
 void
-Core::functionalTick(Tick now)
+Core::retireWarmed(uint64_t instructions, uint64_t loads, uint64_t stores,
+                   Tick last)
 {
-    if (done())
-        return;
-
-    uint32_t n = 0;
-    while (n < params_.width && retired_ < params_.instruction_budget) {
-        // Bypass the staged_ optional on the hot path; it only holds an
-        // instruction across a mode switch from a detailed phase.
-        const trace::TraceInstruction ins =
-            staged_ ? *staged_ : trace_.next();
-        staged_.reset();
-
-        if (ins.is_mem) {
-            const bool accepted =
-                port_.access(id_, ins.vaddr, ins.pc, ins.is_write,
-                             nullptr, now);
-            if (!accepted) {
-                // Cannot happen in functional mode (the MSHR file is
-                // bypassed), but keep tick()'s retry semantics: the
-                // instruction stays staged for the next cycle.
-                ++mem_stall_cycles_;
-                staged_ = ins;
-                break;
-            }
-            if (ins.is_write)
-                ++stores_;
-            else
-                ++loads_;
-        }
-
-        ++dispatched_;
-        ++retired_;
-        ++n;
-    }
-    if (retired_ >= params_.instruction_budget)
-        finish_tick_ = now;
+    silc_assert(!staged_ && retired_ + instructions <=
+                                params_.instruction_budget);
+    dispatched_ += instructions;
+    retired_ += instructions;
+    loads_ += loads;
+    stores_ += stores;
+    if (instructions > 0 && done())
+        finish_tick_ = last;
 }
 
 void

@@ -111,18 +111,22 @@ class Core
     void tick(Tick now);
 
     /**
-     * Functional-warming cycle: dispatch-and-retire up to `width`
-     * instructions without ROB bookkeeping.  Valid only while the
-     * memory system is in functional mode, where every access is
-     * accepted and completes synchronously — under that invariant the
-     * access stream this emits is identical to tick()'s (width
-     * instructions per core per cycle, in dispatch order), it just
-     * skips the per-entry ROB and completion-callback machinery that
-     * dominates warming time.  Budget pause points behave exactly as
-     * with tick(): the staged slot carries across calls and the core
-     * reports done() at the same retired count.
+     * Functional-warming retire accounting.  In functional mode every
+     * access is accepted and completes synchronously, so the warming
+     * engine (System::runToBudget) reads the core's trace source and
+     * issues its accesses itself, `width` instructions per active
+     * cycle, and only reports here what retired: @p instructions, of
+     * which @p loads and @p stores accessed memory, the last of them in
+     * cycle @p last.  Counts exactly what tick() would have for the same
+     * stream, and the core reports done() — finishing at @p last — at
+     * the same retired count.  No ROB state is touched.
      */
-    void functionalTick(Tick now);
+    void retireWarmed(uint64_t instructions, uint64_t loads,
+                      uint64_t stores, Tick last);
+
+    /** True while a fetched instruction waits for dispatch (a memory
+     *  backpressure stall); the warming engine requires none. */
+    bool hasStaged() const { return staged_.has_value(); }
 
     /** True once the instruction budget has fully retired. */
     bool done() const { return retired_ >= params_.instruction_budget; }

@@ -276,7 +276,7 @@ SamplingController::run()
 {
     scfg_.validate();
 
-    // ---- Phase 1: sequential functional warming + checkpointing. ----
+    // ---- Phase 1: functional warming + checkpointing. ----
     sim::SystemConfig wcfg = cfg_;
     wcfg.sim_threads = 1;
     wcfg.telemetry.enabled = false;

@@ -5,8 +5,9 @@
  *
  * A sampled run replaces one long detailed simulation with:
  *
- *  1. One sequential **functional-warming** pass over the whole
- *     instruction stream.  Cores, caches, translation and the policy's
+ *  1. One **functional-warming** pass over the whole instruction
+ *     stream, split by core (sim/warming.hh).  Cores, caches,
+ *     translation and the policy's
  *     metadata state machine (remap tables, bit vectors, locks,
  *     predictor, balancer, activity counters) all update exactly as in
  *     detailed mode, but LLC misses complete synchronously: no MSHRs,
@@ -29,10 +30,13 @@
  *     is set, replay stops early (at deterministic batch boundaries)
  *     once the relative CI half-width of IPC drops below the target.
  *
- * Determinism: warming is sequential; every replay runs sim_threads=1
- * from a byte-exact blob; windows are collected in checkpoint order and
- * early stopping is evaluated only at fixed batch boundaries — so
- * results are byte-identical across SILC_THREADS values.
+ * Determinism: warming runs each core's private work in parallel but
+ * every shared-state update (page allocation, L2, policy) in the one
+ * static per-cycle order, so its checkpoints are byte-identical at any
+ * pool width; every replay runs sim_threads=1 from a byte-exact blob;
+ * windows are collected in checkpoint order and early stopping is
+ * evaluated only at fixed batch boundaries — so results are
+ * byte-identical across SILC_THREADS values.
  *
  * Environment knobs (see also sim/experiment.hh):
  *   SILC_SAMPLE_PERIOD      per-core instructions between checkpoints

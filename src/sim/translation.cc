@@ -25,33 +25,37 @@ Translation::Translation(uint64_t phys_bytes, uint64_t seed)
     }
 }
 
+uint64_t
+Translation::allocate(CoreId core, uint64_t key)
+{
+    if (next_free_ >= frames_.size())
+        fatal("translation: out of physical memory after %llu pages",
+              static_cast<unsigned long long>(next_free_));
+    const uint64_t frame = frames_[next_free_++];
+    page_table_.emplace(key, frame);
+    ++per_core_pages_[core];
+    return frame;
+}
+
 Addr
 Translation::translate(CoreId core, Addr vaddr)
 {
     const uint64_t vpage = vaddr >> kLargeBlockBits;
-    const size_t idx = static_cast<size_t>(core) * kTlbEntries +
-        (vpage & (kTlbEntries - 1));
-    if (idx < tlb_.size() && tlb_[idx].vpage == vpage) {
-        return tlb_[idx].frame * kLargeBlockSize +
-            (vaddr & (kLargeBlockSize - 1));
+    if (core < tlb_.size()) {
+        const TlbEntry &e = tlbEntry(core, vpage);
+        if (e.vpage == vpage)
+            return e.frame * kLargeBlockSize +
+                (vaddr & (kLargeBlockSize - 1));
     }
     const uint64_t k = key(core, vpage);
     auto it = page_table_.find(k);
-    uint64_t frame;
-    if (it != page_table_.end()) {
-        frame = it->second;
-    } else {
-        if (next_free_ >= frames_.size())
-            fatal("translation: out of physical memory after %llu pages",
-                  static_cast<unsigned long long>(next_free_));
-        frame = frames_[next_free_++];
-        page_table_.emplace(k, frame);
-        ++per_core_pages_[core];
-    }
-    if (idx >= tlb_.size())
-        tlb_.resize((static_cast<size_t>(core) + 1) * kTlbEntries);
-    tlb_[idx].vpage = vpage;
-    tlb_[idx].frame = frame;
+    const uint64_t frame =
+        it != page_table_.end() ? it->second : allocate(core, k);
+    if (core >= tlb_.size())
+        tlb_.resize(static_cast<size_t>(core) + 1);
+    TlbEntry &e = tlbEntry(core, vpage);
+    e.vpage = vpage;
+    e.frame = frame;
     return frame * kLargeBlockSize + (vaddr & (kLargeBlockSize - 1));
 }
 
@@ -59,23 +63,61 @@ bool
 Translation::probe(CoreId core, Addr vaddr, Addr &paddr) const
 {
     const uint64_t vpage = vaddr >> kLargeBlockBits;
-    const size_t idx = static_cast<size_t>(core) * kTlbEntries +
-        (vpage & (kTlbEntries - 1));
-    if (idx < tlb_.size() && tlb_[idx].vpage == vpage) {
-        paddr = tlb_[idx].frame * kLargeBlockSize +
-            (vaddr & (kLargeBlockSize - 1));
-        return true;
-    }
-    return false;
+    if (core >= tlb_.size())
+        return false;
+    const TlbEntry &e =
+        tlb_[core].entries[vpage & (kTlbEntries - 1)];
+    if (e.vpage != vpage)
+        return false;
+    paddr = e.frame * kLargeBlockSize + (vaddr & (kLargeBlockSize - 1));
+    return true;
 }
 
 void
 Translation::ensureCores(uint32_t cores)
 {
     sized_cores_ = std::max(sized_cores_, cores);
-    const size_t want = static_cast<size_t>(sized_cores_) * kTlbEntries;
-    if (tlb_.size() < want)
-        tlb_.resize(want);
+    if (tlb_.size() < sized_cores_)
+        tlb_.resize(sized_cores_);
+}
+
+bool
+Translation::noteFirstTouch(CoreId core, Addr vaddr)
+{
+    const uint64_t vpage = vaddr >> kLargeBlockBits;
+    TlbEntry &e = tlbEntry(core, vpage);
+    if (e.vpage == vpage)
+        return false; // mapped, or already noted in this pass
+    e.vpage = vpage;
+    const auto it = page_table_.find(key(core, vpage));
+    if (it != page_table_.end()) {
+        e.frame = it->second;
+        return false;
+    }
+    e.frame = kPendingFrame;
+    return true;
+}
+
+void
+Translation::allocatePage(CoreId core, uint64_t vpage)
+{
+    const uint64_t k = key(core, vpage);
+    if (page_table_.find(k) == page_table_.end())
+        allocate(core, k);
+}
+
+Addr
+Translation::translateMapped(CoreId core, Addr vaddr)
+{
+    const uint64_t vpage = vaddr >> kLargeBlockBits;
+    TlbEntry &e = tlbEntry(core, vpage);
+    if (e.vpage != vpage || e.frame == kPendingFrame) {
+        const auto it = page_table_.find(key(core, vpage));
+        silc_assert(it != page_table_.end());
+        e.vpage = vpage;
+        e.frame = it->second;
+    }
+    return e.frame * kLargeBlockSize + (vaddr & (kLargeBlockSize - 1));
 }
 
 uint64_t
@@ -136,8 +178,7 @@ Translation::restore(BlobReader &r)
     // Invalidate the translation cache but keep the ensureCores() floor:
     // shrinking here would reintroduce the lazy-resize that concurrent
     // probe() calls cannot tolerate.
-    tlb_.assign(static_cast<size_t>(sized_cores_) * kTlbEntries,
-                TlbEntry{});
+    tlb_.assign(sized_cores_, TlbSlice{});
 }
 
 } // namespace sim

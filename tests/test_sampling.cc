@@ -4,15 +4,22 @@
  * serialization, checkpoint round-trips, replay determinism, early
  * stopping, the HMA fallback, and the headline differential property —
  * sampled metrics agree with a full detailed run within the reported
- * 95% confidence intervals.
+ * 95% confidence intervals.  The functional-warming engine
+ * (sim/warming.cc) is checked against the per-cycle loop it replaced,
+ * checkpoint blob for checkpoint blob.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "common/serialize.hh"
 #include "core/silc_fm.hh"
+#include "policy/registry.hh"
 #include "sample/checkpoint.hh"
 #include "sample/sampling.hh"
 #include "sim/experiment.hh"
@@ -23,6 +30,138 @@ using namespace silc::sim;
 using namespace silc::sample;
 
 namespace {
+
+/** RAII override of one environment variable (restored on exit). */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        setenv(name, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (old_)
+            setenv(name_, old_->c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
+/**
+ * The per-cycle functional-warming loop the warming engine replaced,
+ * written out as its oracle.  Per cycle: events; then each core in
+ * index order, unless its budget is retired or the cycle falls in its
+ * kWarmBlackoutCycles blackout, takes `width` instructions from its
+ * trace source and sends the memory ones through
+ * MemoryHierarchy::access in warming mode; then the DRAM and policy
+ * ticks.  It drives a System's own trace sources, hierarchy and
+ * policy, so that System's checkpoints compare byte for byte with the
+ * engine's.
+ */
+class ReferenceWarmer
+{
+  public:
+    explicit ReferenceWarmer(System &sys)
+        : sys_(sys), retired_(sys.config().cores, 0)
+    {
+    }
+
+    /** One segment up to @p budget instructions per core.
+     *  @return false when max_ticks cut it off. */
+    bool
+    run(uint64_t budget)
+    {
+        const SystemConfig &cfg = sys_.config();
+        const Tick segment = cycle_;
+        bool all_done = false;
+        while (cycle_ < cfg.max_ticks) {
+            const Tick cycle = cycle_;
+            sys_.events().runDue(cycle);
+            all_done = true;
+            for (uint32_t c = 0; c < cfg.cores; ++c) {
+                if (retired_[c] >= budget)
+                    continue;
+                if ((cycle - segment) / kWarmBlackoutCycles == c) {
+                    all_done = false;
+                    continue;
+                }
+                for (uint32_t k = 0; k < cfg.core_params.width &&
+                                     retired_[c] < budget;
+                     ++k) {
+                    const trace::TraceInstruction ins =
+                        sys_.traceSource(c).next();
+                    if (ins.is_mem) {
+                        sys_.hierarchy().access(c, ins.vaddr, ins.pc,
+                                                ins.is_write, nullptr,
+                                                cycle);
+                    }
+                    ++retired_[c];
+                }
+                all_done &= retired_[c] >= budget;
+            }
+            if (sys_.nm())
+                sys_.nm()->tick(cycle);
+            sys_.fm().tick(cycle);
+            sys_.policyRef().tick(cycle);
+            if (all_done)
+                break;
+            cycle_ = cycle + 1;
+        }
+        return all_done;
+    }
+
+    Tick cycle() const { return cycle_; }
+    uint64_t retired(uint32_t c) const { return retired_[c]; }
+
+  private:
+    System &sys_;
+    Tick cycle_ = 0;
+    std::vector<uint64_t> retired_;
+};
+
+/**
+ * Warm two identical systems in segments of @p period instructions per
+ * core, as SamplingController does (budget 0 first, the whole budget
+ * last) — one through runToBudget(), one through ReferenceWarmer — and
+ * require identical pause cycles, retire counts, DRAM refreshes and
+ * checkpoint blobs at every segment boundary.
+ */
+void
+expectEngineMatchesReference(const SystemConfig &cfg, uint64_t period)
+{
+    System engine(cfg);
+    engine.setFunctionalMode(true);
+    System ref(cfg);
+    ref.setFunctionalMode(true);
+    ReferenceWarmer warmer(ref);
+
+    uint64_t budget = 0;
+    while (true) {
+        SCOPED_TRACE("budget " + std::to_string(budget));
+        engine.setPerCoreBudget(budget);
+        const bool ok = engine.runToBudget();
+        ASSERT_EQ(ok, warmer.run(budget));
+        ASSERT_EQ(engine.currentCycle(), warmer.cycle());
+        for (uint32_t c = 0; c < cfg.cores; ++c)
+            ASSERT_EQ(engine.core(c).retired(), warmer.retired(c));
+        ASSERT_EQ(engine.fm().refreshes(), ref.fm().refreshes());
+        if (engine.nm() != nullptr) {
+            ASSERT_EQ(engine.nm()->refreshes(), ref.nm()->refreshes());
+        }
+        ASSERT_TRUE(capture(engine, budget).blob ==
+                    capture(ref, budget).blob);
+        if (!ok || budget == cfg.instructions_per_core)
+            return;
+        budget = std::min(budget + period, cfg.instructions_per_core);
+    }
+}
 
 SystemConfig
 sampleConfig(const std::string &workload, const std::string &kind,
@@ -380,4 +519,140 @@ TEST(RunToBudget, PausesAtBudgetAndResumes)
     const SimResult r = sys.collectResult(true);
     EXPECT_EQ(r.instructions, 80'000u);
     EXPECT_FALSE(r.hit_tick_limit);
+}
+
+// ---- Warming engine vs the per-cycle loop ------------------------------
+
+TEST(WarmingEngine, MatchesPerCycleLoopForEverySamplingScheme)
+{
+    for (const std::string &scheme :
+         policy::SchemeRegistry::instance().names()) {
+        const SystemConfig cfg = sampleConfig("mcf", scheme, 4, 60'000);
+        if (!System(cfg).policyRef().supportsSampling())
+            continue;
+        SCOPED_TRACE(scheme);
+        expectEngineMatchesReference(cfg, 20'000);
+    }
+}
+
+TEST(WarmingEngine, MatchesAcrossCoreCounts)
+{
+    // 70'001 is a multiple of neither the width nor any chunk length,
+    // and every segment spans several chunks.
+    for (uint32_t cores : {1u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(std::to_string(cores) + " cores");
+        expectEngineMatchesReference(
+            sampleConfig("lbm", "silcfm", cores, 150'000), 70'001);
+    }
+}
+
+TEST(WarmingEngine, MatchesWithChurningTenants)
+{
+    SystemConfig cfg = sampleConfig("gcc", "silcfm", 4, 80'000);
+    cfg.tenants = 3;
+    cfg.tenant_churn_interval = 1'500;
+    expectEngineMatchesReference(cfg, 30'001);
+}
+
+TEST(WarmingEngine, MatchesTraceFileSource)
+{
+    SystemConfig cfg = sampleConfig("mcf", "silcfm", 3, 60'000);
+    cfg.trace_file = std::string(SILC_GOLDEN_DIR) + "/golden_hotset.silctrace";
+    expectEngineMatchesReference(cfg, 25'000);
+}
+
+TEST(WarmingEngine, MatchesUnderTheOracle)
+{
+    for (const char *scheme : {"silcfm", "dramcache"}) {
+        SCOPED_TRACE(scheme);
+        SystemConfig cfg = sampleConfig("milc", scheme, 4, 60'000);
+        cfg.check = true;
+        expectEngineMatchesReference(cfg, 20'000);
+    }
+}
+
+TEST(WarmingEngine, MatchesAtEveryPoolWidth)
+{
+    for (const char *threads : {"1", "2", "4"}) {
+        SCOPED_TRACE(std::string("SILC_THREADS=") + threads);
+        ScopedEnv env("SILC_THREADS", threads);
+        expectEngineMatchesReference(
+            sampleConfig("soplex", "silcfm", 4, 100'000), 33'333);
+    }
+}
+
+TEST(WarmingEngine, MatchesWithTickLimitInsideSegment)
+{
+    // Segments of 20'000 instructions take 5'000 active cycles plus the
+    // 3'067-cycle blackout; the limit cuts the third one short.
+    SystemConfig cfg = sampleConfig("mcf", "silcfm", 4, 80'000);
+    cfg.max_ticks = 20'000;
+    expectEngineMatchesReference(cfg, 20'000);
+
+    System sys(cfg);
+    sys.setFunctionalMode(true);
+    sys.setPerCoreBudget(80'000);
+    EXPECT_FALSE(sys.runToBudget());
+    EXPECT_EQ(sys.currentCycle(), cfg.max_ticks);
+    EXPECT_LT(sys.core(0).retired(), 80'000u);
+}
+
+TEST(WarmingEngine, FinishTicksMatchTheRetireSchedule)
+{
+    // Every core loses exactly its blackout cycles, so with equal
+    // budgets all of them retire their last instruction together.
+    const SystemConfig cfg = sampleConfig("mcf", "silcfm", 2, 40'000);
+    System sys(cfg);
+    sys.setFunctionalMode(true);
+    ASSERT_TRUE(sys.runToBudget());
+    const Tick active = 40'000 / cfg.core_params.width;
+    for (uint32_t c = 0; c < cfg.cores; ++c) {
+        EXPECT_EQ(sys.core(c).finishTick(),
+                  active - 1 + kWarmBlackoutCycles);
+        EXPECT_EQ(sys.core(c).retired(), 40'000u);
+        EXPECT_GT(sys.core(c).loads() + sys.core(c).stores(), 0u);
+    }
+    EXPECT_EQ(sys.currentCycle(), active - 1 + kWarmBlackoutCycles);
+}
+
+// ---- Warming engine preconditions --------------------------------------
+
+TEST(WarmingEngineDeath, TelemetryMustBeOff)
+{
+    SystemConfig cfg = sampleConfig("mcf", "silcfm", 2, 10'000);
+    cfg.telemetry.enabled = true;
+    System sys(cfg);
+    sys.setFunctionalMode(true);
+    EXPECT_DEATH(sys.runToBudget(), "telemetry off");
+}
+
+TEST(WarmingEngineDeath, EventQueueMustBeEmpty)
+{
+    System sys(sampleConfig("mcf", "silcfm", 2, 10'000));
+    sys.setFunctionalMode(true);
+    sys.events().schedule(5, [](Tick) {});
+    EXPECT_DEATH(sys.runToBudget(), "empty event queue");
+}
+
+TEST(WarmingEngineDeath, NoStagedInstruction)
+{
+    // One MSHR for everyone: cores behind an outstanding miss stall
+    // with the rejected instruction staged.  Cut a detailed run off
+    // while one does, then ask for functional warming.
+    SystemConfig cfg = sampleConfig("mcf", "silcfm", 4, 100'000);
+    cfg.mshr_entries = 1;
+    cfg.mshr_per_core = 1;
+    bool staged = false;
+    for (Tick limit = 100; limit < 5'000 && !staged; limit += 37) {
+        cfg.max_ticks = limit;
+        System sys(cfg);
+        ASSERT_FALSE(sys.runToBudget());
+        for (uint32_t c = 0; c < cfg.cores; ++c)
+            staged |= sys.core(c).hasStaged();
+        if (!staged)
+            continue;
+        sys.setFunctionalMode(true);
+        EXPECT_DEATH(sys.runToBudget(), "staged instruction");
+    }
+    EXPECT_TRUE(staged);
 }

@@ -13,6 +13,13 @@
  * so a golden can only be regenerated from a state the reference model
  * agrees with.
  *
+ * Three sampled runs (sample/sampling.hh) are pinned the same way: a
+ * checkpoint count that is no multiple of the replay batch, an IPC
+ * confidence target that stops replay after the first batch, and
+ * check=true, where warming runs to the full budget.  Their replay
+ * pool follows SILC_THREADS, so every CI leg compares the same golden
+ * at its own width.
+ *
  * Regenerating after an intentional behaviour change:
  *
  *     GOLDEN_REGEN=1 ./tests/test_golden_traces
@@ -28,6 +35,8 @@
 #include <sstream>
 #include <string>
 
+#include "sample/sampling.hh"
+#include "sim/experiment.hh"
 #include "sim/result_writer.hh"
 #include "sim/system.hh"
 
@@ -77,14 +86,19 @@ configFor(const std::string &name, const std::string &scheme)
 }
 
 std::string
-runToJson(const std::string &name, const std::string &scheme)
+toJson(const sim::SimResult &r)
 {
-    sim::System system(configFor(name, scheme));
-    const sim::SimResult r = system.run();
     std::ostringstream os;
     sim::writeResultJson(os, r);
     os << "\n";
     return os.str();
+}
+
+std::string
+runToJson(const std::string &name, const std::string &scheme)
+{
+    sim::System system(configFor(name, scheme));
+    return toJson(system.run());
 }
 
 struct GoldenCase
@@ -114,17 +128,11 @@ readFile(const std::string &path)
     return os.str();
 }
 
-} // namespace
-
-class GoldenTrace : public ::testing::TestWithParam<GoldenCase>
+/** Compare @p json with @p file, or rewrite the file under GOLDEN_REGEN. */
+void
+expectMatchesGolden(const std::string &json, const std::string &file)
 {
-};
-
-TEST_P(GoldenTrace, ResultJsonIsByteStable)
-{
-    const GoldenCase c = GetParam();
-    const std::string json = runToJson(c.trace, c.scheme);
-    const std::string golden_file = goldenPath(goldenJsonName(c));
+    const std::string golden_file = goldenPath(file);
 
     if (std::getenv("GOLDEN_REGEN") != nullptr) {
         std::ofstream out(golden_file, std::ios::binary);
@@ -141,6 +149,47 @@ TEST_P(GoldenTrace, ResultJsonIsByteStable)
         << "result JSON diverged from " << golden_file
         << "; if the behaviour change is intentional, regenerate with "
            "GOLDEN_REGEN=1 and commit the diff";
+}
+
+/** A sampled run of mcf on two cores, every 10k instructions. */
+struct SampledCase
+{
+    const char *name;          ///< golden is <name>.json
+    uint64_t instructions;     ///< per core
+    double ci_target;          ///< 0 replays every checkpoint
+    bool check;                ///< warm under the oracle, to the end
+    uint32_t windows;          ///< replays the case must run
+};
+
+constexpr uint64_t kSampledPeriod = 10'000;
+
+sim::SimResult
+runSampled(const SampledCase &c)
+{
+    sim::ExperimentOptions opts;
+    opts.cores = 2;
+    opts.instructions_per_core = c.instructions;
+    sim::SystemConfig cfg = sim::makeConfig("mcf", "silcfm", opts);
+    cfg.check = c.check;
+    sample::SamplingConfig s;
+    s.period = kSampledPeriod;
+    s.warmup = 2'000;
+    s.window = 2'000;
+    s.min_windows = 1;
+    s.ci_target = c.ci_target;
+    return sample::SamplingController(cfg, s).run();
+}
+
+} // namespace
+
+class GoldenTrace : public ::testing::TestWithParam<GoldenCase>
+{
+};
+
+TEST_P(GoldenTrace, ResultJsonIsByteStable)
+{
+    const GoldenCase c = GetParam();
+    expectMatchesGolden(runToJson(c.trace, c.scheme), goldenJsonName(c));
 }
 
 TEST_P(GoldenTrace, ReplayIsDeterministic)
@@ -163,4 +212,45 @@ INSTANTIATE_TEST_SUITE_P(
                       GoldenCase{"golden_hotset", "memcache"}),
     [](const ::testing::TestParamInfo<GoldenCase> &info) {
         return std::string(info.param.trace) + "_" + info.param.scheme;
+    });
+
+class SampledGolden : public ::testing::TestWithParam<SampledCase>
+{
+};
+
+TEST_P(SampledGolden, ResultJsonIsByteStable)
+{
+    const SampledCase c = GetParam();
+    const sim::SimResult r = runSampled(c);
+
+    // The case must still exercise what it is named for.
+    ASSERT_NE(r.sampling, nullptr);
+    const sample::SamplingReport &rep = *r.sampling;
+    EXPECT_EQ(rep.checkpoints, c.instructions / kSampledPeriod);
+    EXPECT_EQ(rep.windows, c.windows);
+    EXPECT_EQ(rep.early_stopped, c.ci_target > 0.0);
+    EXPECT_EQ(rep.warm_instructions,
+              c.check ? c.instructions
+                      : (rep.checkpoints - 1) * kSampledPeriod);
+
+    expectMatchesGolden(toJson(r), std::string(c.name) + ".json");
+}
+
+TEST_P(SampledGolden, RunIsDeterministic)
+{
+    const SampledCase c = GetParam();
+    EXPECT_EQ(toJson(runSampled(c)), toJson(runSampled(c)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sampled, SampledGolden,
+    ::testing::Values(
+        // 9 checkpoints: the last replay batch is partial.
+        SampledCase{"golden_sampled_nine", 90'000, 0.0, false, 9},
+        // Any CI is tight enough: replay stops after the first batch.
+        SampledCase{"golden_sampled_ci_stop", 90'000, 10.0, false, 4},
+        // Warming runs past the last checkpoint to the full budget.
+        SampledCase{"golden_sampled_checked", 95'000, 0.0, true, 9}),
+    [](const ::testing::TestParamInfo<SampledCase> &info) {
+        return std::string(info.param.name);
     });

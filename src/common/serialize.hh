@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace silc {
@@ -47,6 +48,9 @@ class BlobWriter
 
     const std::vector<uint8_t> &data() const { return buf_; }
     size_t size() const { return buf_.size(); }
+
+    /** Hand over the buffer without copying; the writer is left empty. */
+    std::vector<uint8_t> take() { return std::exchange(buf_, {}); }
 
   private:
     void raw(const void *p, size_t n);

@@ -13,7 +13,7 @@ capture(const sim::System &system, uint64_t warm_instructions)
     c.warm_instructions = warm_instructions;
     BlobWriter w;
     system.snapshotState(w);
-    c.blob = w.data();
+    c.blob = w.take();
     return c;
 }
 

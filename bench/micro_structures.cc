@@ -60,9 +60,10 @@ BM_VictimWay(benchmark::State &state)
     NmMetadata meta(2048, 4);
     Rng rng(2);
     for (uint64_t f = 0; f < meta.frames(); ++f) {
-        meta.meta(f).remap = 2048 + f;
-        meta.meta(f).locked = rng.chance(0.25);
-        meta.touch(f);
+        WayMeta &m = meta.meta(f);
+        m.remap = 2048 + f;
+        m.locked = rng.chance(0.25);
+        meta.touch(m);
     }
     uint64_t set = 0;
     for (auto _ : state) {

@@ -132,12 +132,8 @@ class NmMetadata
      */
     int victimWay(uint64_t set) const;
 
-    /** Bump the LRU stamp of @p frame. */
-    void
-    touch(uint64_t frame)
-    {
-        meta(frame).lru = ++lru_clock_;
-    }
+    /** Bump the LRU stamp of @p m, a frame's metadata from meta(). */
+    void touch(WayMeta &m) { m.lru = ++lru_clock_; }
 
     /** Number of currently locked ways (diagnostics). */
     uint64_t lockedWays() const;

@@ -251,7 +251,7 @@ SilcFmPolicy::resolveNative(uint64_t page, uint32_t sub, Addr pc,
     const uint64_t frame = page;
     WayMeta &m = meta_.meta(frame);
     m.nm_counter = counter_ops_.increment(m.nm_counter);
-    meta_.touch(frame);
+    meta_.touch(m);
     res.way = static_cast<int>(meta_.wayOfFrame(frame));
 
     const bool bypass = balancer_.bypassing();
@@ -306,7 +306,7 @@ SilcFmPolicy::resolveFar(uint64_t page, uint32_t sub, Addr pc,
         const uint64_t frame = meta_.frameOf(set, way);
         WayMeta &m = meta_.meta(frame);
         m.fm_counter = counter_ops_.increment(m.fm_counter);
-        meta_.touch(frame);
+        meta_.touch(m);
         res.way = way;
 
         if (m.bv.test(sub)) {
@@ -352,7 +352,7 @@ SilcFmPolicy::resolveFar(uint64_t page, uint32_t sub, Addr pc,
     WayMeta &m = meta_.meta(frame);
     m.remap = page;
     m.fm_counter = counter_ops_.increment(0);
-    meta_.touch(frame);
+    meta_.touch(m);
     res.way = victim;
     res.metadata_dirty = true;
 

@@ -92,9 +92,9 @@ TEST(Capacity, SparseArrayLookupOfPresentKeyKeepsReferencesValid)
 {
     // 16 slots grow once an insertion would pass 70% load, so the 11th
     // entry lands exactly on that boundary without a rehash.  Holding
-    // its reference and then looking up a present key is the
-    // resolveNative `WayMeta &` + touch() pattern: the lookup must not
-    // rehash, or the held reference dangles.
+    // its reference and then looking up a present key (as resolveNative
+    // did before touch() took the held `WayMeta &`) must not rehash, or
+    // the held reference dangles.
     SparseArray<uint64_t> a;
     for (uint64_t k = 0; k < 10; ++k)
         a.set(k * 1000, k);
@@ -131,7 +131,7 @@ TEST(Capacity, NmMetadataSparseDefaultsAndMaterialization)
     EXPECT_EQ(meta.materializedFrames(), 0u);
 
     meta.meta(123'456).remap = 77;
-    meta.touch(42);
+    meta.touch(meta.meta(42));
     EXPECT_EQ(meta.materializedFrames(), 2u);
     EXPECT_EQ(cmeta.meta(123'456).remap, 77u);
 }
@@ -145,7 +145,7 @@ TEST(Capacity, NmMetadataSnapshotRoundTripsSparsely)
     meta.meta(400'000).fm_counter = 9;
     meta.meta(400'000).first_pc = 0xabc;
     meta.meta(400'000).has_signature = true;
-    meta.touch(3);
+    meta.touch(meta.meta(3));
 
     BlobWriter w;
     meta.snapshot(w);

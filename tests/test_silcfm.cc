@@ -53,16 +53,18 @@ TEST(SetMetadata, VictimPrefersInvalidThenLru)
     NmMetadata meta(8, 4);
     // Fill ways 0..2, leave way 3 invalid.
     for (uint32_t w = 0; w < 3; ++w) {
-        meta.meta(meta.frameOf(0, w)).remap = 100 + w;
-        meta.touch(meta.frameOf(0, w));
+        WayMeta &m = meta.meta(meta.frameOf(0, w));
+        m.remap = 100 + w;
+        meta.touch(m);
     }
     EXPECT_EQ(meta.victimWay(0), 3);
 
     // All valid: LRU (way 1 touched first after refresh of others).
-    meta.meta(meta.frameOf(0, 3)).remap = 103;
-    meta.touch(meta.frameOf(0, 3));
-    meta.touch(meta.frameOf(0, 0));
-    meta.touch(meta.frameOf(0, 2));
+    WayMeta &m3 = meta.meta(meta.frameOf(0, 3));
+    m3.remap = 103;
+    meta.touch(m3);
+    meta.touch(meta.meta(meta.frameOf(0, 0)));
+    meta.touch(meta.meta(meta.frameOf(0, 2)));
     EXPECT_EQ(meta.victimWay(0), 1);
 }
 

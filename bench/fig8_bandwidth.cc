@@ -11,11 +11,10 @@
  *
  * --perf mode: run ONE fig8-class (bandwidth-bound, full channel
  * count) simulation and report simulator throughput on stderr as
- * "[simpar] T ticks in X.XXs (Y.YY mticks/sec, N lanes)".  This is the
- * fixture behind BENCH_fig8.json and the perf-smoke-fig8 CI gate: the
- * intra-simulation windowed loop (SILC_SIM_THREADS, sim/domain.hh) is
- * exercised by exactly this single-run shape, which the grid benches —
- * already saturated by run-level parallelism — cannot measure.
+ * "[perf] T ticks in X.XXs (Y.YY mticks/sec)".  This is the fixture
+ * behind BENCH_fig8.json and the perf-smoke-fig8 CI gate: it times one
+ * detailed simulation on one thread, which the grid benches — whose
+ * wall time is set by run-level parallelism — cannot measure.
  */
 
 #include <chrono>
@@ -26,7 +25,6 @@
 
 #include "policy/registry.hh"
 #include "sample/sampling.hh"
-#include "sim/domain.hh"
 #include "sim/parallel.hh"
 #include "sim/result_writer.hh"
 #include "trace/profiles.hh"
@@ -86,7 +84,7 @@ runPerfMode()
     SystemConfig cfg = makeConfig("lbm", "silcfm", opts);
     // Full paper channel counts (the table runs use the scaled-down
     // machine): 8 HBM2 pseudo-channels against 4 DDR3 channels keeps
-    // both devices busy enough that channel partitioning has work.
+    // both devices busy, so the DRAM controllers carry real load.
     cfg.nm_timing = dram::hbm2Params();
     cfg.fm_timing = dram::ddr3Params();
     cfg.fm_timing.channels = 4;
@@ -105,27 +103,11 @@ runPerfMode()
                 u64str(r.cores).c_str(),
                 u64str(opts.instructions_per_core).c_str(),
                 u64str(r.ticks).c_str(), r.ipc);
-    // Locale-stable footer; CI parses it with a fixed regex.  The
-    // core[...] block reports the window loop's core-phase counters
-    // (sequential runs have no window stats and omit it), so the perf
-    // artifacts record how much work ran on workers vs inline and how
-    // speculation fared — parse_perf_footer.py copies the fields into
-    // the *_measured.json artifact.
-    std::string core;
-    if (const WindowStats *ws = system.windowStats()) {
-        core = " core[par=" + u64str(ws->core_legs_parallel) +
-               " inline=" + u64str(ws->core_legs_inline) +
-               " adv=" + u64str(ws->core_adv_ticks) +
-               " def=" + u64str(ws->deferred_accesses) +
-               " spec_commit=" + u64str(ws->spec_commits) +
-               " spec_rollback=" + u64str(ws->spec_rollbacks) + "]";
-    }
-    std::fprintf(stderr,
-                 "[simpar] %s ticks in %ss (%s mticks/sec, %s lanes)%s\n",
+    // Locale-stable footer; CI parses it with a fixed regex.
+    std::fprintf(stderr, "[perf] %s ticks in %ss (%s mticks/sec)\n",
                  u64str(r.ticks).c_str(),
                  fixedDecimal(secs, 2).c_str(),
-                 fixedDecimal(mticks, 2).c_str(),
-                 u64str(opts.sim_threads).c_str(), core.c_str());
+                 fixedDecimal(mticks, 2).c_str());
     return 0;
 }
 

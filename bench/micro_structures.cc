@@ -9,25 +9,17 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <condition_variable>
 #include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/event_queue.hh"
 #include "common/rng.hh"
-#include "common/serialize.hh"
 #include "core/bitvector_table.hh"
 #include "core/predictor.hh"
 #include "core/set_metadata.hh"
 #include "core/silc_fm.hh"
 #include "dram/dram_system.hh"
-#include "sim/domain.hh"
-#include "sim/experiment.hh"
-#include "sim/system.hh"
 
 using namespace silc;
 using namespace silc::core;
@@ -378,113 +370,6 @@ BM_EventCancelRearm(benchmark::State &state)
 }
 BENCHMARK(BM_EventCancelRearm);
 
-/**
- * One window of the intra-simulation parallel machinery at lane
- * granularity, run serially: enter window mode, buffer a batch of
- * enqueues, replay every channel to the window edge, merge the deferred
- * completions back into the event queue in deterministic order.  This
- * is the fixed per-window overhead the conservative-lookahead loop pays
- * over the legacy polled path (sim/domain.hh); counter "reqs/sec" is
- * the buffered-issue throughput.
- */
-static void
-BM_WindowBufferReplayMerge(benchmark::State &state)
-{
-    dram::DramTimingParams p = dram::ddr3Params();
-    p.t_refi = 0;
-    p.channels = 4;
-    EventQueue events;
-    dram::DramSystem sys(p, 64_MiB, events);
-    sys.setWindowMode(true);
-    Rng rng(11);
-    Tick now = 0;
-    const Tick window = p.toTicks(64);
-    uint64_t issued = 0;
-    for (auto _ : state) {
-        (void)_;
-        sys.beginWindow();
-        for (int i = 0; i < 32; ++i) {
-            dram::DramRequest req;
-            req.addr = rng.below(64_MiB / 64) * 64;
-            req.is_write = rng.below(4) == 0;
-            req.traffic = req.is_write ? dram::TrafficClass::Writeback
-                                       : dram::TrafficClass::Demand;
-            sys.issue(std::move(req), now);
-            ++issued;
-        }
-        sys.stampTick(now);
-        const Tick w1 = now + window;
-        for (size_t c = 0; c < sys.numChannels(); ++c)
-            sys.replayChannel(c, w1);
-        sys.mergeWindow(1);
-        now = w1;
-        events.runDue(now);
-    }
-    state.counters["reqs/sec"] = benchmark::Counter(
-        static_cast<double>(issued), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_WindowBufferReplayMerge);
-
-/**
- * The window-edge synchronization barrier in isolation: the same
- * epoch/done atomic handshake DomainScheduler uses (release bump +
- * notify, spin-then-wait worker, release done, acquire gather).
- * Counter "windows/sec" bounds how many windows per second the
- * parallel loop could possibly sustain on this host — window sizing
- * must keep per-window work well above 1/this.
- */
-static void
-BM_WindowBarrierRoundTrip(benchmark::State &state)
-{
-    std::atomic<uint64_t> epoch{0}, done{0};
-    std::atomic<bool> stop{false};
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::thread worker([&] {
-        uint64_t seen = 0;
-        for (;;) {
-            for (int spin = 0; spin < 4096; ++spin) {
-                if (epoch.load(std::memory_order_acquire) != seen ||
-                    stop.load(std::memory_order_acquire))
-                    break;
-            }
-            {
-                std::unique_lock<std::mutex> lock(mutex);
-                cv.wait(lock, [&] {
-                    return epoch.load(std::memory_order_acquire) != seen ||
-                           stop.load(std::memory_order_acquire);
-                });
-            }
-            if (stop.load(std::memory_order_acquire))
-                return;
-            ++seen;
-            done.fetch_add(1, std::memory_order_release);
-        }
-    });
-    uint64_t rounds = 0;
-    for (auto _ : state) {
-        (void)_;
-        done.store(0, std::memory_order_relaxed);
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            epoch.fetch_add(1, std::memory_order_release);
-        }
-        cv.notify_all();
-        while (done.load(std::memory_order_acquire) != 1)
-            std::this_thread::yield();
-        ++rounds;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        stop.store(true, std::memory_order_release);
-    }
-    cv.notify_all();
-    worker.join();
-    state.counters["windows/sec"] = benchmark::Counter(
-        static_cast<double>(rounds), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_WindowBarrierRoundTrip);
-
 static void
 BM_DramDecode(benchmark::State &state)
 {
@@ -498,81 +383,5 @@ BM_DramDecode(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DramDecode);
-
-/**
- * The cores-lead phase of the windowed loop end to end: a small
- * SILC-FM system run under the core-partitioned engine, with the
- * speculative horizon off (Arg 0) and on (Arg in ticks).  Counter
- * "coreTicks/sec" is the private core-advance throughput (cycles a
- * core spent in its own lane, summed over cores) — the quantity the
- * partitioning exists to scale; "rollbacks" reports how often the
- * speculative variant had to re-run a leg.  On a 1-CPU host the lanes
- * run inline, so this doubles as the overhead floor of the engine.
- */
-static void
-BM_CoreWindowAdvance(benchmark::State &state)
-{
-    sim::ExperimentOptions opts;
-    opts.cores = 4;
-    opts.instructions_per_core = 20'000;
-    sim::SystemConfig cfg =
-        sim::makeConfig("mcf", "silcfm", opts);
-    cfg.sim_threads = 2;
-    cfg.spec_horizon = static_cast<Tick>(state.range(0));
-    uint64_t core_ticks = 0;
-    uint64_t rollbacks = 0;
-    for (auto _ : state) {
-        (void)_;
-        sim::System system(cfg);
-        benchmark::DoNotOptimize(system.run().ticks);
-        const sim::WindowStats *ws = system.windowStats();
-        core_ticks += ws->core_adv_ticks;
-        rollbacks += ws->spec_rollbacks;
-    }
-    state.counters["coreTicks/sec"] = benchmark::Counter(
-        static_cast<double>(core_ticks), benchmark::Counter::kIsRate);
-    state.counters["rollbacks"] =
-        benchmark::Counter(static_cast<double>(rollbacks));
-}
-BENCHMARK(BM_CoreWindowAdvance)->Arg(0)->Arg(256);
-
-/**
- * The speculative-horizon rollback in isolation: snapshot one core's
- * bit-exact microarchitectural state plus its private L1d slice
- * (Core::snapshotSpec + MemoryHierarchy::snapshotCoreSpec), then
- * restore both — the same round trip System::runWindowed pays each
- * time a fill-gate conflict invalidates a pre-run leg.  The system is
- * run to completion first so the L1d slice is warm (snapshot cost is
- * dominated by the valid-line walk).  The trace-cursor part of the
- * real rollback is a few counters and is omitted here.
- */
-static void
-BM_SpecRollback(benchmark::State &state)
-{
-    sim::ExperimentOptions opts;
-    opts.cores = 2;
-    opts.instructions_per_core = 50'000;
-    sim::SystemConfig cfg =
-        sim::makeConfig("mcf", "silcfm", opts);
-    sim::System system(cfg);
-    benchmark::DoNotOptimize(system.run().ticks);
-    uint64_t bytes = 0;
-    for (auto _ : state) {
-        (void)_;
-        BlobWriter w;
-        system.core(0).snapshotSpec(w);
-        system.hierarchy().snapshotCoreSpec(0, w);
-        BlobReader r(w.data());
-        system.core(0).restoreSpec(r);
-        system.hierarchy().restoreCoreSpec(0, r);
-        bytes += w.size();
-    }
-    state.counters["bytes/sec"] = benchmark::Counter(
-        static_cast<double>(bytes), benchmark::Counter::kIsRate);
-    state.counters["snapshot_bytes"] = benchmark::Counter(
-        static_cast<double>(bytes) /
-        static_cast<double>(std::max<int64_t>(state.iterations(), 1)));
-}
-BENCHMARK(BM_SpecRollback);
 
 BENCHMARK_MAIN();

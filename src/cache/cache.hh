@@ -120,16 +120,12 @@ class Cache
 
     /**
      * Serialize the array contents (tags, valid/dirty bits, LRU state)
-     * for checkpointing.  By default hit/miss statistics are
-     * deliberately NOT captured: replays measure deltas from a fresh
-     * zero, so restore() zeroes them.  @p with_stats appends (and
-     * restores) the statistics counters too — the speculative-rollback
-     * path needs the cache returned bit-exactly, counters included.
-     * The with_stats=false byte layout is unchanged, so existing
-     * checkpoint blobs stay valid.
+     * for checkpointing.  Hit/miss statistics are deliberately NOT
+     * captured: replays measure deltas from a fresh zero, so restore()
+     * zeroes them.
      */
-    void snapshot(BlobWriter &w, bool with_stats = false) const;
-    void restore(BlobReader &r, bool with_stats = false);
+    void snapshot(BlobWriter &w) const;
+    void restore(BlobReader &r);
 
   private:
     struct Line

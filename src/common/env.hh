@@ -1,12 +1,12 @@
 /**
  * @file
  * Strictly-validated environment knob parsing shared by the thread-count
- * knobs (SILC_THREADS, SILC_SIM_THREADS) and any future small-count
- * knob.  The historical parsers (one strtol in sim/parallel.cc, one
- * parseSize in sim/experiment.cc) silently accepted trailing junk
- * ("4abc" read as 4), which turns a typo into a quietly different
- * experiment; here anything but a clean positive decimal integer is a
- * fatal error naming the variable and the offending value.
+ * knob (SILC_THREADS), the scale knobs and any future small-count knob.
+ * The historical parsers (one strtol in sim/parallel.cc, one parseSize
+ * in sim/experiment.cc) silently accepted trailing junk ("4abc" read as
+ * 4), which turns a typo into a quietly different experiment; here
+ * anything but a clean positive decimal integer is a fatal error naming
+ * the variable and the offending value.
  */
 
 #ifndef SILC_COMMON_ENV_HH

@@ -74,58 +74,6 @@ class EventQueue
      */
     EventId scheduleCancellable(Tick when, EventCallback cb);
 
-    // ---- Deterministic ordering keys (windowed parallel execution) ---
-    //
-    // Tie-breaking between events due at the same tick is by sequence
-    // number, i.e. insertion order.  The windowed parallel simulator
-    // (sim/domain.hh) replays DRAM channel scans *after* the serial core
-    // phase of a window has already scheduled its events, so plain
-    // insertion order would no longer equal the sequential simulator's
-    // chronological scheduling order.  Order points fix that: the main
-    // loop advances the sequence counter to a composite
-    // (tick, loop-phase) base before each phase, and the window merge
-    // inserts deferred DRAM completions with explicitly composed keys —
-    // the exact sequence values the sequential run would have assigned —
-    // making the heap order bit-identical to the sequential schedule.
-
-    /** Bits of the per-order-point counter below the composite base. */
-    static constexpr unsigned kOrderCounterBits = 24;
-
-    /**
-     * Compose the sequence base for main-loop phase @p phase (0-3) of
-     * tick @p tick.  Phases follow the main loop: 0 events+cores, 1 NM
-     * scan, 2 FM scan, 3 policy.
-     */
-    static constexpr uint64_t
-    orderKey(Tick tick, uint32_t phase, uint64_t counter = 0)
-    {
-        return (((tick << 2) | phase) << kOrderCounterBits) | counter;
-    }
-
-    /**
-     * Advance the sequence counter to the base for (@p tick, @p phase).
-     * Subsequent schedule() calls take ascending sequence numbers from
-     * that base.  Never moves the counter backwards (pre-loop schedules
-     * already consumed the low values), so with ascending order points
-     * the relative order of scheduled events is untouched — this only
-     * creates gaps for scheduleKeyed() to target.
-     */
-    void
-    setOrderPoint(Tick tick, uint32_t phase)
-    {
-        const uint64_t base = orderKey(tick, phase);
-        if (base > next_seq_)
-            next_seq_ = base;
-    }
-
-    /**
-     * Schedule @p cb at tick @p when with an explicit sequence @p seq
-     * (compose with orderKey()).  Used by the window merge to insert
-     * deferred DRAM completions at their sequential-equivalent position;
-     * the caller owns uniqueness of (when, seq).
-     */
-    void scheduleKeyed(Tick when, uint64_t seq, EventCallback cb);
-
     /**
      * Cancel a pending cancellable event.  The entry stays in the heap
      * and is discarded (without running) when it reaches the front —

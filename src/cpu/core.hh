@@ -22,10 +22,6 @@
 #include "trace/generator.hh"
 
 namespace silc {
-
-class BlobWriter;
-class BlobReader;
-
 namespace cpu {
 
 /** Core configuration (defaults per Table II). */
@@ -35,24 +31,6 @@ struct CoreParams
     uint32_t width = 4;
     /** Instructions to retire before the core reports done. */
     uint64_t instruction_budget = 1'000'000;
-};
-
-/**
- * Outcome of a memory-port access under the core-partitioned windowed
- * loop (see MemoryPort::accessPartitioned).
- */
-enum class AccessResult : uint8_t
-{
-    Accepted,  ///< accepted; done will fire (possibly already has)
-    Rejected,  ///< resource stall (no MSHR); retry next cycle
-    /**
-     * The access touches shared state (shared L2, MSHRs, policy, page
-     * table) and has been captured by the hierarchy for deterministic
-     * replay on the serial spine.  The core must freeze mid-dispatch
-     * (Core::paused()) until resumeTick() delivers the final
-     * Accepted/Rejected verdict at the same tick.
-     */
-    Deferred,
 };
 
 /**
@@ -81,23 +59,6 @@ class MemoryPort
      */
     virtual bool access(CoreId core, Addr vaddr, Addr pc, bool is_write,
                         std::function<void(Tick)> done, Tick now) = 0;
-
-    /**
-     * access() variant for the core-partitioned windowed loop: a port
-     * that distinguishes core-private work (L1 hits) from shared-state
-     * work overrides this to return Deferred for the latter, letting
-     * the core advance on a worker lane and pause at shared accesses.
-     * The default simply wraps access(), so ordinary ports (tests,
-     * the sequential loop) behave exactly as before.
-     */
-    virtual AccessResult
-    accessPartitioned(CoreId core, Addr vaddr, Addr pc, bool is_write,
-                      std::function<void(Tick)> done, Tick now)
-    {
-        return access(core, vaddr, pc, is_write, std::move(done), now)
-            ? AccessResult::Accepted
-            : AccessResult::Rejected;
-    }
 };
 
 /** One trace-driven core. */
@@ -130,26 +91,6 @@ class Core
 
     /** True once the instruction budget has fully retired. */
     bool done() const { return retired_ >= params_.instruction_budget; }
-
-    /**
-     * True while a Deferred access has this core frozen mid-dispatch.
-     * tick() must not be called again until resumeTick() resolves it.
-     */
-    bool paused() const { return paused_; }
-
-    /** Tick at which the pending Deferred access was issued. */
-    Tick pauseTick() const { return pause_tick_; }
-
-    /**
-     * Resolve the Deferred access that paused the core (same tick, on
-     * the serial spine).  @p accepted true continues the dispatch loop
-     * of the paused cycle exactly where it froze — the access's side
-     * effects (load callback or store-buffer retirement) have been
-     * applied by the port; false replays the sequential MSHR-rejection
-     * path (roll the ROB slot back, count a memory stall, end the
-     * cycle).  The core may pause again within the same cycle.
-     */
-    void resumeTick(bool accepted);
 
     /** Tick at which the budget retired (valid once done()). */
     Tick finishTick() const { return finish_tick_; }
@@ -214,17 +155,6 @@ class Core
         params_.instruction_budget = budget;
     }
 
-    /**
-     * Serialize the complete microarchitectural state (ROB ring, seq
-     * cursors, staged instruction, stall horizon, all counters) for the
-     * speculative-horizon rollback.  Unlike checkpointing, this must be
-     * bit-exact — counters included — and is only taken while the core
-     * is not paused.  restoreSpec() requires an identically configured
-     * core.
-     */
-    void snapshotSpec(BlobWriter &w) const;
-    void restoreSpec(BlobReader &r);
-
   private:
     struct RobEntry
     {
@@ -240,12 +170,6 @@ class Core
     }
 
     void onLoadComplete(uint64_t seq, Tick when);
-
-    /** The dispatch half of tick(); resumable after a Deferred access. */
-    void dispatch(Tick now, uint32_t dispatched_now);
-
-    /** End-of-cycle fully-stalled detection (shared with resumeTick). */
-    void detectStall(Tick now);
 
     CoreId id_;
     CoreParams params_;
@@ -270,12 +194,6 @@ class Core
 
     /** Instruction fetched but not yet dispatched (resource stall). */
     std::optional<trace::TraceInstruction> staged_;
-
-    // ---- Deferred-access pause state (core partitioning) -----------
-    bool paused_ = false;
-    bool pause_is_write_ = false;
-    uint32_t pause_dispatched_now_ = 0;
-    Tick pause_tick_ = 0;
 
     uint64_t retired_ = 0;
     uint64_t dispatched_ = 0;

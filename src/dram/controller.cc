@@ -263,84 +263,15 @@ ChannelController::issue(DecodedRequest &dec, Tick now)
         const double delay =
             static_cast<double>(svc.data_start - dec.enqueued);
         read_delay_sum_ += delay;
-        if (read_delay_hist_) {
-            // In window mode the histogram is device-shared but this
-            // scan may run on a worker thread: defer the sample; the
-            // merge replays samples in (scan tick, channel) order so the
-            // histogram's floating-point sum stays bit-identical to the
-            // sequential interleaving.
-            if (window_mode_)
-                deferred_samples_.push_back({now, delay});
-            else
-                read_delay_hist_->sample(delay);
-        }
+        if (read_delay_hist_)
+            read_delay_hist_->sample(delay);
     }
 
     if (dec.req.on_complete) {
-        if (window_mode_) {
-            deferred_completions_.push_back(
-                {now, svc.data_done,
-                 EventCallback([cb = std::move(dec.req.on_complete)](
-                     Tick t) mutable { cb(t); })});
-        } else {
-            events_.schedule(svc.data_done,
-                             [cb = std::move(dec.req.on_complete)](
-                                 Tick t) mutable { cb(t); });
-        }
+        events_.schedule(svc.data_done,
+                         [cb = std::move(dec.req.on_complete)](
+                             Tick t) mutable { cb(t); });
     }
-}
-
-void
-ChannelController::bufferEnqueue(DecodedRequest dec, Tick now,
-                                 Tick scan_at)
-{
-    if (dec.req.is_write)
-        ++pending_writes_;
-    else
-        ++pending_reads_;
-    pending_.push_back({std::move(dec), now, scan_at});
-}
-
-void
-ChannelController::replayWindow(Tick w1)
-{
-    // Interleave buffered enqueues with scans exactly as the sequential
-    // loop would: an enqueue becomes visible just before the first scan
-    // tick that may see it (its recorded scan_at), scans run strictly
-    // before w1.  pending_ is in arrival order and scan_at is
-    // nondecreasing (both follow simulation time), so a single cursor
-    // suffices.
-    size_t pi = 0;
-    const size_t np = pending_.size();
-    while (true) {
-        const Tick s = next_scan_;
-        if (pi < np && pending_[pi].scan_at <= s) {
-            PendingEnqueue &p = pending_[pi++];
-            if (p.dec.req.is_write)
-                --pending_writes_;
-            else
-                --pending_reads_;
-            enqueue(std::move(p.dec), p.now);
-            requestScanAt(p.scan_at);
-            continue;
-        }
-        if (s >= w1)
-            break;
-        scan(s);
-    }
-    // Leftovers become visible at the next window; apply them now so
-    // queue state (and the depth probes) match the sequential simulator
-    // at tick w1, and arm the wakeup they would have requested.
-    for (; pi < np; ++pi) {
-        PendingEnqueue &p = pending_[pi];
-        if (p.dec.req.is_write)
-            --pending_writes_;
-        else
-            --pending_reads_;
-        enqueue(std::move(p.dec), p.now);
-        requestScanAt(p.scan_at);
-    }
-    pending_.clear();
 }
 
 void
@@ -422,10 +353,6 @@ ChannelController::reset()
         ? params_.toTicks(params_.t_refi)
         : kTickNever;
     next_scan_ = next_refresh_;
-    pending_.clear();
-    pending_reads_ = pending_writes_ = 0;
-    deferred_completions_.clear();
-    deferred_samples_.clear();
     row_hits_ = row_misses_ = activations_ = refreshes_ = 0;
     bg_promotions_ = 0;
     read_delay_sum_ = 0.0;

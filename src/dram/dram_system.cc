@@ -10,7 +10,7 @@ namespace dram {
 
 DramSystem::DramSystem(DramTimingParams params, uint64_t capacity,
                        EventQueue &events)
-    : params_(std::move(params)), capacity_(capacity), events_(events),
+    : params_(std::move(params)), capacity_(capacity),
       // Queue delays at this scale live in the tens-to-hundreds of CPU
       // ticks; 8-tick buckets up to 1024 resolve p50-p99, with the
       // saturating overflow bucket catching drain-mode outliers.
@@ -23,7 +23,7 @@ DramSystem::DramSystem(DramTimingParams params, uint64_t capacity,
     channels_.reserve(params_.channels);
     for (uint32_t c = 0; c < params_.channels; ++c)
         channels_.push_back(std::make_unique<ChannelController>(
-            params_, events_, &read_delay_hist_));
+            params_, events, &read_delay_hist_));
     for (const auto &ch : channels_)
         next_scan_min_ = std::min(next_scan_min_, ch->nextScanAt());
 }
@@ -90,15 +90,6 @@ DramSystem::issue(DramRequest req, Tick now)
         scan_at = tick_seen_ != now ? now : now + step;
     else
         scan_at = now + (step - rem);
-
-    if (window_mode_) {
-        // Windowed core phase: the scan belongs to the replay.  Buffer
-        // the enqueue on its channel and pull the window horizon down so
-        // the core phase stops before this scan's earliest completion.
-        ch.bufferEnqueue(std::move(dec), now, scan_at);
-        window_scan_low_ = std::min(window_scan_low_, scan_at);
-        return;
-    }
 
     ch.enqueue(std::move(dec), now);
     ch.requestScanAt(scan_at);
@@ -279,89 +270,6 @@ DramSystem::registerTelemetry(telemetry::Sampler &sampler,
 }
 
 void
-DramSystem::setWindowMode(bool on)
-{
-    window_mode_ = on;
-    for (auto &ch : channels_)
-        ch->setWindowMode(on);
-    window_scan_low_ = kTickNever;
-    // Windows bypass the polled tick() path, leaving next_scan_min_
-    // stale; recompute it so the legacy fast path is sound either way.
-    next_scan_min_ = kTickNever;
-    for (const auto &ch : channels_)
-        next_scan_min_ = std::min(next_scan_min_, ch->nextScanAt());
-}
-
-void
-DramSystem::beginWindow()
-{
-    // Seed the horizon from the channels' armed wakeups: no scan of this
-    // device can happen before the earliest of them, and issue() only
-    // ever pulls the bound down from here.
-    Tick low = kTickNever;
-    for (const auto &ch : channels_)
-        low = std::min(low, ch->nextScanAt());
-    window_scan_low_ = low;
-}
-
-void
-DramSystem::mergeWindow(uint32_t loop_phase)
-{
-    // Deferred completions must enter the event queue with the sequence
-    // numbers the sequential simulator would have assigned: at a given
-    // scan tick the device phase scans channels in ascending index
-    // order, so ordering by (scan tick, channel) and numbering within
-    // each scan tick reproduces the sequential insertion order exactly.
-    merge_order_.clear();
-    for (size_t c = 0; c < channels_.size(); ++c) {
-        const auto &dc = channels_[c]->deferredCompletions();
-        for (size_t i = 0; i < dc.size(); ++i)
-            merge_order_.push_back({dc[i].scan_tick,
-                                    static_cast<uint64_t>(c),
-                                    static_cast<uint64_t>(i)});
-    }
-    if (!merge_order_.empty()) {
-        std::sort(merge_order_.begin(), merge_order_.end());
-        Tick cur_tick = kTickNever;
-        uint64_t counter = 0;
-        for (const auto &e : merge_order_) {
-            const Tick scan_tick = e[0];
-            if (scan_tick != cur_tick) {
-                cur_tick = scan_tick;
-                counter = 0;
-            }
-            auto &dc = channels_[e[1]]->deferredCompletions()[e[2]];
-            events_.scheduleKeyed(
-                dc.when,
-                EventQueue::orderKey(scan_tick, loop_phase, counter++),
-                std::move(dc.cb));
-        }
-        for (auto &ch : channels_)
-            ch->deferredCompletions().clear();
-    }
-
-    // Same ordering discipline for the device-shared read-delay
-    // histogram: its floating-point running sum is order-dependent, so
-    // samples replay in the sequential (scan tick, channel) order.
-    merge_order_.clear();
-    for (size_t c = 0; c < channels_.size(); ++c) {
-        const auto &ds = channels_[c]->deferredSamples();
-        for (size_t i = 0; i < ds.size(); ++i)
-            merge_order_.push_back({ds[i].scan_tick,
-                                    static_cast<uint64_t>(c),
-                                    static_cast<uint64_t>(i)});
-    }
-    if (!merge_order_.empty()) {
-        std::sort(merge_order_.begin(), merge_order_.end());
-        for (const auto &e : merge_order_)
-            read_delay_hist_.sample(
-                channels_[e[1]]->deferredSamples()[e[2]].delay);
-        for (auto &ch : channels_)
-            ch->deferredSamples().clear();
-    }
-}
-
-void
 DramSystem::reset()
 {
     for (auto &ch : channels_)
@@ -373,7 +281,6 @@ DramSystem::reset()
     for (const auto &ch : channels_)
         next_scan_min_ = std::min(next_scan_min_, ch->nextScanAt());
     tick_seen_ = kTickNever;
-    window_scan_low_ = kTickNever;
 }
 
 } // namespace dram

@@ -209,10 +209,9 @@ SamplingController::release(Checkpoint &ckpt)
 }
 
 WindowSample
-SamplingController::replayWindow(Checkpoint ckpt, uint64_t index)
+SamplingController::replayCheckpoint(Checkpoint ckpt, uint64_t index)
 {
     sim::SystemConfig rcfg = cfg_;
-    rcfg.sim_threads = 1;          // replays are the parallel unit
     rcfg.telemetry.enabled = false;
     rcfg.check = false;            // the oracle already ran in warming
     // Core retire counters restart at zero after a restore (they are
@@ -308,7 +307,6 @@ SamplingController::run()
     peak_blob_bytes_ = 0;
 
     sim::SystemConfig wcfg = cfg_;
-    wcfg.sim_threads = 1;
     wcfg.telemetry.enabled = false;
 
     sim::System warm(wcfg);
@@ -347,7 +345,7 @@ SamplingController::run()
             auto task = std::make_shared<std::packaged_task<WindowSample()>>(
                 [this, i = held.front().first,
                  ckpt = std::move(held.front().second)]() mutable {
-                    return replayWindow(std::move(ckpt), i);
+                    return replayCheckpoint(std::move(ckpt), i);
                 });
             held.pop_front();
             replays.push_back(task->get_future());

@@ -45,9 +45,9 @@
  * Determinism: warming runs each core's private work in parallel but
  * every shared-state update (page allocation, L2, policy) in the one
  * static per-cycle order, so its checkpoints are byte-identical at any
- * pool width; every replay runs sim_threads=1 from a byte-exact blob;
- * windows are aggregated in checkpoint order and early stopping is
- * evaluated only at fixed batch boundaries — so results are
+ * pool width; every replay restores a byte-exact blob into a System of
+ * its own; windows are aggregated in checkpoint order and early stopping
+ * is evaluated only at fixed batch boundaries — so results are
  * byte-identical across SILC_THREADS values, and the same as replaying
  * every window after warming ends (tests/golden/golden_sampled_*.json).
  *
@@ -219,7 +219,7 @@ class SamplingController
     /** Free a blob that no replay needs any more. */
     void release(Checkpoint &ckpt);
 
-    WindowSample replayWindow(Checkpoint ckpt, uint64_t index);
+    WindowSample replayCheckpoint(Checkpoint ckpt, uint64_t index);
 
     sim::SystemConfig cfg_;
     SamplingConfig scfg_;

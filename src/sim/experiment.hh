@@ -24,33 +24,19 @@
  *                  ParallelRunner (sim/parallel.hh); default is
  *                  hardware_concurrency, 1 runs everything
  *                  sequentially.  Tables are byte-identical across
- *                  thread counts.
- *   SILC_SIM_THREADS - worker lanes *inside* each simulation (default
- *                  1): >= 2 selects the conservative-lookahead windowed
- *                  run loop (sim/domain.hh), which partitions DRAM
- *                  channel scans AND the cores' private execution
- *                  across this many lanes.  Results are byte-identical
- *                  for every value; it only changes wall-clock time.
- *                  Both thread knobs reject 0 and non-numeric values
+ *                  thread counts.  Rejects 0 and non-numeric values
  *                  with a fatal error.
- *   SILC_CORE_LANES - core-advance lanes of the windowed loop (default:
- *                  follow SILC_SIM_THREADS); clamped to the core count.
- *                  Byte-identical for every value, like the thread
- *                  knobs; rejects 0 / junk / overflow fatally.
- *   SILC_SPEC_HORIZON - speculative horizon of the windowed loop, in
- *                  ticks (unset = speculation off): in-flight cores may
- *                  run this far past their conservative event bound
- *                  under snapshot/rollback (see DESIGN.md "Core-phase
- *                  partitioning").  Byte-identical for every value;
- *                  rejects 0 / junk / overflow fatally (use unset, not
- *                  0, to disable).
  *   SILC_TENANTS - tenants time-sharing each core's stream (default 1,
  *                  max 256; see trace/tenants.hh).  > 1 gives every
  *                  tenant a private address window with Zipf-skewed
  *                  popularity.
  *   SILC_TENANT_CHURN - memory ops between tenant arrival/departure
  *                  events (unset = static population; explicit 0 is
- *                  rejected like SILC_SPEC_HORIZON).
+ *                  rejected).
+ *
+ * Each simulation runs on one thread.  The knobs of the removed
+ * intra-simulation windowed loop are a fatal error when set (see
+ * fromEnv()).
  *
  * Telemetry / export knobs (see src/telemetry/ and sim/result_writer.hh):
  *   SILC_JSON        - write every run's SimResult (plus its epoch time
@@ -116,13 +102,6 @@ struct ExperimentOptions
     bool check = false;
     /** Telemetry epoch length in ticks (SILC_EPOCH_TICKS). */
     uint64_t epoch_ticks = 100'000;
-    /** Intra-simulation lanes (SILC_SIM_THREADS); 1 = sequential loop. */
-    uint32_t sim_threads = 1;
-    /** Core-advance lanes (SILC_CORE_LANES); 0 follows sim_threads. */
-    uint32_t core_lanes = 0;
-    /** Windowed-loop speculative horizon in ticks (SILC_SPEC_HORIZON);
-     *  0 = speculation off. */
-    Tick spec_horizon = 0;
 
     /** Tenants per core's stream (SILC_TENANTS); 1 = single-tenant. */
     uint32_t tenants = 1;

@@ -9,7 +9,6 @@
 #include "common/stats.hh"
 #include "policy/registry.hh"
 #include "policy/static_random.hh"
-#include "sim/domain.hh"
 #include "sim/warming.hh"
 #include "trace/file_trace.hh"
 #include "trace/profiles.hh"
@@ -70,8 +69,6 @@ SystemConfig::validate() const
     }
     if (instructions_per_core == 0)
         fatal("system: zero instruction budget");
-    if (sim_threads == 0)
-        fatal("system: sim_threads must be >= 1 (1 = sequential loop)");
     if (tenants == 0)
         fatal("system: at least one tenant required");
     if (tenant_min_active == 0 || tenant_min_active > tenants)
@@ -158,7 +155,74 @@ MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
             done(now + latency);
         return true;
     }
-    return dataAccess(core, paddr, pc, is_write, std::move(done), now);
+
+    cache::Cache &l1 = private_[core].l1d;
+
+    // L1 hit path.
+    if (l1.accessIfHit(paddr, is_write)) {
+        if (done)
+            done(now + cfg_.l1_latency);
+        return true;
+    }
+
+    // L2 hit path: a hit updates L2 state immediately; a miss leaves the
+    // caches untouched so MSHR rejection below has nothing to undo.
+    const bool l2_hit = l2_.accessIfHit(paddr, false);
+    const Addr block = subblockAddr(paddr);
+
+    if (!l2_hit) {
+        // Demand miss at the LLC: needs an MSHR.
+        auto fill_cb = [this, core, paddr, is_write,
+                        done = std::move(done)](Tick t) mutable {
+            // Install into both levels; victims cascade downwards.
+            auto o2 = l2_.fill(paddr, false);
+            if (o2.writeback)
+                policy_.writeback(o2.writeback_addr, core, t);
+            auto o1 = private_[core].l1d.fill(paddr, is_write);
+            if (o1.writeback) {
+                auto ol2 = l2_.fill(o1.writeback_addr, true);
+                if (ol2.writeback)
+                    policy_.writeback(ol2.writeback_addr, core, t);
+            }
+            if (done)
+                done(t + cfg_.fill_latency);
+        };
+
+        const auto alloc = mshr_.allocate(block, core, std::move(fill_cb));
+        if (alloc == cache::MshrAllocation::NoCapacity)
+            return false;
+
+        ++llc_misses_[core];
+        ++llc_misses_total_;
+
+        if (alloc == cache::MshrAllocation::Primary) {
+            policy_.demandAccess(
+                block, is_write, core, pc,
+                [this, block, now](Tick t) {
+                    miss_latency_sum_ += static_cast<double>(t - now);
+                    ++misses_completed_;
+                    mshr_.complete(block, t);
+                },
+                now);
+        }
+        // Record the misses in statistics; the functional install is
+        // deferred to the fill callback.
+        l1.noteMiss();
+        l2_.noteMiss();
+        return true;
+    }
+
+    // L2 hit (already counted above): fill L1, cascade any dirty L1
+    // victim into L2.
+    auto o1 = l1.access(paddr, is_write);
+    if (o1.writeback) {
+        auto ol2 = l2_.fill(o1.writeback_addr, true);
+        if (ol2.writeback)
+            policy_.writeback(ol2.writeback_addr, core, now);
+    }
+    if (done)
+        done(now + cfg_.l2_latency);
+    return true;
 }
 
 bool
@@ -192,178 +256,6 @@ MemoryHierarchy::warmShared(CoreId core, Addr paddr, Addr pc, bool is_write,
             policy_.writeback(ol2.writeback_addr, core, now);
     }
     return l2_hit;
-}
-
-cpu::AccessResult
-MemoryHierarchy::accessPartitioned(CoreId core, Addr vaddr, Addr pc,
-                                   bool is_write,
-                                   std::function<void(Tick)> done, Tick now)
-{
-    using cpu::AccessResult;
-    if (!partition_mode_) {
-        return access(core, vaddr, pc, is_write, std::move(done), now)
-            ? AccessResult::Accepted
-            : AccessResult::Rejected;
-    }
-
-    // Core-private prefix — runs on the core's worker lane, touching
-    // only per-core structures (the I-line memo, L1s, this core's TLB
-    // slice, read-only).
-    fetchLine(core, pc);
-    Addr paddr;
-    if (translation_.probe(core, vaddr, paddr) &&
-        private_[core].l1d.accessIfHit(paddr, is_write)) {
-        if (done)
-            done(now + cfg_.l1_latency);
-        return AccessResult::Accepted;
-    }
-
-    // TLB miss or L1d miss: everything further (page table, shared L2,
-    // MSHRs, the policy) is shared state, executed by the serial spine
-    // in deterministic (tick, core) order via executeDeferred().
-    DeferredAccess &d = deferred_[core];
-    silc_assert(!d.valid);
-    d.vaddr = vaddr;
-    d.pc = pc;
-    d.is_write = is_write;
-    d.done = std::move(done);
-    d.valid = true;
-    return AccessResult::Deferred;
-}
-
-bool
-MemoryHierarchy::executeDeferred(CoreId core, Tick now)
-{
-    DeferredAccess &d = deferred_[core];
-    silc_assert(d.valid);
-    d.valid = false;
-    std::function<void(Tick)> done = std::move(d.done);
-
-    // A TLB-miss capture can still be an L1d hit — dataAccess() finishes
-    // it at the same tick and latency the sequential loop would have.
-    const Addr paddr = translation_.translate(core, d.vaddr);
-    return dataAccess(core, paddr, d.pc, d.is_write, std::move(done), now);
-}
-
-void
-MemoryHierarchy::clearDeferred(CoreId core)
-{
-    deferred_[core].valid = false;
-    deferred_[core].done = nullptr;
-}
-
-void
-MemoryHierarchy::setPartitionMode(bool on)
-{
-    partition_mode_ = on;
-    const size_t n = private_.size();
-    deferred_.assign(n, DeferredAccess{});
-    pending_fills_.assign(n, 0);
-    if (!on)
-        fill_gate_ = nullptr;
-}
-
-void
-MemoryHierarchy::snapshotCoreSpec(CoreId core, BlobWriter &w) const
-{
-    const CorePrivate &p = private_[core];
-    p.l1i.snapshot(w, /*with_stats=*/true);
-    p.l1d.snapshot(w, /*with_stats=*/true);
-    w.putU64(p.last_iline);
-}
-
-void
-MemoryHierarchy::restoreCoreSpec(CoreId core, BlobReader &r)
-{
-    CorePrivate &p = private_[core];
-    p.l1i.restore(r, /*with_stats=*/true);
-    p.l1d.restore(r, /*with_stats=*/true);
-    p.last_iline = r.getU64();
-}
-
-bool
-MemoryHierarchy::dataAccess(CoreId core, Addr paddr, Addr pc, bool is_write,
-                            std::function<void(Tick)> done, Tick now)
-{
-    cache::Cache &l1 = private_[core].l1d;
-
-    // L1 hit path.
-    if (l1.accessIfHit(paddr, is_write)) {
-        if (done)
-            done(now + cfg_.l1_latency);
-        return true;
-    }
-
-    // L2 hit path: a hit updates L2 state immediately; a miss leaves the
-    // caches untouched so MSHR rejection below has nothing to undo.
-    const bool l2_hit = l2_.accessIfHit(paddr, false);
-    const Addr block = subblockAddr(paddr);
-
-    if (!l2_hit) {
-        // Demand miss at the LLC: needs an MSHR.
-        auto fill_cb = [this, core, paddr, is_write,
-                        done = std::move(done)](Tick t) mutable {
-            // Install into both levels; victims cascade downwards.
-            auto o2 = l2_.fill(paddr, false);
-            if (o2.writeback)
-                policy_.writeback(o2.writeback_addr, core, t);
-            if (partition_mode_) {
-                // Let the run loop reconcile the core's private frontier
-                // with this completion — rolling the core back right
-                // here, inside the event, when it has speculated past
-                // the firing tick, so the L1 install and victim cascade
-                // below land in exactly the sequential order.
-                fill_gate_(core, t);
-            }
-            auto o1 = private_[core].l1d.fill(paddr, is_write);
-            if (o1.writeback) {
-                auto ol2 = l2_.fill(o1.writeback_addr, true);
-                if (ol2.writeback)
-                    policy_.writeback(ol2.writeback_addr, core, t);
-            }
-            if (done)
-                done(t + cfg_.fill_latency);
-            if (partition_mode_)
-                --pending_fills_[core];
-        };
-
-        const auto alloc = mshr_.allocate(block, core, std::move(fill_cb));
-        if (alloc == cache::MshrAllocation::NoCapacity)
-            return false;
-        if (partition_mode_)
-            ++pending_fills_[core];
-
-        ++llc_misses_[core];
-        ++llc_misses_total_;
-
-        if (alloc == cache::MshrAllocation::Primary) {
-            policy_.demandAccess(
-                block, is_write, core, pc,
-                [this, block, now](Tick t) {
-                    miss_latency_sum_ += static_cast<double>(t - now);
-                    ++misses_completed_;
-                    mshr_.complete(block, t);
-                },
-                now);
-        }
-        // Record the misses in statistics; the functional install is
-        // deferred to the fill callback.
-        l1.noteMiss();
-        l2_.noteMiss();
-        return true;
-    }
-
-    // L2 hit (already counted above): fill L1, cascade any dirty L1
-    // victim into L2.
-    auto o1 = l1.access(paddr, is_write);
-    if (o1.writeback) {
-        auto ol2 = l2_.fill(o1.writeback_addr, true);
-        if (ol2.writeback)
-            policy_.writeback(ol2.writeback_addr, core, now);
-    }
-    if (done)
-        done(now + cfg_.l2_latency);
-    return true;
 }
 
 void
@@ -528,16 +420,12 @@ System::~System() = default;
 SimResult
 System::run()
 {
-    if (cfg_.sim_threads >= 2)
-        return runWindowed();
-
     return collectResult(runToBudget());
 }
 
 bool
 System::runToBudget()
 {
-    silc_assert(cfg_.sim_threads == 1);
     if (functional_)
         return runFunctional();
 
@@ -697,421 +585,6 @@ System::restoreState(BlobReader &r)
     // its map from the restored locate() state.
     if (shadow_)
         shadow_->reseed();
-}
-
-/**
- * The conservative-lookahead windowed loop with core-phase
- * partitioning.  Three kinds of legs alternate, all separated by
- * barriers so no two ever overlap:
- *
- *  - Core-advance legs: each core privately executes cycles
- *    [frontier, bound) on its own lane (round-robin over the
- *    DomainScheduler's core lanes), touching only per-core state — the
- *    trace source, ROB, L1s, and a read-only TLB probe.  Any access
- *    that needs shared state (TLB miss, L1d miss) is captured by the
- *    hierarchy and the core pauses mid-cycle (AccessResult::Deferred).
- *    The bound: a core with no outstanding fills cannot be touched by
- *    any event, so it may run to the window cap; an in-flight core
- *    stops at min(next event tick, DRAM horizon) as every pending
- *    completion provably lands at or past both — unless the
- *    speculative horizon (cfg_.spec_horizon) lets it run further past
- *    a snapshot, subject to rollback.
- *
- *  - The serial spine: processes each tick t in order — events (which
- *    apply fills; the fill gate below reconciles speculating cores),
- *    then the paused cores' captured shared accesses in core order
- *    (identical to the sequential loop's in-cycle core order), then
- *    the policy.  The spine never passes an unexecuted live core: it
- *    hands control back to an advance leg instead, which is what keeps
- *    shared-state mutation order bit-identical to the sequential loop.
- *
- *  - Window replay: as before, per-channel DRAM scans replay up to the
- *    window edge and merge with composed (tick, phase, channel) keys.
- *
- * Windows still end at telemetry epoch boundaries; additionally the
- * epoch tick itself opens the next window, and since every core's
- * bound in the previous window was that very cap, epoch probes read
- * core counters that reflect exactly the cycles before the epoch tick,
- * as in the sequential loop.
- */
-SimResult
-System::runWindowed()
-{
-    silc_assert(!functional_);
-    if (nm_)
-        nm_->setWindowMode(true);
-    fm_->setWindowMode(true);
-
-    unsigned core_lanes =
-        cfg_.core_lanes != 0 ? cfg_.core_lanes : cfg_.sim_threads;
-    if (core_lanes > cfg_.cores)
-        core_lanes = cfg_.cores;
-    DomainScheduler sched(nm_.get(), *fm_, cfg_.sim_threads, core_lanes);
-    window_stats_ = std::make_unique<WindowStats>();
-    WindowStats &ws = sched.stats();
-
-    // Pre-size the shared TLB vector: worker lanes probe it while the
-    // spine is parked, so it must never reallocate concurrently.
-    translation_->ensureCores(cfg_.cores);
-    hierarchy_->setPartitionMode(true);
-
-    const auto horizon = [this]() -> Tick {
-        Tick h = fm_->windowHorizon();
-        if (nm_)
-            h = std::min(h, nm_->windowHorizon());
-        return h;
-    };
-
-    /** Private-execution state of one core. */
-    struct CoreRun
-    {
-        Tick frontier = 0;   ///< first cycle not yet completed
-        Tick bound = 0;      ///< advance legs run while frontier < bound
-        bool paused = false; ///< frozen mid-cycle `frontier` (Deferred)
-        // Speculative horizon state.
-        bool spec_arm = false;    ///< snapshot when frontier hits base_next
-        bool spec_active = false; ///< snap holds a valid rollback target
-        Tick spec_base = 0;       ///< cycle the snapshot was taken at
-        Tick spec_base_next = 0;  ///< arm point (this leg's conservative bound)
-        std::vector<uint8_t> snap;
-    };
-    std::vector<CoreRun> runs(cfg_.cores);
-
-    // ---- core-advance leg (runs on worker lanes) -------------------
-    const Tick spec_horizon = cfg_.spec_horizon;
-    auto advance_core = [&](uint32_t c) {
-        cpu::Core &core = *cores_[c];
-        CoreRun &run = runs[c];
-        if (run.paused || core.done())
-            return;
-        while (run.frontier < run.bound) {
-            if (run.spec_arm && run.frontier == run.spec_base_next) {
-                BlobWriter w;
-                core.snapshotSpec(w);
-                hierarchy_->snapshotCoreSpec(c, w);
-                traces_[c]->snapshot(w);
-                run.snap = w.data();
-                run.spec_base = run.spec_base_next;
-                run.spec_active = true;
-                run.spec_arm = false;
-            }
-            core.tick(run.frontier);
-            if (core.paused()) {
-                run.paused = true;
-                return;
-            }
-            if (core.done())
-                return;
-            ++run.frontier;
-            // Per-core stall fast-forward: cycles below stallUntil()
-            // are counters-only for this core, and the bound already
-            // stops short of anything that could wake it early.
-            const Tick su = core.stallUntil();
-            if (su > run.frontier) {
-                Tick jump = std::min(su, run.bound);
-                // <= so a jump landing exactly on the arm point stops
-                // there: the snapshot at the top of the next iteration
-                // must run before any cycle past spec_base_next.
-                if (run.spec_arm && run.frontier <= run.spec_base_next)
-                    jump = std::min(jump, run.spec_base_next);
-                if (jump > run.frontier) {
-                    core.addStalledCycles(jump - run.frontier);
-                    run.frontier = jump;
-                }
-            }
-        }
-    };
-    sched.setCoreLeg([&](unsigned lane, unsigned lanes) {
-        for (uint32_t c = lane; c < cfg_.cores; c += lanes)
-            advance_core(c);
-    });
-
-    Tick spine = 0;           ///< first tick not fully processed
-    Tick w1_cap = 0;          ///< current window's hard end
-    bool events_done = false; ///< events at `spine` already ran
-    bool all_done = false;
-
-    // ---- fill gate: reconcile a completion with a core's frontier --
-    //
-    // Every fill reaches the gate from the event queue, drained at
-    // Phase A of the current spine tick (late-scheduled events pop at
-    // the next processed tick with their original `t`), so its
-    // sequential position is "tick `spine`, before the cores run".  A
-    // core at or below the spine that is not frozen mid-cycle has not
-    // started cycle `spine` yet and the install lands in order.  A core
-    // past the spine — or paused at it, which means part of cycle
-    // `spine` (private L1d hits, ROB writes) already ran — pre-executed
-    // work the fill should have preceded; only a speculating core can
-    // be there (its conservative bound was at or below this
-    // completion's tick), and it rolls back.
-    auto fill_gate = [&](CoreId c, Tick t) {
-        CoreRun &run = runs[c];
-        cpu::Core &core = *cores_[c];
-        silc_assert(t <= spine);
-        // A core paused *at* the spine during Phase A pre-executed part
-        // of cycle `spine` speculatively (a superscalar cycle can
-        // complete private L1d hits before the access that pauses it):
-        // only a leg running past its conservative bound reaches cycle
-        // `spine` before this tick's events, so it must roll back like
-        // a core past the spine.
-        const bool preran = run.paused && core.pauseTick() == spine;
-        if (run.frontier <= spine && !preran) {
-            // In order.  Any speculative snapshot is now stale (it
-            // predates this install), but every speculated cycle is
-            // below the spine and therefore final: the speculation
-            // simply commits here.
-            if (run.spec_active) {
-                if (run.frontier > run.spec_base)
-                    ++ws.spec_commits;
-                run.spec_active = false;
-                run.snap.clear();
-            }
-            return;
-        }
-        silc_assert(run.spec_active && run.spec_base <= spine);
-        ++ws.spec_rollbacks;
-        if (core.paused() || hierarchy_->hasDeferred(c))
-            hierarchy_->clearDeferred(c);
-        run.paused = false;
-        BlobReader rd(run.snap);
-        core.restoreSpec(rd);
-        hierarchy_->restoreCoreSpec(c, rd);
-        traces_[c]->restore(rd);
-        rd.done();
-        run.spec_active = false;
-        run.snap.clear();
-        run.frontier = run.spec_base;
-        // Deterministic private re-execution up to (excluding) the
-        // spine: the speculated pass crossed no shared access below its
-        // pause point, so this replay is bit-identical and cannot
-        // pause.  Cycle `spine` itself re-runs in a later advance leg,
-        // after the install below — the sequential order.
-        while (run.frontier < spine && !core.done()) {
-            core.tick(run.frontier);
-            silc_assert(!core.paused());
-            ++run.frontier;
-            const Tick su = core.stallUntil();
-            if (su > run.frontier) {
-                const Tick jump = std::min(su, spine);
-                if (jump > run.frontier) {
-                    core.addStalledCycles(jump - run.frontier);
-                    run.frontier = jump;
-                }
-            }
-        }
-    };
-    hierarchy_->setFillGate(fill_gate);
-
-    // ---- per-leg bound computation ---------------------------------
-    // Returns true when at least two cores have enough private work to
-    // justify a parallel dispatch (the executor hint; never affects
-    // results).
-    constexpr Tick kMinParallelSpan = 16;
-    auto compute_bounds = [&]() -> bool {
-        // An event scheduled at or below the spine (possible when a
-        // handler schedules for its own tick) fires at the next
-        // processed tick, >= spine + 1 — clamp so the blocking core's
-        // bound always clears its frontier and the loop makes progress.
-        Tick next_ev = events_.nextEventTick();
-        if (next_ev <= spine)
-            next_ev = spine + 1;
-        const Tick hz = horizon();
-        unsigned busy = 0;
-        for (uint32_t c = 0; c < cfg_.cores; ++c) {
-            CoreRun &run = runs[c];
-            run.spec_arm = false;
-            if (cores_[c]->done() || run.paused) {
-                run.bound = run.frontier;
-                continue;
-            }
-            // Conservative bound: a core with no fill in flight cannot
-            // be the target of any event; one with fills in flight must
-            // stop where the earliest completion could land.
-            Tick cons = w1_cap;
-            if (hierarchy_->pendingFills(c) > 0)
-                cons = std::min(cons, std::min(next_ev, hz));
-            if (run.spec_active && cons >= run.frontier) {
-                // The conservative bound caught up: speculation won.
-                if (run.frontier > run.spec_base)
-                    ++ws.spec_commits;
-                run.spec_active = false;
-                run.snap.clear();
-            }
-            Tick bound = cons;
-            if (spec_horizon > 0) {
-                if (run.spec_active) {
-                    bound = std::min(run.spec_base + spec_horizon, w1_cap);
-                } else if (cons < w1_cap && run.frontier <= cons) {
-                    run.spec_arm = true;
-                    run.spec_base_next = cons;
-                    bound = std::min(cons + spec_horizon, w1_cap);
-                }
-            }
-            run.bound = bound;
-            if (run.bound > run.frontier &&
-                run.bound - run.frontier >= kMinParallelSpan)
-                ++busy;
-        }
-        return busy >= 2;
-    };
-
-    // ---- the serial spine ------------------------------------------
-    enum class SpineOut
-    {
-        NeedAdvance, ///< a live core must privately execute `spine` first
-        WindowClose, ///< horizon / window cap / completion reached
-    };
-    auto spine_run = [&]() -> SpineOut {
-        while (true) {
-            if (spine >= w1_cap || spine >= horizon())
-                return SpineOut::WindowClose;
-
-            // Phase A: events at `spine` (completions; fills gated).
-            if (!events_done) {
-                events_.setOrderPoint(spine, 0);
-                events_.runDue(spine);
-                events_done = true;
-            }
-
-            // Phase B: captured shared accesses at `spine`, in core
-            // order — the sequential loop's in-cycle order.  A live
-            // unpaused core that has not privately executed `spine`
-            // blocks the spine (its cycle could capture an access that
-            // must commit before later cores').
-            for (uint32_t c = 0; c < cfg_.cores; ++c) {
-                CoreRun &run = runs[c];
-                cpu::Core &core = *cores_[c];
-                while (run.paused && core.pauseTick() == spine) {
-                    // Executing the deferred access commits shared
-                    // state, so the speculation that carried the core
-                    // here is final — retire the snapshot first.  (It
-                    // is already unreachable: nothing can land below
-                    // the spine, and rollback never crosses it.)
-                    if (run.spec_active) {
-                        if (spine > run.spec_base)
-                            ++ws.spec_commits;
-                        run.spec_active = false;
-                        run.snap.clear();
-                    }
-                    ++ws.deferred_accesses;
-                    const bool ok = hierarchy_->executeDeferred(c, spine);
-                    run.paused = false;
-                    core.resumeTick(ok);
-                    if (core.paused())
-                        run.paused = true; // re-captured, same tick
-                    else
-                        run.frontier = spine + 1; // cycle complete
-                }
-                if (run.paused)
-                    continue; // paused at a later tick
-                if (!core.done() && run.frontier == spine)
-                    return SpineOut::NeedAdvance;
-            }
-
-            // Phase C: device stamp + policy, then the next tick.
-            if (nm_)
-                nm_->stampTick(spine);
-            fm_->stampTick(spine);
-            events_.setOrderPoint(spine, 3);
-            policy_->tick(spine);
-            ++spine;
-            events_done = false;
-
-            // Fast-forward to the next tick where anything can happen:
-            // an event, a policy wake, or a core (pause tick or
-            // unexecuted frontier).  Skipped ticks are no-ops exactly
-            // as in the sequential loops' fast-forward (policy ticks
-            // below nextWakeTick are contractual no-ops).
-            bool any_live = false;
-            Tick max_finish = 0;
-            Tick next_core = kTickNever;
-            for (uint32_t c = 0; c < cfg_.cores; ++c) {
-                const cpu::Core &core = *cores_[c];
-                if (core.done()) {
-                    max_finish = std::max(max_finish, core.finishTick());
-                    continue;
-                }
-                any_live = true;
-                next_core = std::min(
-                    next_core,
-                    runs[c].paused ? core.pauseTick() : runs[c].frontier);
-            }
-            Tick wake = std::min(events_.nextEventTick(),
-                                 policy_->nextWakeTick());
-            if (!any_live) {
-                if (wake > max_finish) {
-                    // Everything left is past the sequential loop's
-                    // break tick and would have been dropped there too.
-                    // Close at max_finish + 1 so pending scans up to
-                    // the break replay (window caps permitting).
-                    const Tick end = max_finish + 1;
-                    if (end <= w1_cap && end <= horizon()) {
-                        spine = std::max(spine, end);
-                        all_done = true;
-                    }
-                    return SpineOut::WindowClose;
-                }
-                next_core = kTickNever;
-            }
-            wake = std::min(wake, next_core);
-            wake = std::min(wake, w1_cap);
-            wake = std::min(wake, horizon());
-            if (wake > spine)
-                spine = wake;
-        }
-    };
-
-    // ---- run --------------------------------------------------------
-    while (!all_done && spine < cfg_.max_ticks) {
-        const Tick w0 = spine;
-        if (nm_)
-            nm_->beginWindow();
-        fm_->beginWindow();
-
-        // Hard window end: the tick limit, or the next telemetry epoch
-        // (whose probes must see the scans — and only the core cycles —
-        // of every prior tick).  At a window starting exactly on the
-        // epoch tick the event fires inside this window, so the cap is
-        // the epoch after it.
-        w1_cap = cfg_.max_ticks;
-        if (recorder_) {
-            Tick e = recorder_->nextEpochTick();
-            if (e != kTickNever) {
-                if (e <= w0)
-                    e += cfg_.telemetry.epoch_ticks;
-                w1_cap = std::min(w1_cap, e);
-            }
-        }
-
-        // Alternate spine and core-advance legs until the window ends.
-        while (spine_run() == SpineOut::NeedAdvance) {
-            const bool parallel_hint = compute_bounds();
-            uint64_t before = 0;
-            for (const CoreRun &run : runs)
-                before += run.frontier;
-            sched.runCoreLeg(parallel_hint);
-            uint64_t after = 0;
-            for (const CoreRun &run : runs)
-                after += run.frontier;
-            ws.core_adv_ticks += after - before;
-        }
-
-        // ---- window edge: replay the channels' scans, merge ------
-        const Tick replay_end = spine;
-        ++ws.windows;
-        ws.window_ticks += replay_end - w0;
-        if (replay_end < w1_cap)
-            ++ws.horizon_capped;
-        sched.replay(replay_end);
-    }
-
-    *window_stats_ = sched.stats();
-    hierarchy_->setPartitionMode(false);
-    hierarchy_->setFillGate(nullptr);
-    if (nm_)
-        nm_->setWindowMode(false);
-    fm_->setWindowMode(false);
-    return collectResult(all_done);
 }
 
 SimResult
@@ -1274,44 +747,6 @@ System::dumpStats(std::ostream &os) const
     if (nm_)
         add_dram("nm", *nm_);
     add_dram("fm", *fm_);
-
-    if (window_stats_) {
-        // Windowed-loop counters live here (and in the bench footers),
-        // never in SimResult: the results document must stay
-        // byte-identical across SILC_SIM_THREADS values.
-        add_scalar("simpar.windows", window_stats_->windows,
-                   "lookahead windows executed");
-        add_scalar("simpar.parallelReplays",
-                   window_stats_->parallel_replays,
-                   "window replays dispatched to worker lanes");
-        add_scalar("simpar.serialReplays",
-                   window_stats_->serial_replays,
-                   "window replays run inline");
-        add_scalar("simpar.horizonCapped",
-                   window_stats_->horizon_capped,
-                   "windows ended by the dynamic horizon");
-        add_scalar("simpar.windowTicks", window_stats_->window_ticks,
-                   "ticks covered by windows");
-        add_scalar("simpar.syncWaitNs", window_stats_->sync_wait_ns,
-                   "main-thread barrier wait (ns)");
-        add_scalar("simpar.coreLegsParallel",
-                   window_stats_->core_legs_parallel,
-                   "core-advance legs dispatched to worker lanes");
-        add_scalar("simpar.coreLegsInline",
-                   window_stats_->core_legs_inline,
-                   "core-advance legs run inline");
-        add_scalar("simpar.coreAdvTicks",
-                   window_stats_->core_adv_ticks,
-                   "core-cycles advanced off the spine");
-        add_scalar("simpar.deferredAccesses",
-                   window_stats_->deferred_accesses,
-                   "shared accesses executed on the spine");
-        add_scalar("simpar.specCommits", window_stats_->spec_commits,
-                   "speculative stretches committed");
-        add_scalar("simpar.specRollbacks",
-                   window_stats_->spec_rollbacks,
-                   "speculative stretches rolled back");
-    }
 
     add_scalar("policy.nmServiced", policy_->nmServiced(),
                "demand requests serviced by NM");

@@ -59,20 +59,6 @@ Translation::translate(CoreId core, Addr vaddr)
     return frame * kLargeBlockSize + (vaddr & (kLargeBlockSize - 1));
 }
 
-bool
-Translation::probe(CoreId core, Addr vaddr, Addr &paddr) const
-{
-    const uint64_t vpage = vaddr >> kLargeBlockBits;
-    if (core >= tlb_.size())
-        return false;
-    const TlbEntry &e =
-        tlb_[core].entries[vpage & (kTlbEntries - 1)];
-    if (e.vpage != vpage)
-        return false;
-    paddr = e.frame * kLargeBlockSize + (vaddr & (kLargeBlockSize - 1));
-    return true;
-}
-
 void
 Translation::ensureCores(uint32_t cores)
 {
@@ -176,8 +162,8 @@ Translation::restore(BlobReader &r)
     }
 
     // Invalidate the translation cache but keep the ensureCores() floor:
-    // shrinking here would reintroduce the lazy-resize that concurrent
-    // probe() calls cannot tolerate.
+    // shrinking here would reintroduce the lazy-resize that the warming
+    // engine's concurrent per-core phases cannot tolerate.
     tlb_.assign(sized_cores_, TlbSlice{});
 }
 

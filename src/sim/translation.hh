@@ -42,21 +42,11 @@ class Translation
     Addr translate(CoreId core, Addr vaddr);
 
     /**
-     * TLB-hit-only translation: returns true and writes @p paddr when
-     * the per-core translation cache holds the mapping; returns false
-     * otherwise, touching nothing.  Mappings never invalidate, so a hit
-     * is always exact.  Const and mutation-free, which makes it safe to
-     * call from the core-partitioned windowed loop's worker lanes while
-     * the shared page table is quiescent — call ensureCores() first so
-     * the backing vector can never be resized concurrently.
-     */
-    bool probe(CoreId core, Addr vaddr, Addr &paddr) const;
-
-    /**
      * Pre-size the translation cache for cores [0, @p cores).  Without
      * this, translate() grows the TLB vector lazily on first miss — a
-     * reallocation that would race with concurrent probe() calls.  The
-     * sizing floor survives restore().
+     * reallocation that would race with the warming engine's concurrent
+     * per-core translateMapped() calls.  The sizing floor survives
+     * restore().
      */
     void ensureCores(uint32_t cores);
 
@@ -140,7 +130,7 @@ class Translation
     /** TlbEntry::frame of a slot noted by noteFirstTouch() whose frame
      *  is not allocated yet; translateMapped() resolves it.  None
      *  outlives a warming chunk (its per-core phase translates every
-     *  noted access), so translate() and probe() never see one. */
+     *  noted access), so translate() never sees one. */
     static constexpr uint64_t kPendingFrame = ~uint64_t(0);
 
     struct TlbEntry

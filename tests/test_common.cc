@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/bitvector.hh"
@@ -617,6 +618,8 @@ TEST(Env, PlainDecimalParses)
 {
     ScopedEnv e("SILC_TEST_KNOB", "17");
     EXPECT_EQ(envPositiveCount("SILC_TEST_KNOB", 1), 17u);
+    ScopedEnv t("SILC_TEST_THREADS", "12");
+    EXPECT_EQ(envThreadCount("SILC_TEST_THREADS", 1), 12u);
 }
 
 TEST(EnvDeath, EmptyValueFatal)
@@ -642,10 +645,14 @@ TEST(EnvDeath, TrailingWhitespaceFatal)
 
 TEST(EnvDeath, HexPrefixFatal)
 {
-    // "0x10" must not silently read as 0 (or as 16): trailing junk.
+    // "0x10" must not silently read as 0 (or as 16), nor "4abc" as 4:
+    // trailing junk.
     ScopedEnv e("SILC_TEST_KNOB", "0x10");
     EXPECT_DEATH(envPositiveCount("SILC_TEST_KNOB", 1),
                  "SILC_TEST_KNOB");
+    ScopedEnv t("SILC_TEST_THREADS", "4abc");
+    EXPECT_DEATH(envThreadCount("SILC_TEST_THREADS", 1),
+                 "SILC_TEST_THREADS");
 }
 
 TEST(EnvDeath, ZeroFatal)
@@ -683,39 +690,17 @@ TEST(EnvDeath, ThreadCountCapFatal)
     EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1), "SILC_TEST_KNOB");
 }
 
-// The windowed-loop knobs route through the validated parsers above;
-// pin that wiring with the real environment names (a regression to raw
-// getenv/atoi would silently read junk as 0).
+// The knobs of the removed intra-simulation windowed loop fail loudly
+// for any value, so a stale script cannot believe it still sets one.
 
-TEST(EnvDeath, SpecHorizonZeroFatal)
+TEST(EnvDeath, RemovedWindowedLoopKnobsFatal)
 {
-    ScopedEnv e("SILC_SPEC_HORIZON", "0");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SPEC_HORIZON");
-}
-
-TEST(EnvDeath, SpecHorizonJunkFatal)
-{
-    ScopedEnv e("SILC_SPEC_HORIZON", "fast");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SPEC_HORIZON");
-}
-
-TEST(EnvDeath, SpecHorizonOverflowFatal)
-{
-    // Above the 1e12-tick cap (and any plausible run length).
-    ScopedEnv e("SILC_SPEC_HORIZON", "1000000000000001");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SPEC_HORIZON");
-}
-
-TEST(EnvDeath, CoreLanesZeroFatal)
-{
-    ScopedEnv e("SILC_CORE_LANES", "0");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_CORE_LANES");
-}
-
-TEST(EnvDeath, CoreLanesJunkFatal)
-{
-    ScopedEnv e("SILC_CORE_LANES", "two");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_CORE_LANES");
+    for (const char *knob :
+         {"SILC_SIM_THREADS", "SILC_CORE_LANES", "SILC_SPEC_HORIZON"}) {
+        ScopedEnv e(knob, "1");
+        EXPECT_DEATH(sim::ExperimentOptions::fromEnv(),
+                     std::string(knob) + " was removed");
+    }
 }
 
 // SILC_SCHEME is validated eagerly against the scheme registry so a
@@ -752,13 +737,6 @@ TEST(Env, SchemeAliasParses)
     // happens at policy-construction time via the registry.
     ScopedEnv e("SILC_SCHEME", "cameo");
     EXPECT_EQ(sim::ExperimentOptions::fromEnv().scheme, "cameo");
-}
-
-TEST(EnvDeath, CoreLanesOverflowFatal)
-{
-    // Above the 1024-lane thread-count cap.
-    ScopedEnv e("SILC_CORE_LANES", "4096");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_CORE_LANES");
 }
 
 // ---- distribution percentiles / differencing -----------------------------

@@ -1,10 +1,11 @@
 /**
  * @file
  * The parallel experiment layer: ThreadPool execution and stealing,
- * SILC_THREADS parsing, and — the properties the bench tables depend
- * on — bit-identical results between sequential and parallel runs and
- * a baseline cache that computes each workload's no-NM denominator
- * exactly once no matter how many threads request it.
+ * SILC_THREADS parsing, footer number formatting, and — the properties
+ * the bench tables depend on — bit-identical results between
+ * sequential and parallel runs and a baseline cache that computes each
+ * workload's no-NM denominator exactly once no matter how many threads
+ * request it.
  */
 
 #include <gtest/gtest.h>
@@ -88,6 +89,19 @@ TEST(ParallelThreadsTest, EnvKnobParsing)
     EXPECT_EQ(parallelThreadsFromEnv(), 1u);
     ASSERT_EQ(unsetenv("SILC_THREADS"), 0);
     EXPECT_GE(parallelThreadsFromEnv(), 1u);
+}
+
+TEST(ParallelFooterTest, FormattingIsLocaleStableFixedPoint)
+{
+    // fixedDecimal() formats the [parallel] and [perf] footers that CI
+    // parses with a fixed regex.
+    EXPECT_EQ(fixedDecimal(0.0, 2), "0.00");
+    EXPECT_EQ(fixedDecimal(1.234, 2), "1.23");
+    EXPECT_EQ(fixedDecimal(1.235, 2), "1.24");  // ties round up
+    EXPECT_EQ(fixedDecimal(1234.5, 1), "1234.5");
+    EXPECT_EQ(fixedDecimal(0.05, 1), "0.1");
+    EXPECT_EQ(fixedDecimal(12.0, 0), "12");
+    EXPECT_EQ(fixedDecimal(-1.0, 2), "0.00");  // clamped, never "-"
 }
 
 TEST(ParallelRunnerTest, BitIdenticalToSequentialRunner)

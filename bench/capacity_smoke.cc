@@ -7,8 +7,7 @@
  * This is the paper-capacity CI entry point: run it under
  * /usr/bin/time -v with SILC_NM_MIB=1024 SILC_FM_MIB=4096 SILC_CHECK=1
  * and feed the log to scripts/check_rss.py to enforce that paper-scale
- * capacities stay memory-lean (the sparse metadata contract).  With
- * SILC_TENANTS > 1 it is also the multi-tenant shadow-checked smoke.
+ * capacities stay memory-lean (the sparse metadata contract).
  */
 
 #include <cstdio>
@@ -33,11 +32,11 @@ main(int argc, char **argv)
 
     SystemConfig cfg = makeConfig(workload, opts.scheme, opts);
     std::printf("capacity_smoke: %s/%s NM=%s MiB FM=%s MiB cores=%u "
-                "instr/core=%s tenants=%u check=%d\n",
+                "instr/core=%s check=%d\n",
                 workload.c_str(), opts.scheme.c_str(),
                 u64str(opts.nm_bytes >> 20).c_str(),
                 u64str(opts.fm_bytes >> 20).c_str(), opts.cores,
-                u64str(opts.instructions_per_core).c_str(), opts.tenants,
+                u64str(opts.instructions_per_core).c_str(),
                 opts.check ? 1 : 0);
     std::fflush(stdout);
 

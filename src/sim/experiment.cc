@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "common/config.hh"
 #include "common/env.hh"
@@ -56,22 +57,26 @@ ExperimentOptions::fromEnv()
     o.telemetry = envU64("SILC_TELEMETRY", o.telemetry ? 1 : 0) != 0;
     o.epoch_ticks = envU64("SILC_EPOCH_TICKS", o.epoch_ticks);
     o.check = envU64("SILC_CHECK", o.check ? 1 : 0) != 0;
-    // The intra-simulation windowed loop and its knobs are gone.  Fail
-    // loudly rather than let a stale script believe it still sets one.
-    for (const char *knob :
-         {"SILC_SIM_THREADS", "SILC_CORE_LANES", "SILC_SPEC_HORIZON"}) {
+    // Knobs of deleted subsystems fail loudly for any value rather than
+    // let a stale script believe it still sets one.
+    const char *const windowed_loop =
+        "the intra-simulation windowed loop; results never depended on "
+        "it, so unset it";
+    const char *const tenant_layer =
+        "the multi-tenant trace layer; results depended on it, so "
+        "ignoring it would run a different experiment.  Unset it and "
+        "grow the footprint with SILC_CORES instead";
+    const std::pair<const char *, const char *> removed[] = {
+        {"SILC_SIM_THREADS", windowed_loop},
+        {"SILC_CORE_LANES", windowed_loop},
+        {"SILC_SPEC_HORIZON", windowed_loop},
+        {"SILC_TENANTS", tenant_layer},
+        {"SILC_TENANT_CHURN", tenant_layer},
+    };
+    for (const auto &[knob, removed_with] : removed) {
         if (std::getenv(knob) != nullptr)
-            fatal("%s was removed with the intra-simulation windowed "
-                  "loop; results never depended on it, so unset it",
-                  knob);
+            fatal("%s was removed with %s", knob, removed_with);
     }
-    o.tenants = static_cast<uint32_t>(
-        envPositiveCount("SILC_TENANTS", o.tenants, 256));
-    // Mem ops, not threads; 0 would be "never churn" but unset already
-    // means that, so an explicit 0 is junk.
-    o.tenant_churn = envPositiveCount("SILC_TENANT_CHURN",
-                                      o.tenant_churn,
-                                      1'000'000'000'000ULL);
     return o;
 }
 
@@ -104,8 +109,6 @@ makeConfig(const std::string &workload, const std::string &scheme,
     cfg.pom.migration_threshold = 48;
     cfg.telemetry.enabled = opts.telemetry;
     cfg.telemetry.epoch_ticks = opts.epoch_ticks;
-    cfg.tenants = opts.tenants;
-    cfg.tenant_churn_interval = opts.tenant_churn;
     // Every scheme has at least the shadow-data tier of the oracle, so
     // SILC_CHECK=1 applies across whole multi-scheme bench matrices.
     cfg.check = opts.check;

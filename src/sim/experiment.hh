@@ -26,17 +26,9 @@
  *                  sequentially.  Tables are byte-identical across
  *                  thread counts.  Rejects 0 and non-numeric values
  *                  with a fatal error.
- *   SILC_TENANTS - tenants time-sharing each core's stream (default 1,
- *                  max 256; see trace/tenants.hh).  > 1 gives every
- *                  tenant a private address window with Zipf-skewed
- *                  popularity.
- *   SILC_TENANT_CHURN - memory ops between tenant arrival/departure
- *                  events (unset = static population; explicit 0 is
- *                  rejected).
  *
- * Each simulation runs on one thread.  The knobs of the removed
- * intra-simulation windowed loop are a fatal error when set (see
- * fromEnv()).
+ * Each simulation runs on one thread.  The knobs of removed subsystems
+ * are a fatal error when set (see fromEnv()).
  *
  * Telemetry / export knobs (see src/telemetry/ and sim/result_writer.hh):
  *   SILC_JSON        - write every run's SimResult (plus its epoch time
@@ -102,12 +94,6 @@ struct ExperimentOptions
     bool check = false;
     /** Telemetry epoch length in ticks (SILC_EPOCH_TICKS). */
     uint64_t epoch_ticks = 100'000;
-
-    /** Tenants per core's stream (SILC_TENANTS); 1 = single-tenant. */
-    uint32_t tenants = 1;
-    /** Mem ops between tenant arrivals/departures (SILC_TENANT_CHURN);
-     *  0 = static tenant population. */
-    uint64_t tenant_churn = 0;
 
     /** Read overrides from the environment. */
     static ExperimentOptions fromEnv();

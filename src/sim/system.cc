@@ -12,7 +12,6 @@
 #include "sim/warming.hh"
 #include "trace/file_trace.hh"
 #include "trace/profiles.hh"
-#include "trace/tenants.hh"
 
 namespace silc {
 namespace sim {
@@ -69,11 +68,6 @@ SystemConfig::validate() const
     }
     if (instructions_per_core == 0)
         fatal("system: zero instruction budget");
-    if (tenants == 0)
-        fatal("system: at least one tenant required");
-    if (tenant_min_active == 0 || tenant_min_active > tenants)
-        fatal("system: tenant_min_active %u out of range [1, %u]",
-              tenant_min_active, tenants);
 }
 
 namespace {
@@ -332,16 +326,6 @@ System::System(SystemConfig cfg)
         if (!cfg_.trace_file.empty()) {
             traces_.push_back(std::make_unique<trace::FileTraceReader>(
                 cfg_.trace_file));
-        } else if (cfg_.tenants > 1) {
-            const trace::WorkloadProfile &profile =
-                trace::findProfile(cfg_.workload);
-            trace::TenantMixParams tp;
-            tp.tenants = cfg_.tenants;
-            tp.min_active = cfg_.tenant_min_active;
-            tp.zipf_alpha = cfg_.tenant_zipf_alpha;
-            tp.churn_interval = cfg_.tenant_churn_interval;
-            traces_.push_back(std::make_unique<trace::TenantMixSource>(
-                tp, profile, cfg_.seed * 7919 + c * 104729 + 13));
         } else {
             const trace::WorkloadProfile &profile =
                 trace::findProfile(cfg_.workload);

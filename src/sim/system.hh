@@ -67,20 +67,6 @@ struct SystemConfig
     uint64_t nm_bytes = 4 * 1024 * 1024;
     uint64_t fm_bytes = 16 * 1024 * 1024;
 
-    /**
-     * Multi-tenant traffic (trace/tenants.hh): > 1 wraps each core's
-     * synthetic stream in a TenantMixSource — this many tenants with
-     * Zipf-skewed time shares, private address windows, and optional
-     * arrival/departure churn.  Ignored when trace_file is set.
-     */
-    uint32_t tenants = 1;
-    /** Lower bound on concurrently active tenants (churn floor). */
-    uint32_t tenant_min_active = 1;
-    /** Zipf skew of tenant popularity (0 = uniform time share). */
-    double tenant_zipf_alpha = 0.9;
-    /** Memory ops between arrival/departure events (0 = no churn). */
-    uint64_t tenant_churn_interval = 0;
-
     cpu::CoreParams core_params;
     uint32_t l1_latency = 4;
     uint32_t l2_latency = 15;
@@ -201,12 +187,7 @@ class System
     /** Replace every core's instruction budget (see runToBudget()). */
     void setPerCoreBudget(uint64_t instructions);
 
-    /** Core @p c's instruction stream (the tenant-sweep bench
-     *  downcasts to trace::TenantMixSource for per-tenant stats). */
-    const trace::TraceSource &traceSource(uint32_t c) const
-    {
-        return *traces_.at(c);
-    }
+    /** Core @p c's instruction stream. */
     trace::TraceSource &traceSource(uint32_t c) { return *traces_.at(c); }
 
     /**

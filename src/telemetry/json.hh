@@ -1,11 +1,11 @@
 /**
  * @file
- * Minimal JSON emission helpers shared by the telemetry sinks and the
- * sim::ResultWriter.  Deliberately not a JSON library: the repo emits
- * JSON but never parses it, so two formatting functions with strict
- * determinism guarantees (shortest round-trip doubles, locale-free) are
- * all that is needed — output must stay byte-identical across runs and
- * thread counts.
+ * Minimal JSON emission helpers for sim::ResultWriter and the perfbench
+ * pass driver.  Deliberately not a JSON library: the repo emits JSON but
+ * never parses it, so two formatting functions with strict determinism
+ * guarantees (shortest round-trip doubles, locale-free) are all that is
+ * needed — output must stay byte-identical across runs and thread
+ * counts.
  */
 
 #ifndef SILC_TELEMETRY_JSON_HH

@@ -1,12 +1,12 @@
 /**
  * @file
- * The per-run telemetry facade: one Recorder owns one Sampler plus any
- * number of Sinks, drives them from the simulation's EventQueue at a
- * fixed epoch cadence, and keeps the complete TimeSeries in memory for
- * embedding into sim::SimResult.
+ * The per-run telemetry facade: one Recorder owns one Sampler, drives
+ * it from the simulation's EventQueue at a fixed epoch cadence, and
+ * keeps the complete TimeSeries in memory for embedding into
+ * sim::SimResult (the results JSON exports it; sim/result_writer.hh).
  *
- * Lifecycle: construct → register probes via sampler() / add file sinks
- * → start(events) → (epochs fire inside the run loop) → finish(tick).
+ * Lifecycle: construct → register probes via sampler() →
+ * start(events) → (epochs fire inside the run loop) → finish(tick).
  *
  * Cost model: with telemetry disabled no Recorder exists at all — no
  * epoch events are ever scheduled, so the simulator's hot paths are
@@ -20,12 +20,11 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/event_queue.hh"
 #include "common/types.hh"
 #include "telemetry/sampler.hh"
-#include "telemetry/sink.hh"
+#include "telemetry/series.hh"
 
 namespace silc {
 namespace telemetry {
@@ -37,10 +36,6 @@ struct TelemetryConfig
     bool enabled = false;
     /** Ticks per epoch (SILC_EPOCH_TICKS). */
     Tick epoch_ticks = 100'000;
-    /** When non-empty, stream the series to this JSON Lines file. */
-    std::string jsonl_path;
-    /** When non-empty, stream the series to this CSV file. */
-    std::string csv_path;
 };
 
 class Recorder
@@ -48,7 +43,6 @@ class Recorder
   public:
     /** @param run_id series identity, e.g. "mcf/silcfm". */
     Recorder(const TelemetryConfig &cfg, std::string run_id);
-    ~Recorder();
 
     Recorder(const Recorder &) = delete;
     Recorder &operator=(const Recorder &) = delete;
@@ -56,35 +50,28 @@ class Recorder
     /** Register probes here before start(). */
     Sampler &sampler() { return sampler_; }
 
-    /** Attach an extra sink; must precede start(). */
-    void addSink(std::unique_ptr<Sink> sink);
-
     /**
-     * Freeze the probe list, announce the header to every sink and
-     * schedule the first epoch on @p events (which must outlive the
-     * Recorder or never fire the scheduled event).
+     * Freeze the probe list into the series header and schedule the
+     * first epoch on @p events (which must outlive the Recorder or
+     * never fire the scheduled event).
      */
     void start(EventQueue &events);
 
     /**
      * Take a final partial sample if the run advanced past the last
-     * epoch boundary, then flush all sinks.  Idempotent.
+     * epoch boundary.  Idempotent.
      */
     void finish(Tick final_tick);
 
     /** The recorded series; fully populated once finish() ran. */
     std::shared_ptr<const TimeSeries> series() const { return series_; }
 
-    uint64_t epochsRecorded() const { return sampler_.epochsSampled(); }
-
   private:
     void onEpoch(Tick now);
     void record(Tick now);
 
     TelemetryConfig cfg_;
-    SeriesHeader header_;
     Sampler sampler_;
-    std::vector<std::unique_ptr<Sink>> sinks_;
     std::shared_ptr<TimeSeries> series_;
     EventQueue *events_ = nullptr;
     bool started_ = false;

@@ -66,8 +66,9 @@ class Sampler
 
     /**
      * Register @p dist as three percentile gauges (<name>.p50/.p95/.p99,
-     * cumulative over the run so far).  Sinks thus export percentiles,
-     * never bucket arrays.  @p dist must outlive the Sampler.
+     * cumulative over the run so far).  The series thus carries
+     * percentiles, never bucket arrays.  @p dist must outlive the
+     * Sampler.
      */
     void addDistribution(const std::string &name,
                          const stats::Distribution &dist);

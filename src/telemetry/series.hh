@@ -3,9 +3,9 @@
  * The in-memory representation of an epoch time series: a header naming
  * the run, the epoch cadence and the probes, plus one record per epoch.
  *
- * Everything the telemetry subsystem produces — sink output, the series
- * embedded into sim::SimResult, the JSON export — is derived from these
- * two plain structs, so they are the schema of record.
+ * Everything the telemetry subsystem produces — the series embedded
+ * into sim::SimResult and its JSON export — is derived from these two
+ * plain structs, so they are the schema of record.
  */
 
 #ifndef SILC_TELEMETRY_SERIES_HH

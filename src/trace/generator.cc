@@ -15,8 +15,8 @@ namespace trace {
 
 namespace {
 
-/** Local alias of the shared footprint base (generator.hh). */
-constexpr Addr kDataBase = kTraceDataBase;
+/** Virtual base of the LLC-bound data footprint. */
+constexpr Addr kDataBase = 0x1000'0000;
 /** Virtual base of the small cache-resident region. */
 constexpr Addr kFriendlyBase = 0x0800'0000;
 /** Virtual base of synthetic code addresses. */

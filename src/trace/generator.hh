@@ -32,10 +32,6 @@ class BlobReader;
 
 namespace trace {
 
-/** Virtual base of the LLC-bound data footprint every generator uses
- *  (the multi-tenant mixer sizes its per-tenant windows from it). */
-constexpr Addr kTraceDataBase = 0x1000'0000;
-
 /** One instruction of a trace. */
 struct TraceInstruction
 {

@@ -295,9 +295,4 @@ TEST(CapacityEnv, CoreAndInstructionKnobsValidate)
         EXPECT_DEATH(ExperimentOptions::fromEnv(),
                      "SILC_INSTR must be positive");
     }
-    {
-        ScopedEnv e("SILC_TENANTS", "257");
-        EXPECT_DEATH(ExperimentOptions::fromEnv(),
-                     "SILC_TENANTS=257 exceeds");
-    }
 }

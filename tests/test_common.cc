@@ -690,16 +690,20 @@ TEST(EnvDeath, ThreadCountCapFatal)
     EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1), "SILC_TEST_KNOB");
 }
 
-// The knobs of the removed intra-simulation windowed loop fail loudly
-// for any value, so a stale script cannot believe it still sets one.
+// The knobs of removed subsystems (the intra-simulation windowed loop,
+// the multi-tenant trace layer) fail loudly for any value, so a stale
+// script cannot believe it still sets one.
 
-TEST(EnvDeath, RemovedWindowedLoopKnobsFatal)
+TEST(EnvDeath, RemovedKnobsFatal)
 {
     for (const char *knob :
-         {"SILC_SIM_THREADS", "SILC_CORE_LANES", "SILC_SPEC_HORIZON"}) {
-        ScopedEnv e(knob, "1");
-        EXPECT_DEATH(sim::ExperimentOptions::fromEnv(),
-                     std::string(knob) + " was removed");
+         {"SILC_SIM_THREADS", "SILC_CORE_LANES", "SILC_SPEC_HORIZON",
+          "SILC_TENANTS", "SILC_TENANT_CHURN"}) {
+        for (const char *value : {"1", ""}) {
+            ScopedEnv e(knob, value);
+            EXPECT_DEATH(sim::ExperimentOptions::fromEnv(),
+                         std::string(knob) + " was removed");
+        }
     }
 }
 

@@ -612,14 +612,6 @@ TEST(WarmingEngine, MatchesAcrossCoreCounts)
     }
 }
 
-TEST(WarmingEngine, MatchesWithChurningTenants)
-{
-    SystemConfig cfg = sampleConfig("gcc", "silcfm", 4, 80'000);
-    cfg.tenants = 3;
-    cfg.tenant_churn_interval = 1'500;
-    expectEngineMatchesReference(cfg, 30'001);
-}
-
 TEST(WarmingEngine, MatchesTraceFileSource)
 {
     SystemConfig cfg = sampleConfig("mcf", "silcfm", 3, 60'000);

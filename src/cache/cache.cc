@@ -215,15 +215,6 @@ Cache::invalidate(Addr addr)
 }
 
 void
-Cache::reset()
-{
-    lines_.assign(num_sets_ * params_.associativity, Line{});
-    lru_clock_ = 0;
-    rr_victim_ = 0;
-    hits_ = misses_ = evictions_ = writebacks_ = 0;
-}
-
-void
 Cache::snapshot(BlobWriter &w) const
 {
     w.putU64(lines_.size());

@@ -115,9 +115,6 @@ class Cache
                           : static_cast<double>(misses_) / total;
     }
 
-    /** Invalidate everything and clear statistics. */
-    void reset();
-
     /**
      * Serialize the array contents (tags, valid/dirty bits, LRU state)
      * for checkpointing.  Hit/miss statistics are deliberately NOT

@@ -51,7 +51,7 @@ MshrFile::removeSlot(size_t i)
 {
     // Backward-shift deletion (Knuth 6.4 algorithm R): pull every
     // displaced element of the probe chain one hole closer to its home
-    // so lookups never need tombstones.
+    // so lookups never need deletion markers.
     size_t hole = i;
     size_t j = i;
     for (;;) {
@@ -134,20 +134,6 @@ MshrFile::complete(Addr block_addr, Tick now)
     for (auto &waiter : more)
         waiter(now);
     return 1 + more.size();
-}
-
-void
-MshrFile::reset()
-{
-    for (Slot &s : slots_) {
-        s.addr = kAddrInvalid;
-        s.first = nullptr;
-        s.more.clear();
-    }
-    count_ = 0;
-    per_core_.assign(per_core_.size(), 0);
-    coalesced_ = 0;
-    rejections_ = 0;
 }
 
 } // namespace cache

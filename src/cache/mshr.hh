@@ -97,8 +97,6 @@ class MshrFile
     uint64_t coalesced() const { return coalesced_; }
     uint64_t rejections() const { return rejections_; }
 
-    void reset();
-
   private:
     struct Slot
     {

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -48,6 +49,19 @@ envMebibytes(const char *name, uint64_t fallback_bytes)
     // would overflow the byte conversion outright.
     const uint64_t mib = envPositiveCount(name, 0, 1024ULL * 1024ULL);
     return mib << 20;
+}
+
+bool
+envFlag(const char *name, bool fallback)
+{
+    const char *v = std::getenv(name);
+    if (v == nullptr)
+        return fallback;
+    if (std::strcmp(v, "0") == 0)
+        return false;
+    if (std::strcmp(v, "1") == 0)
+        return true;
+    fatal("%s must be 0 or 1, got '%s'", name, v);
 }
 
 } // namespace silc

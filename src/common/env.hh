@@ -1,7 +1,7 @@
 /**
  * @file
  * Strictly-validated environment knob parsing shared by the thread-count
- * knob (SILC_THREADS), the scale knobs and any future small-count knob.
+ * knob (SILC_THREADS), the scale and seed knobs and the on/off flags.
  * The historical parsers (one strtol in sim/parallel.cc, one parseSize
  * in sim/experiment.cc) silently accepted trailing junk ("4abc" read as
  * 4), which turns a typo into a quietly different experiment; here
@@ -48,6 +48,13 @@ unsigned envThreadCount(const char *name, unsigned fallback);
  * @param fallback_bytes returned as-is (NOT shifted) when unset.
  */
 uint64_t envMebibytes(const char *name, uint64_t fallback_bytes);
+
+/**
+ * On/off knob: exactly "0" or "1".  Returns @p fallback when unset;
+ * any other value (including "2", "yes" or "") is a fatal error naming
+ * the variable.
+ */
+bool envFlag(const char *name, bool fallback);
 
 } // namespace silc
 

@@ -15,7 +15,7 @@
  * Fibonacci-hashed keys, linear probing, amortized growth at 70% load.
  * There is no per-key erase — the users (NM frame metadata, shadow
  * stores, history tables) only ever materialize and clear() — which
- * keeps probing tombstone-free.
+ * keeps probing free of deletion markers.
  *
  * Iteration order of the backing table is hash order; forEachSorted()
  * visits entries in ascending key order so serialization and sweep

@@ -1,39 +1,19 @@
 #include "common/stats.hh"
 
-#include <cmath>
-#include <iomanip>
-#include <sstream>
+#include <algorithm>
 
 #include "common/logging.hh"
 
 namespace silc {
 namespace stats {
 
-std::string
-StatBase::render() const
-{
-    std::ostringstream os;
-    os << value();
-    return os.str();
-}
-
 Distribution::Distribution(double min, double max, size_t num_buckets)
-{
-    init(min, max, num_buckets);
-}
-
-void
-Distribution::init(double min, double max, size_t num_buckets)
+    : min_(min), max_(max),
+      bucket_width_((max - min) / static_cast<double>(num_buckets)),
+      buckets_(num_buckets, 0)
 {
     silc_assert(max > min);
     silc_assert(num_buckets > 0);
-    min_ = min;
-    max_ = max;
-    bucket_width_ = (max - min) / static_cast<double>(num_buckets);
-    buckets_.assign(num_buckets, 0);
-    underflow_ = overflow_ = 0;
-    n_ = 0;
-    sum_ = 0.0;
 }
 
 void
@@ -98,73 +78,6 @@ Distribution::minus(const Distribution &earlier) const
     d.n_ = n_ - earlier.n_;
     d.sum_ = sum_ - earlier.sum_;
     return d;
-}
-
-void
-Distribution::reset()
-{
-    for (auto &b : buckets_)
-        b = 0;
-    underflow_ = overflow_ = 0;
-    n_ = 0;
-    sum_ = 0.0;
-}
-
-std::string
-Distribution::render() const
-{
-    std::ostringstream os;
-    os << "mean=" << value() << " n=" << n_ << " p50=" << percentile(0.5)
-       << " p95=" << percentile(0.95) << " p99=" << percentile(0.99);
-    return os.str();
-}
-
-void
-StatSet::add(const std::string &name, StatBase &stat)
-{
-    auto [it, inserted] = stats_.emplace(name, &stat);
-    (void)it;
-    if (!inserted)
-        panic("duplicate stat name '%s'", name.c_str());
-    order_.push_back(name);
-}
-
-const StatBase *
-StatSet::find(const std::string &name) const
-{
-    auto it = stats_.find(name);
-    return it == stats_.end() ? nullptr : it->second;
-}
-
-double
-StatSet::get(const std::string &name) const
-{
-    const StatBase *s = find(name);
-    if (s == nullptr)
-        panic("unknown stat '%s'", name.c_str());
-    return s->value();
-}
-
-void
-StatSet::resetAll()
-{
-    for (auto &[name, stat] : stats_) {
-        (void)name;
-        stat->reset();
-    }
-}
-
-void
-StatSet::dump(std::ostream &os, const std::string &prefix) const
-{
-    for (const auto &name : order_) {
-        const StatBase *s = stats_.at(name);
-        os << std::left << std::setw(44) << (prefix + name) << " "
-           << std::setw(16) << s->render();
-        if (!s->desc().empty())
-            os << " # " << s->desc();
-        os << "\n";
-    }
 }
 
 } // namespace stats

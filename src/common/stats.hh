@@ -1,115 +1,30 @@
 /**
  * @file
- * Lightweight statistics package in the spirit of gem5's Stats.
+ * A fixed-width bucketed histogram with percentile estimates.
  *
- * Components own concrete stat objects (Scalar, Average, Distribution) and
- * register them, with hierarchical names, into a StatSet.  The StatSet can
- * enumerate, reset, and pretty-print everything — this is what the bench
- * harness uses to extract figure data.
+ * The DRAM devices sample every read's queueing delay into one; the
+ * sampling subsystem differences snapshots of it into per-window
+ * histograms, and telemetry exports its p50/p95/p99 per epoch.
  */
 
 #ifndef SILC_COMMON_STATS_HH
 #define SILC_COMMON_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace silc {
 namespace stats {
 
-/** Abstract base for all statistics. */
-class StatBase
-{
-  public:
-    virtual ~StatBase() = default;
-
-    /** Primary scalar view of the stat (count, mean, ...). */
-    virtual double value() const = 0;
-
-    /** Reset to the zero state. */
-    virtual void reset() = 0;
-
-    /** One-line textual rendering used by StatSet::dump(). */
-    virtual std::string render() const;
-
-    /** Short description shown next to the value. */
-    const std::string &desc() const { return desc_; }
-
-    /** Attach a human-readable description; returns *this for chaining. */
-    StatBase &
-    describe(std::string d)
-    {
-        desc_ = std::move(d);
-        return *this;
-    }
-
-  private:
-    std::string desc_;
-};
-
-/** Monotonic counter. */
-class Scalar : public StatBase
-{
-  public:
-    Scalar &operator++() { ++count_; return *this; }
-    Scalar &operator+=(uint64_t v) { count_ += v; return *this; }
-
-    uint64_t count() const { return count_; }
-    double value() const override { return static_cast<double>(count_); }
-    void reset() override { count_ = 0; }
-
-  private:
-    uint64_t count_ = 0;
-};
-
-/** Running mean of samples (e.g. latency averages). */
-class Average : public StatBase
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++n_;
-    }
-
-    uint64_t samples() const { return n_; }
-    double sum() const { return sum_; }
-
-    double
-    value() const override
-    {
-        return n_ == 0 ? 0.0 : sum_ / static_cast<double>(n_);
-    }
-
-    void
-    reset() override
-    {
-        sum_ = 0.0;
-        n_ = 0;
-    }
-
-  private:
-    double sum_ = 0.0;
-    uint64_t n_ = 0;
-};
-
 /**
  * Fixed-width bucketed histogram over [min, max); samples outside the
  * range land in saturating under/overflow buckets.
  */
-class Distribution : public StatBase
+class Distribution
 {
   public:
-    Distribution() : Distribution(0.0, 1.0, 1) {}
-
-    /** Configure buckets; may also be called to re-shape before use. */
     Distribution(double min, double max, size_t num_buckets);
-
-    void init(double min, double max, size_t num_buckets);
 
     void sample(double v);
 
@@ -121,7 +36,7 @@ class Distribution : public StatBase
     uint64_t overflows() const { return overflow_; }
 
     /** Mean of all samples (including out-of-range ones). */
-    double value() const override;
+    double value() const;
 
     /**
      * The @p p quantile (p in [0, 1]) estimated from the buckets with
@@ -141,48 +56,15 @@ class Distribution : public StatBase
      */
     Distribution minus(const Distribution &earlier) const;
 
-    void reset() override;
-    std::string render() const override;
-
   private:
-    double min_ = 0.0;
-    double max_ = 1.0;
-    double bucket_width_ = 1.0;
+    double min_;
+    double max_;
+    double bucket_width_;
     std::vector<uint64_t> buckets_;
     uint64_t underflow_ = 0;
     uint64_t overflow_ = 0;
     uint64_t n_ = 0;
     double sum_ = 0.0;
-};
-
-/**
- * Named registry of stats.  Does not own the stat objects; owners must
- * outlive the set (in practice both live inside the same component).
- */
-class StatSet
-{
-  public:
-    /** Register @p stat under @p name. Duplicate names are a panic. */
-    void add(const std::string &name, StatBase &stat);
-
-    /** Look a stat up by exact name; nullptr when absent. */
-    const StatBase *find(const std::string &name) const;
-
-    /** Scalar value of a registered stat; panics when absent. */
-    double get(const std::string &name) const;
-
-    /** Reset every registered stat. */
-    void resetAll();
-
-    /** Names in registration order. */
-    const std::vector<std::string> &names() const { return order_; }
-
-    /** Pretty-print "name value # desc" lines, gem5 stats.txt style. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
-
-  private:
-    std::map<std::string, StatBase *> stats_;
-    std::vector<std::string> order_;
 };
 
 } // namespace stats

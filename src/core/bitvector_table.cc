@@ -46,13 +46,6 @@ BitVectorTable::lookup(Addr pc, Addr first_addr) const
 }
 
 void
-BitVectorTable::reset()
-{
-    table_.clear();
-    saves_ = hits_ = lookups_ = 0;
-}
-
-void
 BitVectorTable::snapshot(BlobWriter &w) const
 {
     // The blob stores only populated slots, ascending — the same

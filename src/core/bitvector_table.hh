@@ -50,8 +50,6 @@ class BitVectorTable
     uint64_t hits() const { return hits_; }
     uint64_t lookups() const { return lookups_; }
 
-    void reset();
-
     /** Serialize / restore contents (sparse: non-empty entries only). */
     void snapshot(BlobWriter &w) const;
     void restore(BlobReader &r);

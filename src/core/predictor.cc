@@ -51,13 +51,6 @@ WayPredictor::update(Addr pc, Addr addr, uint8_t way, bool in_fm)
 }
 
 void
-WayPredictor::reset()
-{
-    std::fill(table_.begin(), table_.end(), Entry{});
-    predictions_ = way_hits_ = location_hits_ = 0;
-}
-
-void
 WayPredictor::snapshot(BlobWriter &w) const
 {
     uint64_t valid = 0;

@@ -63,8 +63,6 @@ class WayPredictor
             ++location_hits_;
     }
 
-    void reset();
-
     /** Serialize / restore contents (sparse: valid entries only). */
     void snapshot(BlobWriter &w) const;
     void restore(BlobReader &r);

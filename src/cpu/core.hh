@@ -101,9 +101,6 @@ class Core
     uint64_t loads() const { return loads_; }
     uint64_t stores() const { return stores_; }
 
-    /** Cycles in which nothing could retire (head not ready). */
-    uint64_t retireStallCycles() const { return retire_stalls_; }
-
     /** Cycles in which dispatch was blocked by a full ROB. */
     uint64_t robFullCycles() const { return rob_full_cycles_; }
 
@@ -133,7 +130,6 @@ class Core
     void
     addStalledCycles(uint64_t n)
     {
-        retire_stalls_ += n;
         rob_full_cycles_ += n;
     }
 
@@ -183,8 +179,8 @@ class Core
 
     /**
      * Fully-stalled fast path: while the ROB is full and the head is not
-     * ready, every cycle is exactly "count a retire stall and a ROB-full
-     * stall" — no retire, no fetch, no dispatch.  When tick() detects
+     * ready, every cycle is exactly "count a ROB-full stall" — no
+     * retire, no fetch, no dispatch.  When tick() detects
      * that state it records the head's ready tick here and subsequent
      * ticks take the counters-only path until the head can retire.
      * onLoadComplete() clears it when the head's load returns, so a
@@ -199,7 +195,6 @@ class Core
     uint64_t dispatched_ = 0;
     uint64_t loads_ = 0;
     uint64_t stores_ = 0;
-    uint64_t retire_stalls_ = 0;
     uint64_t rob_full_cycles_ = 0;
     uint64_t mem_stall_cycles_ = 0;
     Tick finish_tick_ = 0;

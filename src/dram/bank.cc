@@ -53,13 +53,5 @@ Bank::refresh(Tick now, const DramTimingParams &t)
     ready_ = std::max(ready_, now) + t.toTicks(t.t_rfc);
 }
 
-void
-Bank::reset()
-{
-    open_row_ = -1;
-    ready_ = 0;
-    activated_at_ = 0;
-}
-
 } // namespace dram
 } // namespace silc

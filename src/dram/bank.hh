@@ -65,9 +65,6 @@ class Bank
      */
     void refresh(Tick now, const DramTimingParams &t);
 
-    /** Forget all state (between experiment runs). */
-    void reset();
-
   private:
     int64_t open_row_ = -1;
     Tick ready_ = 0;

@@ -335,29 +335,5 @@ ChannelController::queueSnapshot(int which) const
     return out;
 }
 
-void
-ChannelController::reset()
-{
-    for (auto &bank : banks_)
-        bank.reset();
-    slots_.clear();
-    next_.clear();
-    free_head_ = kNullSlot;
-    read_q_ = SlotList{};
-    bg_read_q_ = SlotList{};
-    write_q_ = SlotList{};
-    bus_free_ = 0;
-    bus_busy_ticks_ = 0;
-    draining_writes_ = false;
-    next_refresh_ = params_.t_refi != 0
-        ? params_.toTicks(params_.t_refi)
-        : kTickNever;
-    next_scan_ = next_refresh_;
-    row_hits_ = row_misses_ = activations_ = refreshes_ = 0;
-    bg_promotions_ = 0;
-    read_delay_sum_ = 0.0;
-    reads_served_ = writes_served_ = 0;
-}
-
 } // namespace dram
 } // namespace silc

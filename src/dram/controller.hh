@@ -128,15 +128,11 @@ class ChannelController
     uint64_t readsServed() const { return reads_served_; }
     uint64_t writesServed() const { return writes_served_; }
 
-    /** Forget all queued work and bank state; re-arm the first refresh. */
-    void reset();
-
     // ---- test-only introspection (wakeup-oracle unit tests) ----------
 
     Tick nextRefreshAt() const { return next_refresh_; }
     bool drainingWrites() const { return draining_writes_; }
     size_t numBanks() const { return banks_.size(); }
-    const Bank &bankAt(size_t i) const { return banks_[i]; }
     /** Snapshot of one queue in FIFO order; 0=read, 1=bg, 2=write. */
     std::vector<DecodedRequest> queueSnapshot(int which) const;
 

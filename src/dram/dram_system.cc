@@ -269,19 +269,5 @@ DramSystem::registerTelemetry(telemetry::Sampler &sampler,
     }
 }
 
-void
-DramSystem::reset()
-{
-    for (auto &ch : channels_)
-        ch->reset();
-    read_delay_hist_.reset();
-    traffic_ = TrafficBytes{};
-    issued_requests_ = 0;
-    next_scan_min_ = kTickNever;
-    for (const auto &ch : channels_)
-        next_scan_min_ = std::min(next_scan_min_, ch->nextScanAt());
-    tick_seen_ = kTickNever;
-}
-
 } // namespace dram
 } // namespace silc

@@ -173,16 +173,11 @@ class DramSystem
     void registerTelemetry(telemetry::Sampler &sampler,
                            const std::string &prefix) const;
 
-    /** Clear all queues, bank state and statistics. */
-    void reset();
-
     /** Per-channel access for tests (wakeup-oracle introspection). */
     const ChannelController &channel(size_t i) const
     {
         return *channels_[i];
     }
-
-    size_t numChannels() const { return channels_.size(); }
 
   private:
     /** Slow path of tick(): scan every due channel in index order. */

@@ -25,13 +25,5 @@ EnergyMeter::totalJoules(const DramTimingParams &p, Tick elapsed_ticks,
     return dynamicJoules(p) + background_j;
 }
 
-void
-EnergyMeter::reset()
-{
-    activations_ = 0;
-    read_bytes_ = 0;
-    write_bytes_ = 0;
-}
-
 } // namespace dram
 } // namespace silc

@@ -20,8 +20,6 @@ namespace dram {
 class EnergyMeter
 {
   public:
-    void recordActivation() { ++activations_; }
-
     /** Bulk-add @p n activations (for aggregate replay). */
     void recordActivations(uint64_t n) { activations_ += n; }
 
@@ -35,8 +33,6 @@ class EnergyMeter
     }
 
     uint64_t activations() const { return activations_; }
-    uint64_t readBytes() const { return read_bytes_; }
-    uint64_t writeBytes() const { return write_bytes_; }
 
     /**
      * Total energy in joules after @p elapsed_ticks of simulation.
@@ -50,8 +46,6 @@ class EnergyMeter
 
     /** Dynamic-only energy in joules (no background power). */
     double dynamicJoules(const DramTimingParams &p) const;
-
-    void reset();
 
   private:
     uint64_t activations_ = 0;

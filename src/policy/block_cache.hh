@@ -66,12 +66,8 @@ class BlockCacheDir
     /** Drop @p block from the directory (no-op when absent). */
     void erase(uint64_t block);
 
-    uint64_t ownerAt(uint64_t slot) const { return owner_[slot]; }
     bool dirty(uint64_t slot) const { return dirty_[slot] != 0; }
     void markDirty(uint64_t slot) { dirty_[slot] = 1; }
-
-    /** Blocks currently resident. */
-    uint64_t residentCount() const { return slot_of_.size(); }
 
     /** Visit (block, slot) for every resident block (arbitrary order). */
     template <typename Fn>

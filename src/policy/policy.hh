@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "common/event_queue.hh"
@@ -229,7 +228,6 @@ class FlatMemoryPolicy
      * while keeping NM contents, locks, and predictors warm.
      */
     void setFunctionalMode(bool on) { functional_mode_ = on; }
-    bool functionalMode() const { return functional_mode_; }
 
     /** The devices this policy drives (the shadow-data oracle uses the
      *  capacities for its bounds and occupancy sweeps). */
@@ -346,47 +344,6 @@ class FlatMemoryPolicy
     uint64_t fm_serviced_ = 0;
     uint64_t migration_ops_ = 0;
     bool functional_mode_ = false;
-};
-
-/**
- * Counts down @p n completions, then fires.  Helper for transactions
- * whose progress depends on several DRAM responses.
- */
-class JoinBarrier : public std::enable_shared_from_this<JoinBarrier>
-{
-  public:
-    static std::shared_ptr<JoinBarrier>
-    create(uint32_t n, DemandCallback done)
-    {
-        return std::shared_ptr<JoinBarrier>(
-            new JoinBarrier(n, std::move(done)));
-    }
-
-    /** A completion callback that decrements the barrier. */
-    DemandCallback
-    arm()
-    {
-        auto self = shared_from_this();
-        return [self](Tick t) { self->signal(t); };
-    }
-
-    void
-    signal(Tick t)
-    {
-        latest_ = std::max(latest_, t);
-        if (--remaining_ == 0 && done_)
-            done_(latest_);
-    }
-
-  private:
-    JoinBarrier(uint32_t n, DemandCallback done)
-        : remaining_(n), done_(std::move(done))
-    {
-    }
-
-    uint32_t remaining_;
-    Tick latest_ = 0;
-    DemandCallback done_;
 };
 
 } // namespace policy

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "common/config.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "policy/registry.hh"
@@ -13,32 +12,21 @@
 namespace silc {
 namespace sim {
 
-namespace {
-
-uint64_t
-envU64(const char *name, uint64_t def)
-{
-    const char *v = std::getenv(name);
-    return v == nullptr ? def : parseSize(v);
-}
-
-} // namespace
-
 ExperimentOptions
 ExperimentOptions::fromEnv()
 {
     ExperimentOptions o;
-    // Validated parsing throughout: the historical envU64 path accepted
-    // 0 cores / 0 instructions (hangs or divides by zero downstream),
-    // silently truncated SILC_CORES through a uint32_t cast, and
-    // wrapped SILC_*_MIB values above 2^44 in the <<20 conversion.
+    // Validated parsing throughout (common/env.hh): zero, signs, hex,
+    // size suffixes, trailing junk and over-cap values are fatal, so a
+    // typo fails at startup instead of running a quietly different
+    // experiment (0 cores hang, SILC_SEED=1k would run seed 1024).
     o.cores = static_cast<uint32_t>(
         envPositiveCount("SILC_CORES", o.cores, 1024));
     o.instructions_per_core = envPositiveCount(
         "SILC_INSTR", o.instructions_per_core, 1'000'000'000'000ULL);
     o.nm_bytes = envMebibytes("SILC_NM_MIB", o.nm_bytes);
     o.fm_bytes = envMebibytes("SILC_FM_MIB", o.fm_bytes);
-    o.seed = envU64("SILC_SEED", o.seed);
+    o.seed = envPositiveCount("SILC_SEED", o.seed);
     if (const char *s = std::getenv("SILC_SCHEME")) {
         // Validate eagerly so a typo fails at startup, not mid-bench.
         const auto &reg = policy::SchemeRegistry::instance();
@@ -54,9 +42,9 @@ ExperimentOptions::fromEnv()
         }
         o.scheme = s;
     }
-    o.telemetry = envU64("SILC_TELEMETRY", o.telemetry ? 1 : 0) != 0;
-    o.epoch_ticks = envU64("SILC_EPOCH_TICKS", o.epoch_ticks);
-    o.check = envU64("SILC_CHECK", o.check ? 1 : 0) != 0;
+    o.telemetry = envFlag("SILC_TELEMETRY", o.telemetry);
+    o.epoch_ticks = envPositiveCount("SILC_EPOCH_TICKS", o.epoch_ticks);
+    o.check = envFlag("SILC_CHECK", o.check);
     // Knobs of deleted subsystems fail loudly for any value rather than
     // let a stale script believe it still sets one.
     const char *const windowed_loop =

@@ -19,7 +19,8 @@
  *                  The four knobs above reject 0, non-numeric values,
  *                  trailing junk, and anything over their cap with a
  *                  fatal error naming the variable (common/env.hh).
- *   SILC_SEED    - RNG seed               (default 1)
+ *   SILC_SEED    - RNG seed               (default 1; validated like
+ *                  the four knobs above)
  *   SILC_THREADS - simulation worker threads used by the benches'
  *                  ParallelRunner (sim/parallel.hh); default is
  *                  hardware_concurrency, 1 runs everything
@@ -35,14 +36,15 @@
  *                      series) to this path as one JSON document; the
  *                      benches also accept --json <path>, which wins.
  *                      Implies per-run telemetry.
- *   SILC_EPOCH_TICKS - ticks per telemetry epoch (default 100000)
+ *   SILC_EPOCH_TICKS - ticks per telemetry epoch (default 100000;
+ *                      a positive count, validated like SILC_CORES)
  *   SILC_TELEMETRY   - set to 1 to record per-run time series even
- *                      without SILC_JSON
+ *                      without SILC_JSON (only 0 and 1 are accepted)
  *
  * Correctness knobs (see src/check/ and TESTING.md):
  *   SILC_CHECK       - set to 1 to run the untimed two-tier oracle in
  *                      lockstep with every run; the process panics on
- *                      the first violation.  Every scheme gets the
+ *                      the first violation (only 0 and 1 are accepted).  Every scheme gets the
  *                      scheme-agnostic shadow-data invariant checker
  *                      (check/shadow.hh); SILC-FM runs additionally get
  *                      the metadata-lockstep differential oracle.

@@ -21,18 +21,15 @@ parallelThreadsFromEnv()
 ThreadPool::ThreadPool(unsigned threads)
 {
     const unsigned n = threads == 0 ? parallelThreadsFromEnv() : threads;
-    queues_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        queues_.push_back(std::make_unique<WorkerQueue>());
     workers_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
-        std::lock_guard<std::mutex> lock(wake_mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;
     }
     wake_cv_.notify_all();
@@ -43,67 +40,29 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(std::function<void()> task)
 {
-    const size_t idx =
-        next_queue_.fetch_add(1, std::memory_order_relaxed) %
-        queues_.size();
     {
-        std::lock_guard<std::mutex> lock(queues_[idx]->mutex);
-        queues_[idx]->tasks.push_back(std::move(task));
-    }
-    {
-        // Bump pending_ under the wake mutex: otherwise the increment
-        // could slip between a worker's predicate check and its sleep,
-        // losing the wakeup for good.
-        std::lock_guard<std::mutex> lock(wake_mutex_);
-        pending_.fetch_add(1, std::memory_order_release);
+        std::lock_guard<std::mutex> lock(mutex_);
+        tasks_.push_back(std::move(task));
     }
     wake_cv_.notify_one();
 }
 
-bool
-ThreadPool::tryPop(size_t self, std::function<void()> &out)
-{
-    // Own queue first (front: FIFO for the local stream of work) ...
-    {
-        std::lock_guard<std::mutex> lock(queues_[self]->mutex);
-        if (!queues_[self]->tasks.empty()) {
-            out = std::move(queues_[self]->tasks.front());
-            queues_[self]->tasks.pop_front();
-            return true;
-        }
-    }
-    // ... then steal from siblings (back: avoids contending with the
-    // owner's front end).
-    for (size_t k = 1; k < queues_.size(); ++k) {
-        WorkerQueue &victim = *queues_[(self + k) % queues_.size()];
-        std::lock_guard<std::mutex> lock(victim.mutex);
-        if (!victim.tasks.empty()) {
-            out = std::move(victim.tasks.back());
-            victim.tasks.pop_back();
-            return true;
-        }
-    }
-    return false;
-}
-
 void
-ThreadPool::workerLoop(size_t self)
+ThreadPool::workerLoop()
 {
     while (true) {
         std::function<void()> task;
-        if (tryPop(self, task)) {
-            pending_.fetch_sub(1, std::memory_order_acq_rel);
-            task();
-            continue;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            wake_cv_.wait(lock,
+                          [this] { return stop_ || !tasks_.empty(); });
+            // Stopping still drains: exit only once the queue is empty.
+            if (tasks_.empty())
+                return;
+            task = std::move(tasks_.front());
+            tasks_.pop_front();
         }
-        std::unique_lock<std::mutex> lock(wake_mutex_);
-        if (stop_ && pending_.load(std::memory_order_acquire) == 0)
-            return;
-        wake_cv_.wait(lock, [this] {
-            return stop_ || pending_.load(std::memory_order_acquire) > 0;
-        });
-        if (stop_ && pending_.load(std::memory_order_acquire) == 0)
-            return;
+        task();
     }
 }
 

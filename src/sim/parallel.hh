@@ -1,6 +1,6 @@
 /**
  * @file
- * Parallel experiment execution: a work-stealing thread pool plus a
+ * Parallel experiment execution: a FIFO thread pool plus a
  * ParallelRunner façade over the ExperimentRunner workflow.
  *
  * Every paper figure is a grid of independent (workload, scheme)
@@ -47,12 +47,14 @@ unsigned parallelThreadsFromEnv();
 std::string fixedDecimal(double v, int places);
 
 /**
- * A work-stealing thread pool.
+ * A fixed-width thread pool over one FIFO queue.
  *
- * Each worker owns a deque; submissions are distributed round-robin,
- * workers pop their own queue from the front and steal from the back of
- * their siblings' queues when idle.  Destruction drains every pending
- * task before joining.
+ * Idle workers take tasks from the front of a single mutex-guarded
+ * deque, so tasks start in submission order and a busy worker never
+ * holds queued work back.  The tasks are coarse (whole simulations,
+ * sampled-window replays, warming passes: at most a few thousand
+ * submissions per second), so one lock is never contended enough to
+ * matter.  Destruction drains every pending task before joining.
  */
 class ThreadPool
 {
@@ -73,22 +75,13 @@ class ThreadPool
     }
 
   private:
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
+    void workerLoop();
 
-    void workerLoop(size_t self);
-    bool tryPop(size_t self, std::function<void()> &out);
-
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> workers_;
-    std::mutex wake_mutex_;
+    std::mutex mutex_;
     std::condition_variable wake_cv_;
-    std::atomic<size_t> pending_{0};
-    std::atomic<size_t> next_queue_{0};
+    std::deque<std::function<void()>> tasks_;
     bool stop_ = false;
+    std::vector<std::thread> workers_;
 };
 
 /**
@@ -129,9 +122,6 @@ class ParallelRunner
      * before the first submit.
      */
     void setJsonPath(std::string path);
-
-    /** The configured JSON output path ("" when disabled). */
-    const std::string &jsonPath() const { return json_path_; }
 
     /**
      * Wait for all recorded jobs and write the JSON document now.

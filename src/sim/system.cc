@@ -1,12 +1,13 @@
 #include "sim/system.hh"
 
 #include <cinttypes>
+#include <iomanip>
+#include <sstream>
 
 #include "check/differential.hh"
 #include "check/shadow.hh"
 #include "common/logging.hh"
 #include "common/serialize.hh"
-#include "common/stats.hh"
 #include "policy/registry.hh"
 #include "policy/static_random.hh"
 #include "sim/warming.hh"
@@ -118,15 +119,6 @@ MemoryHierarchy::MemoryHierarchy(const SystemConfig &cfg,
         private_.emplace_back(pi, pd);
     }
     llc_misses_.assign(cfg.cores, 0);
-}
-
-uint64_t
-MemoryHierarchy::l1dAccesses() const
-{
-    uint64_t n = 0;
-    for (const CorePrivate &p : private_)
-        n += p.l1d.hits() + p.l1d.misses();
-    return n;
 }
 
 bool
@@ -659,24 +651,23 @@ System::collectResult(bool all_done)
 void
 System::dumpStats(std::ostream &os) const
 {
-    stats::StatSet set;
-    // The set holds pointers; keep the stat objects alive for the dump.
-    std::vector<std::unique_ptr<stats::Scalar>> scalars;
-    std::vector<std::unique_ptr<stats::Average>> averages;
-
+    const std::string prefix = std::string(policy_->name()) + ".";
+    auto line = [&](const std::string &name, const std::string &value,
+                    const char *desc) {
+        os << std::left << std::setw(44) << (prefix + name) << " "
+           << std::setw(16) << value << " # " << desc << "\n";
+    };
+    // Counters print every digit; averages keep the stream's default
+    // six significant digits.
     auto add_scalar = [&](const std::string &name, uint64_t value,
                           const char *desc) {
-        auto stat = std::make_unique<stats::Scalar>();
-        *stat += value;
-        set.add(name, stat->describe(desc));
-        scalars.push_back(std::move(stat));
+        line(name, std::to_string(value), desc);
     };
     auto add_avg = [&](const std::string &name, double value,
                        const char *desc) {
-        auto stat = std::make_unique<stats::Average>();
-        stat->sample(value);
-        set.add(name, stat->describe(desc));
-        averages.push_back(std::move(stat));
+        std::ostringstream text;
+        text << value;
+        line(name, text.str(), desc);
     };
 
     for (uint32_t c = 0; c < cfg_.cores; ++c) {
@@ -740,8 +731,6 @@ System::dumpStats(std::ostream &os) const
                "subblock migration operations");
     add_avg("policy.accessRate", policy_->accessRate(),
             "Equation 1 access rate");
-
-    set.dump(os, std::string(policy_->name()) + ".");
 }
 
 } // namespace sim

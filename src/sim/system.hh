@@ -283,7 +283,6 @@ class MemoryHierarchy : public cpu::MemoryPort
     {
         return llc_misses_[core];
     }
-    uint64_t l1dAccesses() const;
 
     /** Cumulative LLC miss latency (ticks) and completed-miss count —
      *  the sampling layer differences these across window edges. */

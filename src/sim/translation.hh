@@ -86,8 +86,6 @@ class Translation
     /** Pages allocated for one core. */
     uint64_t pagesAllocatedFor(CoreId core) const;
 
-    uint64_t totalFrames() const { return frames_.size(); }
-
     /**
      * Serialize the page table and allocation cursor.  The shuffled
      * frame list is ctor-pure (a pure function of phys_bytes and seed)

@@ -6,9 +6,8 @@ namespace silc {
 namespace telemetry {
 
 Sampler::Sampler(Tick epoch_ticks)
-    : epoch_ticks_(epoch_ticks)
 {
-    if (epoch_ticks_ == 0)
+    if (epoch_ticks == 0)
         fatal("telemetry: epoch length must be positive");
 }
 
@@ -51,21 +50,6 @@ Sampler::addRatio(std::string name, ReadFn num, ReadFn den)
 {
     silc_assert(den != nullptr);
     add(std::move(name), Kind::Ratio, std::move(num), std::move(den));
-}
-
-void
-Sampler::addStatSet(const stats::StatSet &set, const std::string &prefix)
-{
-    const std::string p =
-        prefix.empty() || prefix.back() == '.' ? prefix : prefix + ".";
-    for (const auto &name : set.names()) {
-        const stats::StatBase *stat = set.find(name);
-        const auto read = [stat] { return stat->value(); };
-        if (dynamic_cast<const stats::Scalar *>(stat) != nullptr)
-            addCounter(p + name, read);
-        else
-            addGauge(p + name, read);
-    }
 }
 
 void

@@ -14,9 +14,8 @@
  * Counter-style derivations make monotonic whole-run counters — which is
  * what every component in this codebase already keeps — directly usable
  * as phase-resolved series without the components tracking epochs
- * themselves.  A stats::StatSet can be registered wholesale (Scalars
- * become Counters, everything else a Gauge), and a stats::Distribution
- * registers as p50/p95/p99 percentile gauges rather than raw buckets.
+ * themselves.  A stats::Distribution registers as p50/p95/p99 percentile
+ * gauges rather than raw buckets.
  */
 
 #ifndef SILC_TELEMETRY_SAMPLER_HH
@@ -58,13 +57,6 @@ class Sampler
     void addRatio(std::string name, ReadFn num, ReadFn den);
 
     /**
-     * Register every stat of @p set under @p prefix: Scalars as
-     * Counters (delta derivation), everything else as Gauges.  The set
-     * and its stats must outlive the Sampler.
-     */
-    void addStatSet(const stats::StatSet &set, const std::string &prefix);
-
-    /**
      * Register @p dist as three percentile gauges (<name>.p50/.p95/.p99,
      * cumulative over the run so far).  The series thus carries
      * percentiles, never bucket arrays.  @p dist must outlive the
@@ -75,10 +67,6 @@ class Sampler
 
     /** Probe names in registration order. */
     const std::vector<std::string> &names() const { return names_; }
-
-    size_t probeCount() const { return probes_.size(); }
-
-    Tick epochTicks() const { return epoch_ticks_; }
 
     /** Tick of the previous sample (0 before the first). */
     Tick lastSampleTick() const { return last_tick_; }
@@ -107,7 +95,6 @@ class Sampler
     void add(std::string name, Kind kind, ReadFn read,
              ReadFn read_den = nullptr);
 
-    Tick epoch_ticks_;
     Tick last_tick_ = 0;
     uint64_t epochs_ = 0;
     std::vector<std::string> names_;

@@ -157,15 +157,6 @@ TEST(Cache, MissRate)
     EXPECT_DOUBLE_EQ(c.missRate(), 0.5);
 }
 
-TEST(Cache, ResetClearsEverything)
-{
-    Cache c(smallCache());
-    c.access(0x0000, true);
-    c.reset();
-    EXPECT_FALSE(c.probe(0x0000));
-    EXPECT_EQ(c.hits() + c.misses(), 0u);
-}
-
 TEST(Cache, RandomReplacementStillCorrect)
 {
     CacheParams p = smallCache(2);
@@ -343,16 +334,6 @@ TEST(Mshr, CoalescedCountStat)
     mshr.allocate(0x1000, 0, cb);
     mshr.allocate(0x1000, 1, cb);
     EXPECT_EQ(mshr.coalesced(), 2u);
-}
-
-TEST(Mshr, ResetClears)
-{
-    MshrFile mshr(4, 4);
-    mshr.allocate(0x1000, 0, [](Tick) {});
-    mshr.reset();
-    EXPECT_FALSE(mshr.outstanding(0x1000));
-    EXPECT_EQ(mshr.size(), 0u);
-    EXPECT_EQ(mshr.outstandingFor(0), 0u);
 }
 
 TEST(MshrDeath, MisalignedBlockAsserts)

@@ -8,8 +8,8 @@
 
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitvector.hh"
@@ -139,17 +139,6 @@ TEST(EventQueue, NextEventTick)
     EXPECT_EQ(q.nextEventTick(), 9u);
 }
 
-TEST(EventQueue, ClearDropsPending)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(1, [&](Tick) { ++fired; });
-    q.clear();
-    q.runDue(10);
-    EXPECT_EQ(fired, 0);
-    EXPECT_TRUE(q.empty());
-}
-
 TEST(EventQueue, CountsExecuted)
 {
     EventQueue q;
@@ -157,62 +146,6 @@ TEST(EventQueue, CountsExecuted)
         q.schedule(t, [](Tick) {});
     q.runDue(4);
     EXPECT_EQ(q.executed(), 4u);
-}
-
-TEST(EventQueue, CancelledEventDoesNotFire)
-{
-    EventQueue q;
-    int fired = 0;
-    const EventId id =
-        q.scheduleCancellable(10, [&](Tick) { ++fired; });
-    q.schedule(10, [&](Tick) { fired += 100; });
-    q.cancel(id);
-    q.runDue(20);
-    EXPECT_EQ(fired, 100);   // only the uncancelled event ran
-    EXPECT_EQ(q.executed(), 1u);
-    EXPECT_EQ(q.cancelled(), 1u);
-}
-
-TEST(EventQueue, CancelThenRearmLater)
-{
-    // The cancel/re-arm pattern a wakeup consumer uses: drop the stale
-    // deadline, schedule the corrected one.
-    EventQueue q;
-    std::vector<Tick> fires;
-    const EventId stale =
-        q.scheduleCancellable(50, [&](Tick t) { fires.push_back(t); });
-    q.cancel(stale);
-    q.scheduleCancellable(30, [&](Tick t) { fires.push_back(t); });
-    q.runDue(100);
-    EXPECT_EQ(fires, (std::vector<Tick>{30}));
-}
-
-TEST(EventQueue, CancelledTombstonesDoNotBlockLaterEvents)
-{
-    EventQueue q;
-    int fired = 0;
-    for (int i = 0; i < 8; ++i) {
-        const EventId id =
-            q.scheduleCancellable(5, [&](Tick) { fired += 1000; });
-        q.cancel(id);
-    }
-    q.schedule(6, [&](Tick) { ++fired; });
-    q.runDue(10);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.cancelled(), 8u);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, ClearDropsTombstones)
-{
-    EventQueue q;
-    const EventId id = q.scheduleCancellable(5, [](Tick) {});
-    q.cancel(id);
-    q.clear();
-    int fired = 0;
-    q.schedule(1, [&](Tick) { ++fired; });
-    q.runDue(5);
-    EXPECT_EQ(fired, 1);
 }
 
 // ---- small function ------------------------------------------------------
@@ -282,27 +215,6 @@ TEST(SmallFunction, HoldsMoveOnlyCallable)
 
 // ---- stats ---------------------------------------------------------------
 
-TEST(Stats, ScalarCounts)
-{
-    stats::Scalar s;
-    ++s;
-    s += 4;
-    EXPECT_EQ(s.count(), 5u);
-    EXPECT_DOUBLE_EQ(s.value(), 5.0);
-    s.reset();
-    EXPECT_EQ(s.count(), 0u);
-}
-
-TEST(Stats, AverageOfSamples)
-{
-    stats::Average a;
-    EXPECT_DOUBLE_EQ(a.value(), 0.0);
-    a.sample(2.0);
-    a.sample(4.0);
-    EXPECT_DOUBLE_EQ(a.value(), 3.0);
-    EXPECT_EQ(a.samples(), 2u);
-}
-
 TEST(Stats, DistributionBuckets)
 {
     stats::Distribution d(0.0, 10.0, 5);
@@ -316,25 +228,6 @@ TEST(Stats, DistributionBuckets)
     EXPECT_EQ(d.overflows(), 1u);
     EXPECT_EQ(d.samples(), 4u);
     EXPECT_DOUBLE_EQ(d.value(), 5.0);
-}
-
-TEST(Stats, SetRegistersAndDumps)
-{
-    stats::StatSet set;
-    stats::Scalar a, b;
-    set.add("sim.a", a.describe("first"));
-    set.add("sim.b", b);
-    ++a;
-    EXPECT_DOUBLE_EQ(set.get("sim.a"), 1.0);
-    EXPECT_EQ(set.find("nope"), nullptr);
-
-    std::ostringstream os;
-    set.dump(os);
-    EXPECT_NE(os.str().find("sim.a"), std::string::npos);
-    EXPECT_NE(os.str().find("first"), std::string::npos);
-
-    set.resetAll();
-    EXPECT_DOUBLE_EQ(set.get("sim.a"), 0.0);
 }
 
 // ---- rng -----------------------------------------------------------------
@@ -562,14 +455,6 @@ TEST(EventQueueDeath, PastSchedulingPanics)
     EXPECT_DEATH(q.schedule(50, [](Tick) {}), "past");
 }
 
-TEST(Stats, DuplicateNamePanics)
-{
-    stats::StatSet set;
-    stats::Scalar a, b;
-    set.add("x", a);
-    EXPECT_DEATH(set.add("x", b), "duplicate");
-}
-
 TEST(Config, MalformedTokensFatal)
 {
     EXPECT_DEATH(Config::fromTokens({"noequals"}), "key=value");
@@ -703,6 +588,27 @@ TEST(EnvDeath, RemovedKnobsFatal)
             ScopedEnv e(knob, value);
             EXPECT_DEATH(sim::ExperimentOptions::fromEnv(),
                          std::string(knob) + " was removed");
+        }
+    }
+}
+
+// The seed and epoch knobs are positive decimal counts and the flag
+// knobs are exactly 0 or 1: size suffixes, hex, signs and any other
+// flag value are fatal and name the variable.
+
+TEST(EnvDeath, SeedEpochAndFlagKnobsRejectBadValues)
+{
+    const std::pair<const char *, std::vector<const char *>> cases[] = {
+        {"SILC_SEED", {"0", "-1", "1k", "0x10"}},
+        {"SILC_EPOCH_TICKS", {"0", "abc"}},
+        {"SILC_TELEMETRY", {"2", "yes", ""}},
+        {"SILC_CHECK", {"2", "-1", ""}},
+    };
+    for (const auto &[knob, values] : cases) {
+        for (const char *value : values) {
+            ScopedEnv e(knob, value);
+            EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), knob)
+                << knob << "=" << value;
         }
     }
 }

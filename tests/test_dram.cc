@@ -171,16 +171,6 @@ TEST(Bank, RefreshClosesRowAndBlocks)
     EXPECT_GE(bank.readyAt(), now + p.toTicks(p.t_rfc));
 }
 
-TEST(Bank, ResetForgetsState)
-{
-    DramTimingParams p = simpleParams();
-    Bank bank;
-    bank.serve(7, 0, 8, 0, p);
-    bank.reset();
-    EXPECT_EQ(bank.openRow(), -1);
-    EXPECT_EQ(bank.readyAt(), 0u);
-}
-
 // ---- address decode -------------------------------------------------------
 
 TEST(Decode, ChannelInterleavesAtSubblock)
@@ -562,21 +552,6 @@ TEST(Controller, QueueDepthObservable)
         events.runDue(t);
     }
     EXPECT_EQ(sys.queuedRequests(), 0u);
-}
-
-TEST(Controller, ResetRestoresPristineState)
-{
-    EventQueue events;
-    DramSystem sys(simpleParams(), 16_MiB, events);
-    runRead(sys, events, 0, 0);
-    sys.reset();
-    EXPECT_EQ(sys.readsServed(), 0u);
-    EXPECT_EQ(sys.traffic().total(), 0u);
-    EXPECT_TRUE(sys.idle());
-    // Still usable after reset.
-    events.clear();
-    runRead(sys, events, 4096, 0);
-    EXPECT_EQ(sys.readsServed(), 1u);
 }
 
 TEST(Controller, AvgReadQueueDelayGrowsUnderLoad)

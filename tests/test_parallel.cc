@@ -1,6 +1,6 @@
 /**
  * @file
- * The parallel experiment layer: ThreadPool execution and stealing,
+ * The parallel experiment layer: ThreadPool execution and FIFO order,
  * SILC_THREADS parsing, footer number formatting, and — the properties
  * the bench tables depend on — bit-identical results between
  * sequential and parallel runs and a baseline cache that computes each
@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -42,7 +43,7 @@ TEST(ThreadPoolTest, RunsEveryTask)
     std::atomic<int> count{0};
     for (int i = 0; i < 100; ++i)
         pool.submit([&count] { ++count; });
-    // Destruction drains the queues before joining.
+    // Destruction drains the queue before joining.
     {
         ThreadPool inner(2);
         for (int i = 0; i < 100; ++i)
@@ -53,32 +54,45 @@ TEST(ThreadPoolTest, RunsEveryTask)
     EXPECT_EQ(count.load(), 200);
 }
 
-TEST(ThreadPoolTest, IdleWorkersStealQueuedWork)
+TEST(ThreadPoolTest, IdleWorkerRunsQueuedTasksInSubmissionOrder)
 {
-    // One queue receives a long task followed by short ones (round-robin
-    // over a 2-worker pool lands every even submission on worker 0); the
-    // other worker must steal the short tasks for them to finish while
-    // the long task still blocks its home queue.
-    ThreadPool pool(2);
-    std::atomic<bool> release{false};
-    std::atomic<int> shorts{0};
-    for (int i = 0; i < 8; ++i) {
-        pool.submit([&] {
-            if (!release.load()) {
-                // First task to run becomes the blocker.
-                bool expected = false;
-                if (release.compare_exchange_strong(expected, true)) {
-                    while (shorts.load() < 7)
-                        std::this_thread::yield();
-                    return;
-                }
-            }
-            ++shorts;
+    // Both workers of a 2-wide pool park on blockers while six tasks
+    // queue behind them.  Releasing one blocker frees one worker, which
+    // must run all six in submission order while the other worker stays
+    // blocked: a busy worker holds no queued work back.
+    std::atomic<int> parked{0};
+    std::atomic<bool> release[2] = {false, false};
+    std::mutex order_mutex;
+    std::vector<int> order;
+    std::atomic<int> ran{0};
+    ThreadPool pool(2); // last: joins its workers before the state dies
+    for (int b = 0; b < 2; ++b) {
+        pool.submit([&, b] {
+            ++parked;
+            while (!release[b].load())
+                std::this_thread::yield();
         });
     }
-    while (shorts.load() < 7)
+    while (parked.load() < 2)
         std::this_thread::yield();
-    EXPECT_EQ(shorts.load(), 7);
+
+    for (int i = 0; i < 6; ++i) {
+        pool.submit([&, i] {
+            {
+                std::lock_guard<std::mutex> lock(order_mutex);
+                order.push_back(i);
+            }
+            ++ran;
+        });
+    }
+    release[0] = true;
+    while (ran.load() < 6)
+        std::this_thread::yield();
+    {
+        std::lock_guard<std::mutex> lock(order_mutex);
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    }
+    release[1] = true;
 }
 
 TEST(ParallelThreadsTest, EnvKnobParsing)

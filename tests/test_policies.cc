@@ -510,36 +510,6 @@ TEST_F(PolicyFixture, WritebackGoesToCurrentLocation)
     EXPECT_EQ(nm_wb_after - nm_wb_before, kSubblockSize);
 }
 
-// ---- JoinBarrier -----------------------------------------------------------
-
-TEST(JoinBarrier, FiresAfterAllSignals)
-{
-    Tick done_at = 0;
-    int fired = 0;
-    auto barrier = JoinBarrier::create(3, [&](Tick t) {
-        done_at = t;
-        ++fired;
-    });
-    auto cb1 = barrier->arm();
-    auto cb2 = barrier->arm();
-    auto cb3 = barrier->arm();
-    cb1(10);
-    cb3(50);
-    EXPECT_EQ(fired, 0);
-    cb2(30);
-    EXPECT_EQ(fired, 1);
-    // Completion carries the latest constituent tick.
-    EXPECT_EQ(done_at, 50u);
-}
-
-TEST(JoinBarrier, SingleShot)
-{
-    int fired = 0;
-    auto barrier = JoinBarrier::create(1, [&](Tick) { ++fired; });
-    barrier->arm()(5);
-    EXPECT_EQ(fired, 1);
-}
-
 // ---- traffic-class accounting across schemes -------------------------------------
 
 TEST_F(PolicyFixture, CameoSwapTrafficIsMigrationClass)

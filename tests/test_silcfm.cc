@@ -153,17 +153,6 @@ TEST(BitVectorTable, PowerOfTwoEnforced)
     EXPECT_DEATH(BitVectorTable(1000), "power of two");
 }
 
-TEST(BitVectorTable, ResetClears)
-{
-    BitVectorTable table(256);
-    SubblockVector bv;
-    bv.set(4);
-    table.save(1, 2, bv);
-    table.reset();
-    EXPECT_TRUE(table.lookup(1, 2).none());
-    EXPECT_EQ(table.saves(), 0u);
-}
-
 // ---- WayPredictor ----------------------------------------------------------------
 
 TEST(Predictor, ColdEntriesInvalid)

@@ -265,13 +265,22 @@ TEST(Experiment, EnvOverridesApply)
     setenv("SILC_CORES", "3", 1);
     setenv("SILC_INSTR", "12345", 1);
     setenv("SILC_SEED", "42", 1);
+    setenv("SILC_EPOCH_TICKS", "20000", 1);
+    setenv("SILC_TELEMETRY", "1", 1);
+    setenv("SILC_CHECK", "1", 1);
     ExperimentOptions o = ExperimentOptions::fromEnv();
     EXPECT_EQ(o.cores, 3u);
     EXPECT_EQ(o.instructions_per_core, 12345u);
     EXPECT_EQ(o.seed, 42u);
+    EXPECT_EQ(o.epoch_ticks, 20000u);
+    EXPECT_TRUE(o.telemetry);
+    EXPECT_TRUE(o.check);
     unsetenv("SILC_CORES");
     unsetenv("SILC_INSTR");
     unsetenv("SILC_SEED");
+    unsetenv("SILC_EPOCH_TICKS");
+    unsetenv("SILC_TELEMETRY");
+    unsetenv("SILC_CHECK");
 }
 
 TEST(Experiment, NmFmEnvInMiB)

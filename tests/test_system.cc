@@ -211,7 +211,9 @@ TEST(SystemIntegration, RecordedTraceReplaysIdentically)
 
 TEST(SystemIntegration, StatsDumpCoversComponents)
 {
-    SystemConfig cfg = tinyConfig("gcc", "silcfm");
+    // lbm moves over 10^6 NM bytes even at this scale, so the dump must
+    // print counters past six significant digits.
+    SystemConfig cfg = tinyConfig("lbm", "silcfm");
     System system(cfg);
     system.run();
     std::ostringstream os;
@@ -224,4 +226,17 @@ TEST(SystemIntegration, StatsDumpCoversComponents)
     }
     // Values render next to descriptions.
     EXPECT_NE(text.find("# instructions retired"), std::string::npos);
+
+    // Counters print exactly, never in e+ notation.
+    std::istringstream lines(text);
+    std::string line;
+    std::string nm_bytes;
+    while (std::getline(lines, line)) {
+        std::istringstream fields(line);
+        std::string name, value;
+        fields >> name >> value;
+        if (name == "silcfm.nm.bytes")
+            nm_bytes = value;
+    }
+    EXPECT_EQ(nm_bytes, std::to_string(system.nm()->traffic().total()));
 }

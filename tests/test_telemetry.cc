@@ -135,23 +135,6 @@ TEST(Sampler, EpochRecordsCarryIndexTickAndElapsed)
     EXPECT_EQ(s.lastSampleTick(), 200u);
 }
 
-TEST(Sampler, StatSetScalarsBecomeCounters)
-{
-    stats::StatSet set;
-    stats::Scalar swaps;
-    set.add("swaps", swaps);
-
-    Sampler s(100);
-    s.addStatSet(set, "silcfm");
-    ASSERT_EQ(s.names().size(), 1u);
-    EXPECT_EQ(s.names()[0], "silcfm.swaps");
-
-    swaps += 4;
-    EXPECT_EQ(s.sample(100).values[0], 4.0);
-    swaps += 2;
-    EXPECT_EQ(s.sample(200).values[0], 2.0);
-}
-
 TEST(SamplerDeath, DuplicateProbeNamePanics)
 {
     Sampler s(100);
@@ -187,16 +170,6 @@ TEST(DistributionPercentile, EdgeCases)
     // Out-of-range p clamps instead of reading out of bounds.
     EXPECT_EQ(d.percentile(-1.0), d.percentile(0.0));
     EXPECT_EQ(d.percentile(2.0), d.percentile(1.0));
-}
-
-TEST(DistributionPercentile, RenderIncludesPercentiles)
-{
-    stats::Distribution d(0.0, 10.0, 10);
-    d.sample(5.0);
-    const std::string r = d.render();
-    EXPECT_NE(r.find("p50="), std::string::npos);
-    EXPECT_NE(r.find("p95="), std::string::npos);
-    EXPECT_NE(r.find("p99="), std::string::npos);
 }
 
 TEST(Sampler, DistributionRegistersPercentileGauges)

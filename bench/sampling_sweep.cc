@@ -9,9 +9,10 @@
  * finishing several times faster.
  *
  * Scale with SILC_CORES / SILC_INSTR / SILC_SEED; tune the sampler with
- * SILC_SAMPLE_PERIOD / SILC_SAMPLE_WINDOW / SILC_SAMPLE_WARMUP /
- * SILC_SAMPLE_MIN_WINDOWS / SILC_SAMPLE_CI_TARGET.  SILC_CHECK=1 runs
- * the differential oracle during the functional-warming pass.
+ * SILC_SAMPLE_PERIOD / SILC_SAMPLE_WINDOW / SILC_SAMPLE_WARMUP (every
+ * checkpoint is replayed, so the period sets the window count).
+ * SILC_CHECK=1 runs the differential oracle during the
+ * functional-warming pass.
  *
  * --json <path> (or SILC_JSON) writes a silc.results.v1 document whose
  * runs array is [full, sampled]; the sampled run carries the "sampling"
@@ -134,10 +135,9 @@ main(int argc, char **argv)
                             e->mean, e->ci_half, "-");
             }
         }
-        std::printf("\ncheckpoints=%u windows=%u early_stopped=%d\n",
+        std::printf("\ncheckpoints=%u windows=%u\n",
                     sampled.sampling->checkpoints,
-                    sampled.sampling->windows,
-                    sampled.sampling->early_stopped ? 1 : 0);
+                    sampled.sampling->windows);
     }
     std::printf("full %.2fs, sampled %.2fs, metrics outside CI: %d\n",
                 full_s, samp_s, outside);

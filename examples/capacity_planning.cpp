@@ -15,6 +15,7 @@
 #include "common/config.hh"
 #include "policy/registry.hh"
 #include "sim/experiment.hh"
+#include "sim/parallel.hh"
 
 using namespace silc;
 
@@ -28,7 +29,7 @@ main(int argc, char **argv)
                                    .name;
 
     sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
-    sim::ExperimentRunner runner(opts);
+    sim::ParallelRunner runner(opts);
 
     std::printf("== NM capacity planning: %s under %s ==\n",
                 workload.c_str(), scheme.c_str());
@@ -42,7 +43,7 @@ main(int argc, char **argv)
     for (uint64_t div : dividers) {
         sim::SystemConfig cfg = sim::makeConfig(workload, scheme, opts);
         cfg.nm_bytes = opts.fm_bytes / div;
-        sim::SimResult r = runner.runConfig(cfg);
+        const sim::SimResult r = runner.submitConfig(cfg).get();
         std::printf("   1/%-3llu %10.1f %8.3f %8.3f %12.1f %12.0f\n",
                     static_cast<unsigned long long>(div),
                     cfg.nm_bytes / 1048576.0, runner.speedup(r),

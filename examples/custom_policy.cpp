@@ -17,6 +17,7 @@
 #include "common/config.hh"
 #include "policy/policy.hh"
 #include "sim/experiment.hh"
+#include "sim/parallel.hh"
 #include "sim/system.hh"
 #include "trace/profiles.hh"
 
@@ -128,7 +129,7 @@ main(int argc, char **argv)
     Config cli = Config::fromArgs(argc, argv);
     const std::string workload = cli.getString("workload", "omnet");
     sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
-    sim::ExperimentRunner runner(opts);
+    sim::ParallelRunner runner(opts);
 
     std::printf("== custom policy vs built-ins on %s ==\n\n",
                 workload.c_str());
@@ -136,7 +137,7 @@ main(int argc, char **argv)
     // Built-ins through the standard runner.
     const Tick base = runner.baselineTicks(workload);
     for (const char *kind : {"rand", "cam", "silcfm"}) {
-        sim::SimResult r = runner.run(workload, kind);
+        const sim::SimResult r = runner.submit(workload, kind).get();
         std::printf("%-11s speedup=%.3f access_rate=%.3f\n",
                     r.scheme.c_str(), runner.speedup(r), r.access_rate);
     }

@@ -17,6 +17,7 @@
 #include "common/config.hh"
 #include "core/silc_fm.hh"
 #include "sim/experiment.hh"
+#include "sim/parallel.hh"
 #include "sim/system.hh"
 
 using namespace silc;
@@ -39,7 +40,7 @@ main(int argc, char **argv)
     Config cli = Config::fromArgs(argc, argv);
     const std::string workload = cli.getString("workload", "xalanc");
     sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
-    sim::ExperimentRunner runner(opts);
+    sim::ParallelRunner runner(opts);
 
     std::printf("== hot working set on %s: SILC-FM feature ladder ==\n\n",
                 workload.c_str());

@@ -3,9 +3,12 @@
  * Quickstart: build a system, run one workload under SILC-FM, and print
  * the headline metrics.
  *
- *     ./example_quickstart [workload=mcf] [policy=silcfm] [cores=8] ...
+ *     ./example_quickstart [workload=mcf] [policy=silcfm] [stats=1]
  *
- * Any SystemConfig scale knob can be overridden with key=value pairs.
+ * Scale comes from the bench environment knobs (SILC_CORES, SILC_INSTR,
+ * SILC_NM_MIB, SILC_FM_MIB, SILC_SEED; see sim/experiment.hh), e.g.
+ *
+ *     SILC_CORES=2 SILC_INSTR=50000 ./example_quickstart policy=memcache
  */
 
 #include <cstdio>
@@ -14,6 +17,7 @@
 #include "common/config.hh"
 #include "policy/registry.hh"
 #include "sim/experiment.hh"
+#include "sim/parallel.hh"
 #include "sim/system.hh"
 #include "trace/profiles.hh"
 
@@ -24,13 +28,7 @@ main(int argc, char **argv)
 {
     Config cli = Config::fromArgs(argc, argv);
 
-    sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
-    opts.cores = static_cast<uint32_t>(cli.getU64("cores", opts.cores));
-    opts.instructions_per_core =
-        cli.getU64("instructions", opts.instructions_per_core);
-    opts.nm_bytes = cli.getU64("nm", opts.nm_bytes);
-    opts.fm_bytes = cli.getU64("fm", opts.fm_bytes);
-    opts.seed = cli.getU64("seed", opts.seed);
+    const sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
 
     const std::string workload = cli.getString("workload", "mcf");
     // Aliases (cameo, silc) resolve here; unknown names die with the
@@ -49,8 +47,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(opts.nm_bytes >> 20),
                 static_cast<unsigned long long>(opts.fm_bytes >> 20));
 
-    sim::ExperimentRunner runner(opts);
-    const Tick baseline = runner.baselineTicks(workload);
+    const Tick baseline = sim::ParallelRunner(opts).baselineTicks(workload);
     sim::System system(sim::makeConfig(workload, scheme, opts));
     const sim::SimResult r = system.run();
     const double speedup =

@@ -92,20 +92,6 @@ largeBlockAddr(Addr addr)
     return alignDown(addr, kLargeBlockSize);
 }
 
-/** Index of the large block containing @p addr. */
-constexpr uint64_t
-largeBlockNumber(Addr addr)
-{
-    return addr >> kLargeBlockBits;
-}
-
-/** Index of the subblock containing @p addr, within the whole space. */
-constexpr uint64_t
-subblockNumber(Addr addr)
-{
-    return addr >> kSubblockBits;
-}
-
 /**
  * Offset (0..31) of the subblock containing @p addr within its large
  * block; this selects the bit in the per-block bit vector.

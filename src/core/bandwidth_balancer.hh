@@ -46,7 +46,6 @@ class BandwidthBalancer
     double lastWindowRate() const { return last_rate_; }
 
     uint64_t windowsElapsed() const { return windows_; }
-    uint64_t bypassedWindows() const { return bypassed_windows_; }
 
     /** Serialize / restore the window state (ctor params excluded). */
     void
@@ -81,6 +80,7 @@ class BandwidthBalancer
     bool bypassing_ = false;
     double last_rate_ = 0.0;
     uint64_t windows_ = 0;
+    /** Nothing reads it; it stays because checkpoint blobs carry it. */
     uint64_t bypassed_windows_ = 0;
 };
 

@@ -1,10 +1,7 @@
 #include "sample/sampling.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
 #include <future>
 #include <memory>
@@ -21,23 +18,6 @@ namespace silc {
 namespace sample {
 
 namespace {
-
-/** Strict non-negative double knob (CI targets are fractions). */
-double
-envNonNegativeDouble(const char *name, double fallback)
-{
-    const char *raw = std::getenv(name);
-    if (raw == nullptr)
-        return fallback;
-    char *end = nullptr;
-    errno = 0;
-    const double v = std::strtod(raw, &end);
-    if (end == raw || *end != '\0' || errno == ERANGE || !(v >= 0.0)) {
-        fatal("%s: expected a non-negative number, got \"%s\"", name,
-              raw);
-    }
-    return v;
-}
 
 /** The metrics a window sample exposes to aggregation, ipc first. */
 struct MetricDef
@@ -99,10 +79,6 @@ SamplingConfig::fromEnv()
     c.period = envPositiveCount("SILC_SAMPLE_PERIOD", c.period);
     c.window = envPositiveCount("SILC_SAMPLE_WINDOW", c.window);
     c.warmup = envPositiveCount("SILC_SAMPLE_WARMUP", c.warmup);
-    c.min_windows = static_cast<uint32_t>(envPositiveCount(
-        "SILC_SAMPLE_MIN_WINDOWS", c.min_windows, 1'000'000));
-    c.ci_target =
-        envNonNegativeDouble("SILC_SAMPLE_CI_TARGET", c.ci_target);
     return c;
 }
 
@@ -117,10 +93,6 @@ SamplingConfig::validate() const
               sim::u64str(warmup).c_str(), sim::u64str(window).c_str(),
               sim::u64str(period).c_str());
     }
-    if (min_windows == 0)
-        fatal("sampling: min_windows must be positive");
-    if (ci_target < 0.0)
-        fatal("sampling: ci_target must be non-negative");
 }
 
 // ---- SamplingReport ----------------------------------------------------
@@ -165,16 +137,6 @@ StatsAggregator::estimates() const
     return out;
 }
 
-MetricEstimate
-StatsAggregator::estimate(const std::string &name) const
-{
-    for (const auto &def : kMetricDefs) {
-        if (name == def.name)
-            return estimateOf(samples_, def);
-    }
-    fatal("StatsAggregator: unknown metric '%s'", name.c_str());
-}
-
 // ---- SamplingController ------------------------------------------------
 
 SamplingController::SamplingController(sim::SystemConfig cfg,
@@ -188,7 +150,7 @@ SamplingController::SamplingController(sim::SystemConfig cfg,
 size_t
 SamplingController::liveBlobBound() const
 {
-    return 2 * std::max<size_t>(width_, kBatch);
+    return 2 * static_cast<size_t>(width_);
 }
 
 void
@@ -322,60 +284,16 @@ SamplingController::run()
     // ---- Functional warming, with every window's replay streamed
     // behind its checkpoint. ----
     //
-    // Checkpoints below `open` may be replayed.  With a CI target a
-    // batch opens only once the batch before it has been aggregated
-    // without stopping the run, so no replay runs that the stop would
-    // have skipped; without one every checkpoint is open from the
-    // start.  Windows are aggregated in checkpoint order and the CI
-    // test runs only at batch boundaries, so the result is the same at
-    // every pool width.
+    // Windows are aggregated in checkpoint order, so the result is the
+    // same at every pool width.
     StatsAggregator agg;
-    bool early = false;
-    uint64_t open = scfg_.ci_target > 0.0
-        ? std::min<uint64_t>(kBatch, n_ckpt)
-        : n_ckpt;
-    std::deque<std::pair<uint64_t, Checkpoint>> held; // captured, not open
-    std::deque<std::future<WindowSample>> replays;    // checkpoint order
+    std::deque<std::future<WindowSample>> replays; // checkpoint order
     std::unique_ptr<sim::ThreadPool> pool;
     if (width_ >= 2)
         pool = std::make_unique<sim::ThreadPool>(width_);
-
-    auto submit_open = [&] {
-        while (!held.empty() && held.front().first < open) {
-            auto task = std::make_shared<std::packaged_task<WindowSample()>>(
-                [this, i = held.front().first,
-                 ckpt = std::move(held.front().second)]() mutable {
-                    return replayCheckpoint(std::move(ckpt), i);
-                });
-            held.pop_front();
-            replays.push_back(task->get_future());
-            if (pool)
-                pool->submit([task] { (*task)(); });
-            else
-                (*task)();
-        }
-    };
     auto collect_oldest = [&] {
         agg.add(replays.front().get());
         replays.pop_front();
-        if (agg.windows() < open || open == n_ckpt)
-            return; // no batch left to judge
-        if (agg.windows() >= scfg_.min_windows) {
-            const MetricEstimate e = agg.estimate("ipc");
-            early = e.mean > 0.0 && e.ci_half / e.mean <= scfg_.ci_target;
-        }
-        if (early) {
-            for (auto &h : held)
-                release(h.second);
-            held.clear();
-            return;
-        }
-        open = std::min<uint64_t>(open + kBatch, n_ckpt);
-        submit_open();
-    };
-    auto ready = [](const std::future<WindowSample> &f) {
-        return f.wait_for(std::chrono::seconds(0)) ==
-            std::future_status::ready;
     };
 
     const size_t bound = liveBlobBound();
@@ -383,21 +301,21 @@ SamplingController::run()
         warm.setPerCoreBudget(k * scfg_.period);
         if (!warm.runToBudget())
             fatal("sampling: functional warming hit the tick limit");
-        // Backpressure: a blob past the bound waits for the oldest
-        // replay.  Every held blob has an open batch in flight ahead of
-        // it, so `replays` is never empty here.
-        while (held.size() + replays.size() >= bound)
+        // Backpressure: every live blob belongs to an uncollected
+        // replay, so a blob past the bound waits for the oldest one.
+        while (replays.size() >= bound)
             collect_oldest();
-        // After an early stop no window needs the checkpoint, but the
-        // segment still ran: warming state and the base result do not
-        // depend on the stop.
-        if (early)
-            continue;
-        held.emplace_back(k, capture(warm, k * scfg_.period));
-        track(held.back().second);
-        submit_open();
-        while (!replays.empty() && ready(replays.front()))
-            collect_oldest();
+        Checkpoint ckpt = capture(warm, k * scfg_.period);
+        track(ckpt);
+        auto task = std::make_shared<std::packaged_task<WindowSample()>>(
+            [this, k, ckpt = std::move(ckpt)]() mutable {
+                return replayCheckpoint(std::move(ckpt), k);
+            });
+        replays.push_back(task->get_future());
+        if (pool)
+            pool->submit([task] { (*task)(); });
+        else
+            (*task)();
     }
     // The stream past the last checkpoint feeds no replay window, so
     // executing it buys nothing measurable — skip it unless the
@@ -423,7 +341,6 @@ SamplingController::run()
     report->warmup = scfg_.warmup;
     report->checkpoints = static_cast<uint32_t>(n_ckpt);
     report->windows = static_cast<uint32_t>(agg.windows());
-    report->early_stopped = early;
     report->warm_instructions = warmed;
     report->metrics = agg.estimates();
 

@@ -29,25 +29,20 @@
  *
  *  3. **Aggregation**: per-metric mean and 95% confidence interval over
  *     the window population (Student's t), reported in a `sampling`
- *     section of the silc.results.v1 JSON document.  When
- *     SILC_SAMPLE_CI_TARGET is set, replay stops early (at
- *     deterministic batch boundaries) once the relative CI half-width
- *     of IPC drops below the target; a batch is handed to the pool
- *     only after the batch before it has been judged, so no window
- *     runs that the stop would have skipped.  Warming runs to the last
- *     checkpoint either way.
+ *     section of the silc.results.v1 JSON document.  Every checkpoint
+ *     is replayed, so the windows span the whole run, one per
+ *     SILC_SAMPLE_PERIOD.
  *
- * Memory: at most liveBlobBound() = 2 x max(pool width, kBatch) blobs
- * are alive at once.  A capture that would pass the bound first waits
- * for the oldest replay, so a run's peak memory follows the pool
- * width, not its window count.
+ * Memory: at most liveBlobBound() = 2 x pool width blobs are alive at
+ * once.  A capture that would pass the bound first waits for the oldest
+ * replay, so a run's peak memory follows the pool width, not its window
+ * count.
  *
  * Determinism: warming runs each core's private work in parallel but
  * every shared-state update (page allocation, L2, policy) in the one
  * static per-cycle order, so its checkpoints are byte-identical at any
  * pool width; every replay restores a byte-exact blob into a System of
- * its own; windows are aggregated in checkpoint order and early stopping
- * is evaluated only at fixed batch boundaries — so results are
+ * its own; windows are aggregated in checkpoint order — so results are
  * byte-identical across SILC_THREADS values, and the same as replaying
  * every window after warming ends (tests/golden/golden_sampled_*.json).
  *
@@ -55,8 +50,6 @@
  *   SILC_SAMPLE_PERIOD      per-core instructions between checkpoints
  *   SILC_SAMPLE_WINDOW      measured detailed instructions per core
  *   SILC_SAMPLE_WARMUP      discarded detailed warmup per core
- *   SILC_SAMPLE_MIN_WINDOWS minimum windows before early stopping
- *   SILC_SAMPLE_CI_TARGET   relative IPC CI half-width target (0 = off)
  */
 
 #ifndef SILC_SAMPLE_SAMPLING_HH
@@ -87,14 +80,6 @@ struct SamplingConfig
     uint64_t window = 5'000;
     /** Discarded detailed warmup per core (SILC_SAMPLE_WARMUP). */
     uint64_t warmup = 5'000;
-    /** Windows required before early stopping may trigger. */
-    uint32_t min_windows = 5;
-    /**
-     * Early-stop target: relative 95% CI half-width on IPC
-     * (SILC_SAMPLE_CI_TARGET, e.g. 0.02 for +/-2%).  0 disables early
-     * stopping and replays every checkpoint.
-     */
-    double ci_target = 0.0;
     /** Replay pool width; 0 means SILC_THREADS (sim/parallel.hh). */
     unsigned threads = 0;
 
@@ -143,8 +128,7 @@ struct SamplingReport
     uint64_t window = 0;
     uint64_t warmup = 0;
     uint32_t checkpoints = 0;       ///< captured during warming
-    uint32_t windows = 0;           ///< actually replayed
-    bool early_stopped = false;
+    uint32_t windows = 0;           ///< replayed: one per checkpoint
     /**
      * Per-core instructions actually executed functionally.  Equals the
      * last checkpoint position (warming stops there — the tail past it
@@ -172,9 +156,6 @@ class StatsAggregator
     /** Estimates for every metric, in a fixed order (ipc first). */
     std::vector<MetricEstimate> estimates() const;
 
-    /** Estimate of a single named metric (fatal on unknown name). */
-    MetricEstimate estimate(const std::string &name) const;
-
     /** Two-sided 95% Student's t critical value for @p df (>= 1). */
     static double tCritical95(uint32_t df);
 
@@ -193,10 +174,6 @@ class StatsAggregator
 class SamplingController
 {
   public:
-    /** Windows per early-stop decision: the CI test runs only once a
-     *  whole batch has been aggregated. */
-    static constexpr size_t kBatch = 4;
-
     SamplingController(sim::SystemConfig cfg, SamplingConfig scfg);
 
     // Replays on the pool hold `this`.
@@ -206,7 +183,7 @@ class SamplingController
     /** Run warming + replay; fatal if the policy cannot sample. */
     sim::SimResult run();
 
-    /** Most checkpoint blobs alive at once: 2 x max(pool width, kBatch). */
+    /** Most checkpoint blobs alive at once: 2 x pool width. */
     size_t liveBlobBound() const;
 
     /** Most blobs, and blob bytes, alive at once during the last run(). */

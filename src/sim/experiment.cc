@@ -54,12 +54,18 @@ ExperimentOptions::fromEnv()
         "the multi-tenant trace layer; results depended on it, so "
         "ignoring it would run a different experiment.  Unset it and "
         "grow the footprint with SILC_CORES instead";
+    const char *const early_stopping =
+        "confidence-interval early stopping, which measured only a "
+        "prefix of the run; every checkpoint is replayed now, so unset "
+        "it and set fewer windows with SILC_SAMPLE_PERIOD instead";
     const std::pair<const char *, const char *> removed[] = {
         {"SILC_SIM_THREADS", windowed_loop},
         {"SILC_CORE_LANES", windowed_loop},
         {"SILC_SPEC_HORIZON", windowed_loop},
         {"SILC_TENANTS", tenant_layer},
         {"SILC_TENANT_CHURN", tenant_layer},
+        {"SILC_SAMPLE_MIN_WINDOWS", early_stopping},
+        {"SILC_SAMPLE_CI_TARGET", early_stopping},
     };
     for (const auto &[knob, removed_with] : removed) {
         if (std::getenv(knob) != nullptr)
@@ -101,45 +107,6 @@ makeConfig(const std::string &workload, const std::string &scheme,
     // SILC_CHECK=1 applies across whole multi-scheme bench matrices.
     cfg.check = opts.check;
     return cfg;
-}
-
-ExperimentRunner::ExperimentRunner(ExperimentOptions opts)
-    : opts_(opts)
-{
-}
-
-SimResult
-ExperimentRunner::run(const std::string &workload,
-                      const std::string &scheme)
-{
-    System system(makeConfig(workload, scheme, opts_));
-    return system.run();
-}
-
-SimResult
-ExperimentRunner::runConfig(const SystemConfig &cfg)
-{
-    System system(cfg);
-    return system.run();
-}
-
-Tick
-ExperimentRunner::baselineTicks(const std::string &workload)
-{
-    auto it = baseline_cache_.find(workload);
-    if (it != baseline_cache_.end())
-        return it->second;
-    SimResult base =
-        run(workload, policy::SchemeRegistry::instance().baselineName());
-    baseline_cache_.emplace(workload, base.ticks);
-    return base.ticks;
-}
-
-double
-ExperimentRunner::speedup(const SimResult &result)
-{
-    const Tick base = baselineTicks(result.workload);
-    return static_cast<double>(base) / static_cast<double>(result.ticks);
 }
 
 std::string

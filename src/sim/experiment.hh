@@ -1,9 +1,10 @@
 /**
  * @file
- * The experiment runner used by the bench binaries: builds configs for
- * (workload, scheme) pairs, caches no-NM baseline runs so speedups share
- * a denominator, applies environment-variable scale overrides, and
- * provides table formatting helpers.
+ * Experiment setup shared by the bench binaries: builds configs for
+ * (workload, scheme) pairs, applies environment-variable scale
+ * overrides, and provides table formatting helpers.  ParallelRunner
+ * (sim/parallel.hh) runs the configs and caches the no-NM baseline runs
+ * so speedups share a denominator.
  *
  * Scale knobs (environment variables, all optional).  Defaults quote
  * the ExperimentOptions initializers below — keep them in sync:
@@ -32,10 +33,13 @@
  * are a fatal error when set (see fromEnv()).
  *
  * Telemetry / export knobs (see src/telemetry/ and sim/result_writer.hh):
- *   SILC_JSON        - write every run's SimResult (plus its epoch time
- *                      series) to this path as one JSON document; the
- *                      benches also accept --json <path>, which wins.
- *                      Implies per-run telemetry.
+ *   SILC_JSON        - write every run's SimResult to this path as one
+ *                      JSON document; the benches also accept
+ *                      --json <path>, which wins.  The ParallelRunner
+ *                      benches then record each run's epoch time series
+ *                      too; capacity_smoke, sampling_sweep and the
+ *                      --sample modes record series only under
+ *                      SILC_TELEMETRY=1, and only on full-detail runs.
  *   SILC_EPOCH_TICKS - ticks per telemetry epoch (default 100000;
  *                      a positive count, validated like SILC_CORES)
  *   SILC_TELEMETRY   - set to 1 to record per-run time series even
@@ -58,17 +62,12 @@
  *                             5000)
  *   SILC_SAMPLE_WARMUP      - detailed timing re-warm prefix before
  *                             each window, discarded (default 5000)
- *   SILC_SAMPLE_MIN_WINDOWS - windows required before CI-driven early
- *                             stopping may trigger (default 5)
- *   SILC_SAMPLE_CI_TARGET   - stop adding windows once the IPC 95% CI
- *                             half-width / mean falls to this value;
- *                             0 (default) replays every checkpoint.
+ * Every checkpoint is replayed; fewer windows means a longer period.
  */
 
 #ifndef SILC_SIM_EXPERIMENT_HH
 #define SILC_SIM_EXPERIMENT_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -105,35 +104,6 @@ struct ExperimentOptions
 SystemConfig makeConfig(const std::string &workload,
                         const std::string &scheme,
                         const ExperimentOptions &opts);
-
-/**
- * Runs simulations and caches the per-workload no-NM baseline so every
- * speedup in a bench shares the same denominator (the paper's figure of
- * merit: baseline time / scheme time).
- */
-class ExperimentRunner
-{
-  public:
-    explicit ExperimentRunner(ExperimentOptions opts);
-
-    const ExperimentOptions &options() const { return opts_; }
-
-    /** Run one (workload, scheme) pair. */
-    SimResult run(const std::string &workload, const std::string &scheme);
-
-    /** Run with a caller-tweaked config (capacity sweeps, ablations). */
-    SimResult runConfig(const SystemConfig &cfg);
-
-    /** Execution ticks of the cached no-NM baseline for @p workload. */
-    Tick baselineTicks(const std::string &workload);
-
-    /** Speedup of @p result against the no-NM baseline. */
-    double speedup(const SimResult &result);
-
-  private:
-    ExperimentOptions opts_;
-    std::map<std::string, Tick> baseline_cache_;
-};
 
 // ---- Small table-printing helpers shared by the benches. ----
 

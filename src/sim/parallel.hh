@@ -1,7 +1,7 @@
 /**
  * @file
- * Parallel experiment execution: a FIFO thread pool plus a
- * ParallelRunner façade over the ExperimentRunner workflow.
+ * Parallel experiment execution: a FIFO thread pool plus
+ * ParallelRunner, the one runner the benches, examples and tests use.
  *
  * Every paper figure is a grid of independent (workload, scheme)
  * simulations; each sim::System is self-contained, so the grid is
@@ -85,9 +85,9 @@ class ThreadPool
 };
 
 /**
- * Parallel drop-in for ExperimentRunner: the same config construction
- * and baseline-denominator caching, but jobs run on a ThreadPool and
- * results come back through futures.
+ * Runs simulations on a ThreadPool and hands their results back through
+ * futures.  A job's result is exactly what System(cfg).run() returns on
+ * the calling thread.
  *
  * The no-NM baseline of each workload is resolved exactly once behind a
  * mutex-guarded future cache: the first requester submits the baseline

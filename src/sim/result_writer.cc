@@ -129,8 +129,8 @@ writeResultJson(std::ostream &os, const SimResult &r)
         os << ",\"sampling\":{\"period\":" << sr.period
            << ",\"window\":" << sr.window << ",\"warmup\":" << sr.warmup
            << ",\"checkpoints\":" << sr.checkpoints
-           << ",\"windows\":" << sr.windows << ",\"early_stopped\":"
-           << (sr.early_stopped ? 1 : 0)
+           << ",\"windows\":" << sr.windows
+           << ",\"early_stopped\":0" // constant: see result_writer.hh
            << ",\"warm_instructions\":" << sr.warm_instructions
            << ",\"metrics\":[";
         for (size_t i = 0; i < sr.metrics.size(); ++i) {

@@ -16,6 +16,11 @@
  *       {
  *         <every scalar SimResult field, same names as the struct>,
  *         "seconds": ..., "nm_demand_fraction": ...,
+ *         "sampling": {             // only on sampled runs
+ *           "period", "window", "warmup", "checkpoints", "windows",
+ *           "early_stopped": 0, "warm_instructions",
+ *           "metrics": [ {"name", "mean", "ci_half", "n"}, ... ]
+ *         },
  *         "telemetry": {            // only when recorded
  *           "run": "mcf/silcfm",
  *           "epoch_ticks": 100000,
@@ -26,6 +31,10 @@
  *       }, ...
  *     ]
  *   }
+ *
+ * "early_stopped" is always 0: sampled runs replay every checkpoint
+ * (sample/sampling.hh).  The key stays so that sampled documents, the
+ * sampled goldens and digests taken over them keep their bytes.
  *
  * Runs appear in add() order; the ParallelRunner adds them in
  * submission order, which makes the file byte-identical across

@@ -131,10 +131,10 @@ MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
     const Addr paddr = translation_.translate(core, vaddr);
     if (warming_) {
         Addr victim = kAddrInvalid;
-        Tick latency = cfg_.l1_latency;
+        Tick latency = l1HitTicks();
         if (!warmL1(core, paddr, is_write, victim)) {
             latency = warmShared(core, paddr, pc, is_write, victim, now)
-                ? cfg_.l2_latency
+                ? l2HitTicks()
                 : 1;
         }
         if (done)
@@ -147,7 +147,7 @@ MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
     // L1 hit path.
     if (l1.accessIfHit(paddr, is_write)) {
         if (done)
-            done(now + cfg_.l1_latency);
+            done(now + l1HitTicks());
         return true;
     }
 
@@ -207,7 +207,7 @@ MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
             policy_.writeback(ol2.writeback_addr, core, now);
     }
     if (done)
-        done(now + cfg_.l2_latency);
+        done(now + l2HitTicks());
     return true;
 }
 

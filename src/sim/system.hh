@@ -68,8 +68,6 @@ struct SystemConfig
     uint64_t fm_bytes = 16 * 1024 * 1024;
 
     cpu::CoreParams core_params;
-    uint32_t l1_latency = 4;
-    uint32_t l2_latency = 15;
     /** Extra ticks between LLC fill and dependent wakeup. */
     uint32_t fill_latency = 2;
 
@@ -279,11 +277,6 @@ class MemoryHierarchy : public cpu::MemoryPort
             ? 0.0
             : miss_latency_sum_ / static_cast<double>(misses_completed_);
     }
-    uint64_t llcMissesFor(CoreId core) const
-    {
-        return llc_misses_[core];
-    }
-
     /** Cumulative LLC miss latency (ticks) and completed-miss count —
      *  the sampling layer differences these across window edges. */
     double missLatencySum() const { return miss_latency_sum_; }
@@ -371,6 +364,14 @@ class MemoryHierarchy : public cpu::MemoryPort
         cache::Cache l1d;
         Addr last_iline = kAddrInvalid;
     };
+
+    /** Ticks to an L1 hit, and to an L2 hit after the L1 lookup. */
+    Tick l1HitTicks() const { return cfg_.l1d.latency_cycles; }
+    Tick
+    l2HitTicks() const
+    {
+        return cfg_.l1d.latency_cycles + cfg_.l2.latency_cycles;
+    }
 
     const SystemConfig &cfg_;
     Translation &translation_;

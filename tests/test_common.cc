@@ -576,20 +576,25 @@ TEST(EnvDeath, ThreadCountCapFatal)
 }
 
 // The knobs of removed subsystems (the intra-simulation windowed loop,
-// the multi-tenant trace layer) fail loudly for any value, so a stale
-// script cannot believe it still sets one.
+// the multi-tenant trace layer, sampled early stopping) fail loudly for
+// any value, so a stale script cannot believe it still sets one.
 
 TEST(EnvDeath, RemovedKnobsFatal)
 {
     for (const char *knob :
          {"SILC_SIM_THREADS", "SILC_CORE_LANES", "SILC_SPEC_HORIZON",
-          "SILC_TENANTS", "SILC_TENANT_CHURN"}) {
+          "SILC_TENANTS", "SILC_TENANT_CHURN", "SILC_SAMPLE_MIN_WINDOWS",
+          "SILC_SAMPLE_CI_TARGET"}) {
         for (const char *value : {"1", ""}) {
             ScopedEnv e(knob, value);
             EXPECT_DEATH(sim::ExperimentOptions::fromEnv(),
                          std::string(knob) + " was removed");
         }
     }
+    // The early-stopping knobs point at the one that sets the window
+    // count.
+    ScopedEnv e("SILC_SAMPLE_CI_TARGET", "0.05");
+    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SAMPLE_PERIOD");
 }
 
 // The seed and epoch knobs are positive decimal counts and the flag

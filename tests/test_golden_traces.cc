@@ -156,9 +156,7 @@ struct SampledCase
 {
     const char *name;          ///< golden is <name>.json
     uint64_t instructions;     ///< per core
-    double ci_target;          ///< 0 replays every checkpoint
     bool check;                ///< warm under the oracle, to the end
-    uint32_t windows;          ///< replays the case must run
 };
 
 constexpr uint64_t kSampledPeriod = 10'000;
@@ -175,8 +173,6 @@ runSampled(const SampledCase &c)
     s.period = kSampledPeriod;
     s.warmup = 2'000;
     s.window = 2'000;
-    s.min_windows = 1;
-    s.ci_target = c.ci_target;
     return sample::SamplingController(cfg, s).run();
 }
 
@@ -227,8 +223,7 @@ TEST_P(SampledGolden, ResultJsonIsByteStable)
     ASSERT_NE(r.sampling, nullptr);
     const sample::SamplingReport &rep = *r.sampling;
     EXPECT_EQ(rep.checkpoints, c.instructions / kSampledPeriod);
-    EXPECT_EQ(rep.windows, c.windows);
-    EXPECT_EQ(rep.early_stopped, c.ci_target > 0.0);
+    EXPECT_EQ(rep.windows, rep.checkpoints);
     EXPECT_EQ(rep.warm_instructions,
               c.check ? c.instructions
                       : (rep.checkpoints - 1) * kSampledPeriod);
@@ -245,12 +240,10 @@ TEST_P(SampledGolden, RunIsDeterministic)
 INSTANTIATE_TEST_SUITE_P(
     Sampled, SampledGolden,
     ::testing::Values(
-        // 9 checkpoints: the last replay batch is partial.
-        SampledCase{"golden_sampled_nine", 90'000, 0.0, false, 9},
-        // Any CI is tight enough: replay stops after the first batch.
-        SampledCase{"golden_sampled_ci_stop", 90'000, 10.0, false, 4},
+        // 9 checkpoints, all replayed; warming stops at the last one.
+        SampledCase{"golden_sampled_nine", 90'000, false},
         // Warming runs past the last checkpoint to the full budget.
-        SampledCase{"golden_sampled_checked", 95'000, 0.0, true, 9}),
+        SampledCase{"golden_sampled_checked", 95'000, true}),
     [](const ::testing::TestParamInfo<SampledCase> &info) {
         return std::string(info.param.name);
     });

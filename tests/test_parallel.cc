@@ -13,10 +13,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/logging.hh"
+#include "policy/registry.hh"
 #include "sim/parallel.hh"
 
 using namespace silc;
@@ -124,8 +126,6 @@ TEST(ParallelRunnerTest, BitIdenticalToSequentialRunner)
     const std::vector<std::string> workloads = {"mcf", "milc", "lbm"};
     const std::vector<std::string> kinds = {"silcfm", "cam"};
 
-    ExperimentRunner seq(opts);
-
     ASSERT_EQ(setenv("SILC_THREADS", "4", 1), 0);
     ParallelRunner par(opts);  // picks up SILC_THREADS
     ASSERT_EQ(unsetenv("SILC_THREADS"), 0);
@@ -136,9 +136,19 @@ TEST(ParallelRunnerTest, BitIdenticalToSequentialRunner)
         for (const std::string &kind : kinds)
             jobs[w].push_back(par.submit(workloads[w], kind));
 
+    // The sequential reference: each run on this thread.
+    const auto sequential = [&opts](const std::string &workload,
+                                    const std::string &scheme) {
+        return System(makeConfig(workload, scheme, opts)).run();
+    };
     for (size_t w = 0; w < workloads.size(); ++w) {
+        const Tick base =
+            sequential(workloads[w],
+                       policy::SchemeRegistry::instance().baselineName())
+                .ticks;
+        EXPECT_EQ(par.baselineTicks(workloads[w]), base) << workloads[w];
         for (size_t k = 0; k < kinds.size(); ++k) {
-            const SimResult s = seq.run(workloads[w], kinds[k]);
+            const SimResult s = sequential(workloads[w], kinds[k]);
             const SimResult p = jobs[w][k].get();
             EXPECT_EQ(s.ticks, p.ticks)
                 << workloads[w] << "/" << kinds[k];
@@ -147,8 +157,9 @@ TEST(ParallelRunnerTest, BitIdenticalToSequentialRunner)
             EXPECT_EQ(s.nm_total_bytes, p.nm_total_bytes);
             EXPECT_EQ(s.fm_total_bytes, p.fm_total_bytes);
             EXPECT_EQ(s.migration_bytes, p.migration_bytes);
-            // The speedups share the same cached denominator.
-            EXPECT_DOUBLE_EQ(seq.speedup(s), par.speedup(p));
+            EXPECT_DOUBLE_EQ(static_cast<double>(base) /
+                                 static_cast<double>(s.ticks),
+                             par.speedup(p));
         }
     }
     EXPECT_EQ(par.jobsCompleted(),

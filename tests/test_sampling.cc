@@ -1,8 +1,8 @@
 /**
  * @file
  * Statistical sampling subsystem tests (src/sample/): blob
- * serialization, checkpoint round-trips, replay determinism, early
- * stopping, the HMA fallback, and the headline differential property —
+ * serialization, checkpoint round-trips, replay determinism, the HMA
+ * fallback, and the headline differential property —
  * sampled metrics agree with a full detailed run within the reported
  * 95% confidence intervals.  Replays stream behind warming with a
  * bounded number of live checkpoint blobs.  The functional-warming engine
@@ -279,7 +279,8 @@ TEST(StatsAggregatorTest, MeanAndCiHandChecked)
         s.ipc = v;
         agg.add(s);
     }
-    const MetricEstimate e = agg.estimate("ipc");
+    const MetricEstimate e = agg.estimates().front();
+    EXPECT_EQ(e.name, "ipc");
     EXPECT_EQ(e.n, 4u);
     EXPECT_DOUBLE_EQ(e.mean, 2.5);
     // s = sqrt(5/3), half = t(3) * s / 2 = 3.182 * 0.6455
@@ -292,7 +293,8 @@ TEST(StatsAggregatorTest, SingleWindowHasZeroCi)
     WindowSample s;
     s.ipc = 1.5;
     agg.add(s);
-    const MetricEstimate e = agg.estimate("ipc");
+    const MetricEstimate e = agg.estimates().front();
+    EXPECT_EQ(e.name, "ipc");
     EXPECT_DOUBLE_EQ(e.mean, 1.5);
     EXPECT_DOUBLE_EQ(e.ci_half, 0.0);
 }
@@ -459,19 +461,6 @@ TEST(SamplingEndToEnd, DeterministicAcrossPoolWidths)
     }
 }
 
-TEST(SamplingEndToEnd, EarlyStopAtBatchBoundary)
-{
-    const SystemConfig cfg = sampleConfig("mcf", "silcfm");
-    SamplingConfig s = smokeSamplingConfig();
-    s.min_windows = 1;
-    s.ci_target = 10.0; // trivially satisfied after the first batch
-    const SimResult r = SamplingController(cfg, s).run();
-    ASSERT_NE(r.sampling, nullptr);
-    EXPECT_TRUE(r.sampling->early_stopped);
-    EXPECT_EQ(r.sampling->windows, 4u); // one kBatch batch
-    EXPECT_EQ(r.sampling->checkpoints, 8u);
-}
-
 TEST(SamplingEndToEnd, HmaFallsBackToFullRun)
 {
     const SystemConfig cfg = sampleConfig("mcf", "hma", 2,
@@ -509,58 +498,47 @@ TEST(SamplingEndToEnd, SupportedPolicyMatrix)
  * ahead of a narrow pool until the live-blob bound holds it back.
  */
 SamplingConfig
-streamingConfig(unsigned threads, double ci_target)
+streamingConfig(unsigned threads)
 {
     SamplingConfig s;
     s.period = 10'000;
     s.warmup = 4'000;
     s.window = 6'000;
-    s.min_windows = 1;
-    s.ci_target = ci_target;
     s.threads = threads;
     return s;
 }
 
 TEST(StreamingReplay, LiveBlobsStayWithinTheBound)
 {
-    // 30 checkpoints; a target of 1e-9 is never met, so with it every
-    // batch still waits for the one before it to be judged.  (Early
-    // stops: SamplingEndToEnd.EarlyStopAtBatchBoundary and the
-    // golden_sampled_ci_stop golden.)
+    // 30 checkpoints, every one replayed.
     const SystemConfig cfg = sampleConfig("lbm", "silcfm", 8, 300'000);
-    for (const double target : {0.0, 1e-9}) {
-        std::optional<SimResult> first;
-        for (const unsigned threads : {1u, 2u, 4u}) {
-            SCOPED_TRACE("ci_target " + std::to_string(target) +
-                         ", width " + std::to_string(threads));
-            SamplingController ctl(cfg, streamingConfig(threads, target));
-            const SimResult r = ctl.run();
-            ASSERT_NE(r.sampling, nullptr);
-            EXPECT_EQ(r.sampling->windows, 30u);
-            EXPECT_FALSE(r.sampling->early_stopped);
+    std::optional<SimResult> first;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE("width " + std::to_string(threads));
+        SamplingController ctl(cfg, streamingConfig(threads));
+        const SimResult r = ctl.run();
+        ASSERT_NE(r.sampling, nullptr);
+        EXPECT_EQ(r.sampling->windows, 30u);
 
-            EXPECT_EQ(ctl.liveBlobBound(),
-                      2 * std::max<size_t>(threads,
-                                           SamplingController::kBatch));
-            EXPECT_GE(ctl.peakLiveBlobs(), 1u);
-            EXPECT_LE(ctl.peakLiveBlobs(), ctl.liveBlobBound());
-            EXPECT_GT(ctl.peakLiveBlobBytes(), 0u);
-            // Width 1 replays inline right after each capture.
-            if (threads == 1) {
-                EXPECT_EQ(ctl.peakLiveBlobs(), 1u);
-            }
+        EXPECT_EQ(ctl.liveBlobBound(), 2u * threads);
+        EXPECT_GE(ctl.peakLiveBlobs(), 1u);
+        EXPECT_LE(ctl.peakLiveBlobs(), ctl.liveBlobBound());
+        EXPECT_GT(ctl.peakLiveBlobBytes(), 0u);
+        // Width 1 replays inline right after each capture.
+        if (threads == 1) {
+            EXPECT_EQ(ctl.peakLiveBlobs(), 1u);
+        }
 
-            if (!first) {
-                first = r;
-                continue;
-            }
-            EXPECT_DOUBLE_EQ(r.ipc, first->ipc);
-            for (size_t i = 0; i < r.sampling->metrics.size(); ++i) {
-                EXPECT_DOUBLE_EQ(r.sampling->metrics[i].mean,
-                                 first->sampling->metrics[i].mean);
-                EXPECT_DOUBLE_EQ(r.sampling->metrics[i].ci_half,
-                                 first->sampling->metrics[i].ci_half);
-            }
+        if (!first) {
+            first = r;
+            continue;
+        }
+        EXPECT_DOUBLE_EQ(r.ipc, first->ipc);
+        for (size_t i = 0; i < r.sampling->metrics.size(); ++i) {
+            EXPECT_DOUBLE_EQ(r.sampling->metrics[i].mean,
+                             first->sampling->metrics[i].mean);
+            EXPECT_DOUBLE_EQ(r.sampling->metrics[i].ci_half,
+                             first->sampling->metrics[i].ci_half);
         }
     }
 }

@@ -12,6 +12,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/metrics.hh"
+#include "sim/parallel.hh"
 #include "sim/system.hh"
 #include "sim/translation.hh"
 
@@ -204,12 +205,13 @@ TEST(Experiment, RunnerCachesBaselinePerWorkload)
     opts.instructions_per_core = 20'000;
     opts.nm_bytes = 2_MiB;
     opts.fm_bytes = 8_MiB;
-    ExperimentRunner runner(opts);
+    ParallelRunner runner(opts, 1);
     const Tick a = runner.baselineTicks("gcc");
     const Tick b = runner.baselineTicks("gcc");
     EXPECT_EQ(a, b);
     const Tick c = runner.baselineTicks("mcf");
     EXPECT_NE(a, c);
+    EXPECT_EQ(runner.baselineRuns(), 2u);
 }
 
 // ---- config validation ----------------------------------------------------------

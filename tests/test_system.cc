@@ -11,6 +11,7 @@
 
 #include "policy/registry.hh"
 #include "sim/experiment.hh"
+#include "sim/parallel.hh"
 #include "sim/system.hh"
 #include "trace/profiles.hh"
 
@@ -138,6 +139,16 @@ TEST(SystemIntegration, MpkiClassesOrdered)
     EXPECT_GT(high.mpki, low.mpki);
 }
 
+TEST(SystemIntegration, CacheHitLatenciesComeFromTheCacheParams)
+{
+    // The Table II latencies in l1d/l2 are the ones the hierarchy
+    // charges: an L2 hit costs l1d's plus l2's.
+    SystemConfig cfg = tinyConfig("dealii", "silcfm");
+    const Tick base = System(cfg).run().ticks;
+    cfg.l2.latency_cycles += 20;
+    EXPECT_GT(System(cfg).run().ticks, base);
+}
+
 TEST(SystemIntegration, SpeedupUsesSharedBaseline)
 {
     ExperimentOptions opts;
@@ -145,8 +156,8 @@ TEST(SystemIntegration, SpeedupUsesSharedBaseline)
     opts.instructions_per_core = 30'000;
     opts.nm_bytes = 4 * 1024 * 1024;
     opts.fm_bytes = 16 * 1024 * 1024;
-    ExperimentRunner runner(opts);
-    SimResult r = runner.run("omnet", "silcfm");
+    ParallelRunner runner(opts, 1);
+    SimResult r = runner.submit("omnet", "silcfm").get();
     const double s = runner.speedup(r);
     EXPECT_GT(s, 0.5);
     EXPECT_LT(s, 10.0);

@@ -8,11 +8,10 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
-#include "sim/parallel.hh"
-#include "sim/result_writer.hh"
-#include "trace/profiles.hh"
+#include "sim/grid.hh"
 
 using namespace silc;
 using namespace silc::sim;
@@ -20,9 +19,7 @@ using namespace silc::sim;
 int
 main(int argc, char **argv)
 {
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
-    ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
+    Grid grid(argc, argv);
 
     const std::vector<uint32_t> ways = {1, 2, 4, 8};
     const std::vector<std::string> workloads = {
@@ -33,37 +30,20 @@ main(int argc, char **argv)
     std::vector<std::string> columns;
     for (uint32_t w : ways)
         columns.push_back(std::to_string(w) + "-way");
-    printTableHeader("bench", columns);
 
-    std::vector<std::vector<ParallelRunner::Job>> jobs(workloads.size());
+    std::vector<std::vector<Grid::Cell>> cells(workloads.size());
     for (size_t w = 0; w < workloads.size(); ++w) {
-        runner.baseline(workloads[w]);
+        grid.baseline(workloads[w]);
         for (uint32_t ways_i : ways) {
             SystemConfig cfg =
-                makeConfig(workloads[w], "silcfm", opts);
+                makeConfig(workloads[w], "silcfm", grid.options());
             cfg.silc.associativity = ways_i;
-            jobs[w].push_back(runner.submitConfig(cfg));
+            cells[w].push_back(grid.submit(cfg));
         }
     }
 
-    std::vector<std::vector<double>> per_way(ways.size());
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        std::vector<double> row;
-        for (size_t i = 0; i < ways.size(); ++i) {
-            const double s = runner.speedup(jobs[w][i].get());
-            per_way[i].push_back(s);
-            row.push_back(s);
-        }
-        printTableRow(workloads[w], row);
-        std::fflush(stdout);
-    }
-    printTableRule(columns.size());
-    std::vector<double> means;
-    for (const auto &col : per_way)
-        means.push_back(geomean(col));
-    printTableRow("geomean", means);
+    grid.table(workloads, columns, cells, Grid::Metric::Speedup);
     std::printf("\n(paper adopts 4-way: most of the conflict removal "
                 "comes by 4 ways)\n");
-    runner.printFooter();
     return 0;
 }

@@ -8,11 +8,10 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
-#include "sim/parallel.hh"
-#include "sim/result_writer.hh"
-#include "trace/profiles.hh"
+#include "sim/grid.hh"
 
 using namespace silc;
 using namespace silc::sim;
@@ -41,9 +40,7 @@ constexpr Variant kVariants[] = {
 int
 main(int argc, char **argv)
 {
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
-    ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
+    Grid grid(argc, argv);
 
     const std::vector<std::string> workloads = {
         "xalanc", "gcc", "omnet", "mcf", "lbm",
@@ -53,42 +50,24 @@ main(int argc, char **argv)
     std::vector<std::string> columns;
     for (const Variant &v : kVariants)
         columns.push_back(v.label);
-    printTableHeader("bench", columns);
 
-    std::vector<std::vector<ParallelRunner::Job>> jobs(workloads.size());
+    std::vector<std::vector<Grid::Cell>> cells(workloads.size());
     for (size_t w = 0; w < workloads.size(); ++w) {
-        runner.baseline(workloads[w]);
+        grid.baseline(workloads[w]);
         for (const Variant &v : kVariants) {
             SystemConfig cfg =
-                makeConfig(workloads[w], "silcfm", opts);
+                makeConfig(workloads[w], "silcfm", grid.options());
             cfg.silc.dedicated_metadata_channel = v.dedicated_channel;
             cfg.silc.enable_predictor = v.predictor;
             cfg.silc.enable_history_fetch = v.history;
             cfg.silc.model_metadata_traffic = v.model_metadata;
-            jobs[w].push_back(runner.submitConfig(cfg));
+            cells[w].push_back(grid.submit(cfg));
         }
     }
 
-    std::vector<std::vector<double>> per_variant(columns.size());
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        std::vector<double> row;
-        for (size_t i = 0; i < columns.size(); ++i) {
-            const double s = runner.speedup(jobs[w][i].get());
-            per_variant[i].push_back(s);
-            row.push_back(s);
-        }
-        printTableRow(workloads[w], row);
-        std::fflush(stdout);
-    }
-    printTableRule(columns.size());
-    std::vector<double> means;
-    for (const auto &col : per_variant)
-        means.push_back(geomean(col));
-    printTableRow("geomean", means);
-
+    grid.table(workloads, columns, cells, Grid::Metric::Speedup);
     std::printf("\n'ideal-md' bounds what perfect (free) metadata could "
                 "buy; 'no-pred' shows the serialization cost the "
                 "Section III-F predictor removes.\n");
-    runner.printFooter();
     return 0;
 }

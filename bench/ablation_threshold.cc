@@ -8,11 +8,10 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
-#include "sim/parallel.hh"
-#include "sim/result_writer.hh"
-#include "trace/profiles.hh"
+#include "sim/grid.hh"
 
 using namespace silc;
 using namespace silc::sim;
@@ -20,9 +19,7 @@ using namespace silc::sim;
 int
 main(int argc, char **argv)
 {
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
-    ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
+    Grid grid(argc, argv);
 
     const std::vector<uint32_t> thresholds = {0, 4, 8, 12, 24, 48};
     const std::vector<std::string> workloads = {
@@ -34,41 +31,24 @@ main(int argc, char **argv)
     std::vector<std::string> columns;
     for (uint32_t t : thresholds)
         columns.push_back(t == 0 ? "off" : "t=" + std::to_string(t));
-    printTableHeader("bench", columns);
 
-    std::vector<std::vector<ParallelRunner::Job>> jobs(workloads.size());
+    std::vector<std::vector<Grid::Cell>> cells(workloads.size());
     for (size_t w = 0; w < workloads.size(); ++w) {
-        runner.baseline(workloads[w]);
+        grid.baseline(workloads[w]);
         for (uint32_t threshold : thresholds) {
             SystemConfig cfg =
-                makeConfig(workloads[w], "silcfm", opts);
+                makeConfig(workloads[w], "silcfm", grid.options());
             if (threshold == 0) {
                 cfg.silc.enable_locking = false;
             } else {
                 cfg.silc.hot_threshold = threshold;
             }
-            jobs[w].push_back(runner.submitConfig(cfg));
+            cells[w].push_back(grid.submit(cfg));
         }
     }
 
-    std::vector<std::vector<double>> per_thresh(thresholds.size());
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        std::vector<double> row;
-        for (size_t i = 0; i < thresholds.size(); ++i) {
-            const double s = runner.speedup(jobs[w][i].get());
-            per_thresh[i].push_back(s);
-            row.push_back(s);
-        }
-        printTableRow(workloads[w], row);
-        std::fflush(stdout);
-    }
-    printTableRule(columns.size());
-    std::vector<double> means;
-    for (const auto &col : per_thresh)
-        means.push_back(geomean(col));
-    printTableRow("geomean", means);
+    grid.table(workloads, columns, cells, Grid::Metric::Speedup);
     std::printf("\n(paper: threshold 50 at 1M-access aging; this "
                 "system's default is the proportional equivalent)\n");
-    runner.printFooter();
     return 0;
 }

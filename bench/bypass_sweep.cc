@@ -4,13 +4,16 @@
  * rate on a bandwidth-bound workload and show that the optimum sits
  * near 0.8, not 1.0, because the system's NM:FM bandwidth ratio is 4:1
  * (servicing 1/(N+1) of requests from FM uses the idle FM bandwidth).
+ *
+ * SILC_WORKLOAD picks the workload (default milc, the paper's bypass
+ * example).
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
-#include "sim/parallel.hh"
-#include "sim/result_writer.hh"
+#include "sim/grid.hh"
 
 using namespace silc;
 using namespace silc::sim;
@@ -18,10 +21,8 @@ using namespace silc::sim;
 int
 main(int argc, char **argv)
 {
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
-    ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
-    const std::string workload = "milc";   // the paper's bypass example
+    Grid grid(argc, argv, "FM bus utilisation");
+    const std::string workload = grid.options().workload.value_or("milc");
 
     std::printf("=== Bypass target sweep on %s "
                 "(Section III-E; optimum should be near 0.8) ===\n\n",
@@ -39,13 +40,13 @@ main(int argc, char **argv)
         {0.90, true}, {0.99, true}, {1.00, false},   // disabled = "1.0"
     };
 
-    runner.baseline(workload);
-    std::vector<ParallelRunner::Job> jobs;
+    grid.baseline(workload);
+    std::vector<Grid::Cell> jobs;
     for (const Point &pt : points) {
-        SystemConfig cfg = makeConfig(workload, "silcfm", opts);
+        SystemConfig cfg = makeConfig(workload, "silcfm", grid.options());
         cfg.silc.enable_bypass = pt.enabled;
         cfg.silc.bypass_target = pt.target;
-        jobs.push_back(runner.submitConfig(cfg));
+        jobs.push_back(grid.submit(cfg));
     }
 
     double best_speedup = 0.0;
@@ -53,7 +54,7 @@ main(int argc, char **argv)
     for (size_t i = 0; i < points.size(); ++i) {
         const Point &pt = points[i];
         SimResult r = jobs[i].get();
-        const double s = runner.speedup(r);
+        const double s = grid.speedup(r);
         if (s > best_speedup) {
             best_speedup = s;
             best_target = pt.target;
@@ -66,6 +67,5 @@ main(int argc, char **argv)
 
     std::printf("\nbest target: %.2f (speedup %.3f)\n", best_target,
                 best_speedup);
-    runner.printFooter();
     return 0;
 }

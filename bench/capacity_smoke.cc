@@ -1,8 +1,9 @@
 /**
  * @file
  * Single-run driver for capacity validation: one (workload, scheme)
- * simulation at exactly the scale the SILC_* environment dictates,
- * printing a one-line digest and optionally writing the results JSON.
+ * simulation (SILC_WORKLOAD, default mcf, and SILC_SCHEME) at exactly
+ * the scale the SILC_* environment dictates, printing a one-line digest
+ * and optionally writing the results JSON.
  *
  * This is the paper-capacity CI entry point: run it under
  * /usr/bin/time -v with SILC_NM_MIB=1024 SILC_FM_MIB=4096 SILC_CHECK=1
@@ -11,11 +12,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "sim/result_writer.hh"
-#include "trace/profiles.hh"
 
 using namespace silc;
 using namespace silc::sim;
@@ -23,12 +22,10 @@ using namespace silc::sim;
 int
 main(int argc, char **argv)
 {
+    checkArguments(argc, argv, true);
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     ResultWriter writer(jsonOutputPath(argc, argv), opts);
-
-    const char *w = std::getenv("SILC_WORKLOAD");
-    const std::string workload = w != nullptr ? w : "mcf";
-    trace::findProfile(workload); // validate before building the system
+    const std::string workload = opts.workload.value_or("mcf");
 
     SystemConfig cfg = makeConfig(workload, opts.scheme, opts);
     std::printf("capacity_smoke: %s/%s NM=%s MiB FM=%s MiB cores=%u "

@@ -10,11 +10,11 @@
  */
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "policy/registry.hh"
-#include "sim/parallel.hh"
-#include "sim/result_writer.hh"
+#include "sim/grid.hh"
 #include "trace/profiles.hh"
 
 using namespace silc;
@@ -23,9 +23,7 @@ using namespace silc::sim;
 int
 main(int argc, char **argv)
 {
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
-    ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
+    Grid grid(argc, argv, "energy and EDP");
 
     std::printf("=== Energy / EDP: SILC-FM vs CAMEO ===\n\n");
     std::printf("%-10s | %10s %12s | %10s %12s | %8s\n", "bench",
@@ -34,7 +32,7 @@ main(int argc, char **argv)
 
     struct Row
     {
-        ParallelRunner::Job cam, silc, base;
+        Grid::Cell cam, silc, base;
     };
     const std::string baseline =
         policy::SchemeRegistry::instance().baselineName();
@@ -42,9 +40,9 @@ main(int argc, char **argv)
     std::vector<Row> jobs;
     for (const auto &workload : workloads) {
         jobs.push_back(Row{
-            runner.submit(workload, "cam"),
-            runner.submit(workload, "silcfm"),
-            runner.submit(workload, baseline),
+            grid.submit(workload, "cam"),
+            grid.submit(workload, "silcfm"),
+            grid.submit(workload, baseline),
         });
     }
 
@@ -69,6 +67,5 @@ main(int argc, char **argv)
                 "(paper: 0.87, i.e. 13%% EDP savings)\n", mean_ratio);
     std::printf("geomean EDP(SILC-FM)/EDP(no-NM)  = %.3f\n",
                 geomean(silc_vs_base));
-    runner.printFooter();
     return 0;
 }

@@ -14,8 +14,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "sim/parallel.hh"
-#include "sim/result_writer.hh"
+#include "sim/grid.hh"
 #include "trace/profiles.hh"
 
 using namespace silc;
@@ -43,49 +42,31 @@ constexpr Variant kVariants[] = {
 int
 main(int argc, char **argv)
 {
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
-    ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
+    Grid grid(argc, argv);
 
     std::printf("=== Figure 6: SILC-FM breakdown "
                 "(speedup over no-NM baseline) ===\n\n");
     std::vector<std::string> columns = {"rand"};
     for (const Variant &v : kVariants)
         columns.push_back(v.label);
-    printTableHeader("bench", columns);
 
     const std::vector<std::string> workloads = trace::profileNames();
-    std::vector<std::vector<ParallelRunner::Job>> jobs(workloads.size());
+    std::vector<std::vector<Grid::Cell>> cells(workloads.size());
     for (size_t w = 0; w < workloads.size(); ++w) {
-        runner.baseline(workloads[w]);
-        jobs[w].push_back(runner.submit(workloads[w], "rand"));
+        grid.baseline(workloads[w]);
+        cells[w].push_back(grid.submit(workloads[w], "rand"));
         for (const Variant &v : kVariants) {
             SystemConfig cfg =
-                makeConfig(workloads[w], "silcfm", opts);
+                makeConfig(workloads[w], "silcfm", grid.options());
             cfg.silc.associativity = v.assoc;
             cfg.silc.enable_locking = v.locking;
             cfg.silc.enable_bypass = v.bypass;
-            jobs[w].push_back(runner.submitConfig(cfg));
+            cells[w].push_back(grid.submit(cfg));
         }
     }
 
-    std::vector<std::vector<double>> per_col(columns.size());
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        std::vector<double> row;
-        for (const auto &job : jobs[w])
-            row.push_back(runner.speedup(job.get()));
-        for (size_t i = 0; i < row.size(); ++i)
-            per_col[i].push_back(row[i]);
-        printTableRow(workloads[w], row);
-        std::fflush(stdout);
-    }
-
-    printTableRule(columns.size());
-    std::vector<double> means;
-    for (const auto &col : per_col)
-        means.push_back(geomean(col));
-    printTableRow("geomean", means);
-
+    const std::vector<double> means =
+        grid.table(workloads, columns, cells, Grid::Metric::Speedup);
     std::printf("\nfeature deltas (geomean): swap %+.1f%% over rand, "
                 "lock %+.1f%%, assoc %+.1f%%, bypass %+.1f%%\n",
                 100.0 * (means[1] / means[0] - 1.0),
@@ -94,6 +75,5 @@ main(int argc, char **argv)
                 100.0 * (means[4] / means[3] - 1.0));
     std::printf("(paper: +55%% swap over static, +11%% lock, +8%% "
                 "assoc, +8%% bypass)\n");
-    runner.printFooter();
     return 0;
 }

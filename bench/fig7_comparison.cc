@@ -13,86 +13,27 @@
  * migration bandwidth.
  *
  * Scale with SILC_CORES / SILC_INSTR / SILC_NM_MIB / SILC_FM_MIB;
- * SILC_THREADS controls the simulation fan-out.
+ * SILC_THREADS controls the simulation fan-out.  --sample runs every
+ * cell through the statistical sampler (src/sample/); HMA cannot
+ * checkpoint and falls back to a full run, so the grid keeps its shape.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "policy/registry.hh"
-#include "sample/sampling.hh"
-#include "sim/parallel.hh"
-#include "sim/result_writer.hh"
+#include "sim/grid.hh"
 #include "trace/profiles.hh"
 
 using namespace silc;
 using namespace silc::sim;
 
-namespace {
-
-bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    }
-    return false;
-}
-
-/**
- * --sample mode: the same table, but every run goes through the
- * statistical sampler (src/sample/) sequentially.  Policies that cannot
- * checkpoint (HMA's tick-coupled state) fall back to a full run, so the
- * grid shape is unchanged.
- */
-int
-sampledMain(int argc, char **argv, const ExperimentOptions &opts,
-            const std::vector<std::string> &schemes)
-{
-    const sample::SamplingConfig scfg = sample::SamplingConfig::fromEnv();
-    printTableHeader("bench", schemes);
-
-    const std::string baseline =
-        policy::SchemeRegistry::instance().baselineName();
-    ResultWriter writer(jsonOutputPath(argc, argv), opts);
-    const std::vector<std::string> workloads = trace::profileNames();
-    std::vector<std::vector<double>> per_scheme(schemes.size());
-    for (const auto &w : workloads) {
-        const SimResult base = sample::runMaybeSampled(
-            makeConfig(w, baseline, opts), scfg);
-        writer.add(base);
-        std::vector<double> row;
-        for (size_t i = 0; i < schemes.size(); ++i) {
-            const SimResult r = sample::runMaybeSampled(
-                makeConfig(w, schemes[i], opts), scfg);
-            writer.add(r);
-            const double s = static_cast<double>(base.ticks) /
-                static_cast<double>(r.ticks);
-            per_scheme[i].push_back(s);
-            row.push_back(s);
-        }
-        printTableRow(w, row);
-        std::fflush(stdout);
-    }
-    printTableRule(schemes.size());
-    std::vector<double> means;
-    for (const auto &col : per_scheme)
-        means.push_back(geomean(col));
-    printTableRow("geomean", means);
-    if (!writer.path().empty())
-        writer.write();
-    return 0;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
+    Grid grid(argc, argv);
+    const ExperimentOptions &opts = grid.options();
 
     // Every registry scheme flagged for the comparison matrix; silcfm
     // is registered last so means.back() below is the SILC-FM column.
@@ -105,45 +46,18 @@ main(int argc, char **argv)
                 u64str(opts.nm_bytes >> 20).c_str(),
                 u64str(opts.fm_bytes >> 20).c_str());
 
-    if (hasFlag(argc, argv, "--sample"))
-        return sampledMain(argc, argv, opts, schemes);
-
-    ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
-
-    printTableHeader("bench", schemes);
-
     // Fan everything out first: each workload's baseline denominator,
     // then every (workload, scheme) pair.
     const std::vector<std::string> workloads = trace::profileNames();
-    std::vector<std::vector<ParallelRunner::Job>> jobs(workloads.size());
+    std::vector<std::vector<Grid::Cell>> cells(workloads.size());
     for (size_t w = 0; w < workloads.size(); ++w) {
-        runner.baseline(workloads[w]);
+        grid.baseline(workloads[w]);
         for (const std::string &scheme : schemes)
-            jobs[w].push_back(runner.submit(workloads[w], scheme));
+            cells[w].push_back(grid.submit(workloads[w], scheme));
     }
 
-    // Collect in submission order so the table is byte-identical to a
-    // sequential run regardless of thread count.
-    std::vector<std::vector<double>> per_scheme(schemes.size());
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        std::vector<double> row;
-        for (size_t i = 0; i < schemes.size(); ++i) {
-            const SimResult r = jobs[w][i].get();
-            const double s = runner.speedup(r);
-            per_scheme[i].push_back(s);
-            row.push_back(s);
-        }
-        printTableRow(workloads[w], row);
-        std::fflush(stdout);
-    }
-
-    printTableRule(schemes.size());
-    std::vector<double> means;
-    for (const auto &col : per_scheme)
-        means.push_back(geomean(col));
-    printTableRow("geomean", means);
-
+    const std::vector<double> means =
+        grid.table(workloads, schemes, cells, Grid::Metric::Speedup);
     const double silc = means.back();
     double best_other = 0.0;
     std::string best_name;
@@ -156,6 +70,5 @@ main(int argc, char **argv)
     std::printf("\nSILC-FM vs best alternative (%s): %+.1f%% "
                 "(paper: +36%% over the state of the art)\n",
                 best_name.c_str(), 100.0 * (silc / best_other - 1.0));
-    runner.printFooter();
     return 0;
 }

@@ -9,12 +9,17 @@
  * CAMEO+P imbalanced towards NM, SILC-FM ~0.76 — within 4% of ideal
  * thanks to bypassing.
  *
+ * --sample runs every cell through the statistical sampler
+ * (src/sample/); nmDemandFraction then comes from the extrapolated
+ * window demand bytes, and HMA falls back to a full run.
+ *
  * --perf mode: run ONE fig8-class (bandwidth-bound, full channel
  * count) simulation and report simulator throughput on stderr as
  * "[perf] T ticks in X.XXs (Y.YY mticks/sec)".  This is the fixture
  * behind BENCH_fig8.json and the perf-smoke-fig8 CI gate: it times one
  * detailed simulation on one thread, which the grid benches — whose
- * wall time is set by run-level parallelism — cannot measure.
+ * wall time is set by run-level parallelism — cannot measure.  It
+ * takes no other argument.
  */
 
 #include <chrono>
@@ -24,57 +29,13 @@
 #include <vector>
 
 #include "policy/registry.hh"
-#include "sample/sampling.hh"
-#include "sim/parallel.hh"
-#include "sim/result_writer.hh"
+#include "sim/grid.hh"
 #include "trace/profiles.hh"
 
 using namespace silc;
 using namespace silc::sim;
 
 namespace {
-
-/**
- * --sample mode: the same NM-share table via the statistical sampler
- * (src/sample/), sequentially; nmDemandFraction comes from the
- * extrapolated window demand bytes.  HMA falls back to a full run.
- */
-int
-runSampledMode(int argc, char **argv, const ExperimentOptions &opts,
-               const std::vector<std::string> &schemes)
-{
-    const sample::SamplingConfig scfg = sample::SamplingConfig::fromEnv();
-    printTableHeader("bench", schemes);
-
-    ResultWriter writer(jsonOutputPath(argc, argv), opts);
-    const std::vector<std::string> workloads = trace::profileNames();
-    std::vector<std::vector<double>> per_scheme(schemes.size());
-    for (const auto &w : workloads) {
-        std::vector<double> row;
-        for (size_t i = 0; i < schemes.size(); ++i) {
-            const SimResult r = sample::runMaybeSampled(
-                makeConfig(w, schemes[i], opts), scfg);
-            writer.add(r);
-            const double f = r.nmDemandFraction();
-            per_scheme[i].push_back(f);
-            row.push_back(f);
-        }
-        printTableRow(w, row);
-        std::fflush(stdout);
-    }
-    printTableRule(schemes.size());
-    std::vector<double> means;
-    for (const auto &col : per_scheme) {
-        double sum = 0.0;
-        for (double v : col)
-            sum += v;
-        means.push_back(sum / static_cast<double>(col.size()));
-    }
-    printTableRow("average", means);
-    if (!writer.path().empty())
-        writer.write();
-    return 0;
-}
 
 /** The fig8-class perf fixture: paper bandwidth shape, one run. */
 int
@@ -116,15 +77,10 @@ runPerfMode()
 int
 main(int argc, char **argv)
 {
-    bool sampled = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--perf") == 0)
-            return runPerfMode();
-        if (std::strcmp(argv[i], "--sample") == 0)
-            sampled = true;
-    }
+    if (argc == 2 && std::strcmp(argv[1], "--perf") == 0)
+        return runPerfMode();
 
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
+    Grid grid(argc, argv);
 
     // Same registry-driven matrix as fig7; silcfm last (means.back()).
     const std::vector<std::string> schemes =
@@ -132,43 +88,16 @@ main(int argc, char **argv)
 
     std::printf("=== Figure 8: NM share of demand bandwidth "
                 "(ideal = 0.80) ===\n\n");
-    if (sampled)
-        return runSampledMode(argc, argv, opts, schemes);
-
-    ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
-
-    printTableHeader("bench", schemes);
 
     const std::vector<std::string> workloads = trace::profileNames();
-    std::vector<std::vector<ParallelRunner::Job>> jobs(workloads.size());
+    std::vector<std::vector<Grid::Cell>> cells(workloads.size());
     for (size_t w = 0; w < workloads.size(); ++w)
         for (const std::string &scheme : schemes)
-            jobs[w].push_back(runner.submit(workloads[w], scheme));
+            cells[w].push_back(grid.submit(workloads[w], scheme));
 
-    std::vector<std::vector<double>> per_scheme(schemes.size());
-    for (size_t w = 0; w < workloads.size(); ++w) {
-        std::vector<double> row;
-        for (size_t i = 0; i < schemes.size(); ++i) {
-            const double f = jobs[w][i].get().nmDemandFraction();
-            per_scheme[i].push_back(f);
-            row.push_back(f);
-        }
-        printTableRow(workloads[w], row);
-        std::fflush(stdout);
-    }
-
-    printTableRule(schemes.size());
-    std::vector<double> means;
-    for (const auto &col : per_scheme) {
-        double sum = 0.0;
-        for (double v : col)
-            sum += v;
-        means.push_back(sum / static_cast<double>(col.size()));
-    }
-    printTableRow("average", means);
+    const std::vector<double> means =
+        grid.table(workloads, schemes, cells, Grid::Metric::NmShare);
     std::printf("\nSILC-FM average NM share: %.2f (paper: 0.76, "
                 "4%% below the 0.80 ideal)\n", means.back());
-    runner.printFooter();
     return 0;
 }

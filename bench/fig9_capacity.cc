@@ -16,8 +16,7 @@
 #include <vector>
 
 #include "policy/registry.hh"
-#include "sim/parallel.hh"
-#include "sim/result_writer.hh"
+#include "sim/grid.hh"
 #include "trace/profiles.hh"
 
 using namespace silc;
@@ -26,68 +25,49 @@ using namespace silc::sim;
 int
 main(int argc, char **argv)
 {
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
-    ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
+    Grid grid(argc, argv);
+    const ExperimentOptions &opts = grid.options();
 
     // Every matrix scheme sweeps the ratio: the registry decides the
     // roster, this bench only owns the NM dividers.
     const std::vector<std::string> schemes =
         policy::SchemeRegistry::instance().matrixNames();
     const std::vector<uint64_t> dividers = {16, 8, 4};
+    std::vector<std::string> columns;
+    for (uint64_t d : dividers)
+        columns.push_back("1/" + std::to_string(d));
 
     std::printf("=== Figure 9: speedup vs NM:FM capacity ratio "
                 "(FM fixed at %s MiB) ===\n\n",
                 u64str(opts.fm_bytes >> 20).c_str());
 
-    // The whole (scheme, workload, ratio) grid shares one pool; the
-    // baselines are per-workload, independent of scheme and NM size.
+    // The whole (scheme, workload, ratio) grid is submitted up front;
+    // the baselines are per-workload, independent of scheme and NM size.
     const std::vector<std::string> workloads =
         trace::representativeNames();
     for (const auto &workload : workloads)
-        runner.baseline(workload);
-    std::vector<std::vector<std::vector<ParallelRunner::Job>>> jobs(
+        grid.baseline(workload);
+    std::vector<std::vector<std::vector<Grid::Cell>>> cells(
         schemes.size());
     for (size_t k = 0; k < schemes.size(); ++k) {
-        jobs[k].resize(workloads.size());
+        cells[k].resize(workloads.size());
         for (size_t w = 0; w < workloads.size(); ++w) {
             for (uint64_t d : dividers) {
                 SystemConfig cfg = makeConfig(workloads[w], schemes[k],
                                               opts);
                 cfg.nm_bytes = opts.fm_bytes / d;
-                jobs[k][w].push_back(runner.submitConfig(cfg));
+                cells[k][w].push_back(grid.submit(cfg));
             }
         }
     }
 
     for (size_t k = 0; k < schemes.size(); ++k) {
         std::printf("--- %s ---\n", schemes[k].c_str());
-        std::vector<std::string> columns;
-        for (uint64_t d : dividers)
-            columns.push_back("1/" + std::to_string(d));
-        printTableHeader("bench", columns);
-
-        std::vector<std::vector<double>> per_ratio(dividers.size());
-        for (size_t w = 0; w < workloads.size(); ++w) {
-            std::vector<double> row;
-            for (size_t i = 0; i < dividers.size(); ++i) {
-                const double s = runner.speedup(jobs[k][w][i].get());
-                per_ratio[i].push_back(s);
-                row.push_back(s);
-            }
-            printTableRow(workloads[w], row);
-            std::fflush(stdout);
-        }
-        printTableRule(columns.size());
-        std::vector<double> means;
-        for (const auto &col : per_ratio)
-            means.push_back(geomean(col));
-        printTableRow("geomean", means);
+        grid.table(workloads, columns, cells[k], Grid::Metric::Speedup);
         std::printf("\n");
     }
 
     std::printf("(paper: SILC-FM 1.83 -> 2.04 from 1/16 to 1/4; best "
                 "alternative only 1.47 -> 1.65)\n");
-    runner.printFooter();
     return 0;
 }

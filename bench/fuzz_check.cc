@@ -20,6 +20,9 @@
  * from --seed and --scheme (print-outs of failures name the exact
  * command).  Exit status: 0 clean, 1 divergence.
  *
+ * Counts and seeds are positive decimal integers (common/env.hh):
+ * "1k", "0x10", 0 and negative values are fatal.
+ *
  * Registered in ctest as one `fuzz_check --scheme X --campaigns 25`
  * entry per registered scheme so every tier-1 run fuzzes the whole
  * zoo; see TESTING.md.
@@ -32,20 +35,13 @@
 #include <vector>
 
 #include "check/campaign.hh"
-#include "common/config.hh"
+#include "common/env.hh"
 #include "policy/registry.hh"
 #include "trace/fuzz.hh"
 
 using namespace silc;
 
 namespace {
-
-uint64_t
-envSeed()
-{
-    const char *v = std::getenv("SILC_FUZZ_SEED");
-    return v == nullptr ? 1 : parseSize(v);
-}
 
 int
 reportAndPersist(const check::CampaignConfig &cfg,
@@ -120,7 +116,7 @@ main(int argc, char **argv)
 {
     uint64_t campaigns = 25;
     uint64_t accesses = 4000;
-    uint64_t base_seed = envSeed();
+    uint64_t base_seed = envPositiveCount("SILC_FUZZ_SEED", 1);
     std::string scheme = "silcfm";
     std::string replay_path;
 
@@ -135,20 +131,23 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--campaigns") {
-            campaigns = parseSize(value("--campaigns"));
+            campaigns = parsePositiveCount("--campaigns",
+                                           value("--campaigns"));
         } else if (arg == "--accesses") {
-            accesses = parseSize(value("--accesses"));
+            accesses = parsePositiveCount("--accesses", value("--accesses"));
         } else if (arg == "--seed") {
-            base_seed = parseSize(value("--seed"));
+            base_seed = parsePositiveCount("--seed", value("--seed"));
         } else if (arg == "--scheme") {
             scheme = value("--scheme");
         } else if (arg == "--replay") {
             replay_path = value("--replay");
         } else {
             std::fprintf(stderr,
+                         "fuzz_check: unknown argument '%s'\n"
                          "usage: fuzz_check [--scheme NAME|all] "
                          "[--campaigns N] [--accesses M] [--seed S] "
-                         "[--replay FILE]\n");
+                         "[--replay FILE]\n",
+                         arg.c_str());
             return 2;
         }
     }

@@ -14,10 +14,13 @@
  * SILC_CHECK=1 runs the differential oracle during the
  * functional-warming pass.
  *
+ * SILC_WORKLOAD picks the Table III workload (default mcf) and
+ * SILC_SCHEME the scheme (default silcfm; HMA cannot checkpoint, so its
+ * "sampled" run falls back to full detail with a warning).
+ *
  * --json <path> (or SILC_JSON) writes a silc.results.v1 document whose
  * runs array is [full, sampled]; the sampled run carries the "sampling"
- * section.  --workload <name> picks a Table III workload (default mcf).
- * --paper-channels uses the full paper channel counts (8 HBM2
+ * section.  --paper-channels uses the full paper channel counts (8 HBM2
  * pseudo-channels vs 4 DDR3 channels, as fig8 --perf) instead of the
  * scaled-down table machine — the BENCH_sampling.json fixture, since
  * detailed-mode cost there reflects a bandwidth-stressed memory system.
@@ -28,7 +31,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "dram/timing.hh"
@@ -49,35 +51,25 @@ seconds_since(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-std::string
-argValue(int argc, char **argv, const char *flag, const char *fallback)
-{
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0)
-            return argv[i + 1];
-    }
-    return fallback;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    const bool paper_channels =
+        checkArguments(argc, argv, true, "--paper-channels");
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     sample::SamplingConfig scfg = sample::SamplingConfig::fromEnv();
-    const std::string workload = argValue(argc, argv, "--workload", "mcf");
-    SystemConfig cfg = makeConfig(workload, "silcfm", opts);
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--paper-channels") == 0) {
-            cfg.nm_timing = dram::hbm2Params();
-            cfg.fm_timing = dram::ddr3Params();
-            cfg.fm_timing.channels = 4;
-        }
+    const std::string workload = opts.workload.value_or("mcf");
+    SystemConfig cfg = makeConfig(workload, opts.scheme, opts);
+    if (paper_channels) {
+        cfg.nm_timing = dram::hbm2Params();
+        cfg.fm_timing = dram::ddr3Params();
+        cfg.fm_timing.channels = 4;
     }
 
-    std::printf("=== Sampling validation: %s, silcfm ===\n",
-                workload.c_str());
+    std::printf("=== Sampling validation: %s, %s ===\n",
+                workload.c_str(), opts.scheme.c_str());
     std::printf("(cores=%u, instr/core=%s, period=%s, window=%s, "
                 "warmup=%s)\n\n",
                 opts.cores, u64str(opts.instructions_per_core).c_str(),

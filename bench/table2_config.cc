@@ -37,8 +37,9 @@ fmt(const char *f, ...)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    checkArguments(argc, argv, false);
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     SystemConfig cfg = makeConfig("mcf", "silcfm", opts);
 
@@ -52,11 +53,8 @@ main()
     row("ROB entries", fmt("%u", cfg.core_params.rob_entries), "128");
 
     std::printf("\nCaches\n");
-    row("L1 I (private)",
-        fmt("%" PRIu64 "KB, %u-way, %u cycles",
-            cfg.l1i.size_bytes >> 10,
-            cfg.l1i.associativity, cfg.l1i.latency_cycles),
-        "64KB, 2-way, 4 cycles");
+    // The trace-driven core fetches instructions for free.
+    row("L1 I (private)", "not modeled", "64KB, 2-way, 4 cycles");
     row("L1 D (private)",
         fmt("%" PRIu64 "KB, %u-way, %u cycles",
             cfg.l1d.size_bytes >> 10,

@@ -12,10 +12,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "policy/registry.hh"
-#include "sim/parallel.hh"
-#include "sim/result_writer.hh"
-#include "sim/system.hh"
+#include "sim/grid.hh"
 #include "trace/profiles.hh"
 
 using namespace silc;
@@ -24,9 +21,8 @@ using namespace silc::sim;
 int
 main(int argc, char **argv)
 {
-    ExperimentOptions opts = ExperimentOptions::fromEnv();
-    ParallelRunner runner(opts);
-    runner.setJsonPath(jsonOutputPath(argc, argv));
+    Grid grid(argc, argv, "footprints");
+    const ExperimentOptions &opts = grid.options();
 
     std::printf("=== Table III: measured workload characteristics ===\n");
     std::printf("(per-core MPKI from the no-NM baseline; footprint = "
@@ -34,13 +30,10 @@ main(int argc, char **argv)
     std::printf("%-10s %-8s %8s %12s %10s %7s\n", "bench", "class",
                 "MPKI", "footprint", "x NM", "ok?");
 
-    // These runs ARE the baselines, so submit() routes them all through
-    // the ParallelRunner cache.
-    const std::string baseline =
-        policy::SchemeRegistry::instance().baselineName();
-    std::vector<ParallelRunner::Job> jobs;
+    // These runs ARE the baselines.
+    std::vector<Grid::Cell> jobs;
     for (const auto &profile : trace::table3Profiles())
-        jobs.push_back(runner.submit(profile.name, baseline));
+        jobs.push_back(grid.baseline(profile.name));
 
     int misclassified = 0;
     size_t idx = 0;
@@ -75,6 +68,5 @@ main(int argc, char **argv)
                 misclassified == 0
                     ? "all 14 workloads fall in their Table III class"
                     : "WARNING: some workloads out of class");
-    runner.printFooter();
     return misclassified == 0 ? 0 : 1;
 }

@@ -6,13 +6,12 @@
  * and migration overhead per point — the numbers an architect would use
  * to size the stack.
  *
- *     ./example_capacity_planning [workload=mcf] [policy=silcfm]
+ *     SILC_WORKLOAD=mcf SILC_SCHEME=silcfm ./example_capacity_planning
  */
 
 #include <cstdio>
 #include <vector>
 
-#include "common/config.hh"
 #include "policy/registry.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel.hh"
@@ -22,13 +21,11 @@ using namespace silc;
 int
 main(int argc, char **argv)
 {
-    Config cli = Config::fromArgs(argc, argv);
-    const std::string workload = cli.getString("workload", "mcf");
-    const std::string scheme = policy::SchemeRegistry::instance()
-                                   .resolve(cli.getString("policy", "silcfm"))
-                                   .name;
-
+    sim::checkArguments(argc, argv, false);
     sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
+    const std::string workload = opts.workload.value_or("mcf");
+    const std::string scheme =
+        policy::SchemeRegistry::instance().resolve(opts.scheme).name;
     sim::ParallelRunner runner(opts);
 
     std::printf("== NM capacity planning: %s under %s ==\n",

@@ -8,13 +8,12 @@
  * (one bulk 2KB migration each); everything else stays in FM.  It is a
  * deliberately simple contrast to SILC-FM's adaptive subblocking.
  *
- *     ./example_custom_policy [workload=omnet]
+ *     SILC_WORKLOAD=omnet ./example_custom_policy
  */
 
 #include <cstdio>
 #include <unordered_map>
 
-#include "common/config.hh"
 #include "policy/policy.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel.hh"
@@ -126,9 +125,9 @@ class FirstTouchPinPolicy : public FlatMemoryPolicy
 int
 main(int argc, char **argv)
 {
-    Config cli = Config::fromArgs(argc, argv);
-    const std::string workload = cli.getString("workload", "omnet");
+    sim::checkArguments(argc, argv, false);
     sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
+    const std::string workload = opts.workload.value_or("omnet");
     sim::ParallelRunner runner(opts);
 
     std::printf("== custom policy vs built-ins on %s ==\n\n",

@@ -9,12 +9,11 @@
  * +bypass), the locking activity, and predictor/history statistics —
  * the paper's Figure 6 story for one workload, with introspection.
  *
- *     ./example_hot_working_set [workload=xalanc]
+ *     SILC_WORKLOAD=xalanc ./example_hot_working_set
  */
 
 #include <cstdio>
 
-#include "common/config.hh"
 #include "core/silc_fm.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel.hh"
@@ -37,9 +36,9 @@ struct Variant
 int
 main(int argc, char **argv)
 {
-    Config cli = Config::fromArgs(argc, argv);
-    const std::string workload = cli.getString("workload", "xalanc");
+    sim::checkArguments(argc, argv, false);
     sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
+    const std::string workload = opts.workload.value_or("xalanc");
     sim::ParallelRunner runner(opts);
 
     std::printf("== hot working set on %s: SILC-FM feature ladder ==\n\n",

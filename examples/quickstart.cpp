@@ -3,18 +3,21 @@
  * Quickstart: build a system, run one workload under SILC-FM, and print
  * the headline metrics.
  *
- *     ./example_quickstart [workload=mcf] [policy=silcfm] [stats=1]
+ *     ./example_quickstart [--stats]
  *
- * Scale comes from the bench environment knobs (SILC_CORES, SILC_INSTR,
+ * The run comes from the bench environment knobs (SILC_WORKLOAD,
+ * default mcf; SILC_SCHEME, default silcfm; SILC_CORES, SILC_INSTR,
  * SILC_NM_MIB, SILC_FM_MIB, SILC_SEED; see sim/experiment.hh), e.g.
  *
- *     SILC_CORES=2 SILC_INSTR=50000 ./example_quickstart policy=memcache
+ *     SILC_SCHEME=memcache SILC_CORES=2 SILC_INSTR=50000 \
+ *         ./example_quickstart
+ *
+ * --stats adds a gem5-style per-component statistics dump.
  */
 
 #include <cstdio>
 #include <sstream>
 
-#include "common/config.hh"
 #include "policy/registry.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel.hh"
@@ -26,16 +29,13 @@ using namespace silc;
 int
 main(int argc, char **argv)
 {
-    Config cli = Config::fromArgs(argc, argv);
-
+    const bool stats = sim::checkArguments(argc, argv, false, "--stats");
     const sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
 
-    const std::string workload = cli.getString("workload", "mcf");
-    // Aliases (cameo, silc) resolve here; unknown names die with the
-    // list of registered schemes.
-    const std::string scheme = policy::SchemeRegistry::instance()
-                                   .resolve(cli.getString("policy", "silcfm"))
-                                   .name;
+    const std::string workload = opts.workload.value_or("mcf");
+    // Aliases (cameo, silc) resolve to the registered name.
+    const std::string scheme =
+        policy::SchemeRegistry::instance().resolve(opts.scheme).name;
 
     std::printf("== SILC-FM quickstart ==\n");
     std::printf("workload   : %s (%s MPKI class)\n", workload.c_str(),
@@ -75,15 +75,11 @@ main(int argc, char **argv)
     std::printf("energy         : %.2f mJ (EDP %.3e Js)\n",
                 r.energy_total_j * 1e3, r.edp);
 
-    if (cli.getBool("stats", false)) {
+    if (stats) {
         std::printf("\n-- component statistics --\n");
         std::ostringstream os;
         system.dumpStats(os);
         std::fputs(os.str().c_str(), stdout);
     }
-
-    const auto unused = cli.unusedKeys();
-    for (const auto &key : unused)
-        warn("unused option '%s'", key.c_str());
     return 0;
 }

@@ -6,13 +6,15 @@
  * different memory organizations for an apples-to-apples comparison —
  * replayed runs are bit-identical across schemes and machines.
  *
- *     ./example_trace_replay [workload=omnet] [instructions=400k]
+ *     SILC_WORKLOAD=omnet SILC_INSTR=400000 ./example_trace_replay
+ *
+ * It records SILC_INSTR instructions of SILC_WORKLOAD (default omnet)
+ * to /tmp/silcfm_example.trace and replays them on 4 cores.
  */
 
 #include <cstdio>
 #include <string>
 
-#include "common/config.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "trace/file_trace.hh"
@@ -23,17 +25,16 @@ using namespace silc;
 int
 main(int argc, char **argv)
 {
-    Config cli = Config::fromArgs(argc, argv);
-    const std::string workload = cli.getString("workload", "omnet");
-    const uint64_t instructions = cli.getU64("instructions", 400'000);
-    const std::string path =
-        cli.getString("out", "/tmp/silcfm_example.trace");
+    sim::checkArguments(argc, argv, false);
+    sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
+    const std::string workload = opts.workload.value_or("omnet");
+    const std::string path = "/tmp/silcfm_example.trace";
 
     // 1. Record.
     {
         trace::SyntheticGenerator gen(trace::findProfile(workload), 1);
         trace::TraceWriter writer(path);
-        writer.record(gen, instructions);
+        writer.record(gen, opts.instructions_per_core);
         writer.finish();
         std::printf("recorded %llu instructions of '%s' to %s\n",
                     static_cast<unsigned long long>(
@@ -42,9 +43,7 @@ main(int argc, char **argv)
     }
 
     // 2. Replay the same trace under three organizations.
-    sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
     opts.cores = 4;
-    opts.instructions_per_core = instructions;
 
     std::printf("\n%-8s %12s %10s %10s\n", "scheme", "ticks", "IPC",
                 "accrate");

@@ -36,8 +36,7 @@ struct CacheParams
     uint32_t line_bytes = static_cast<uint32_t>(kSubblockSize);
     /**
      * Hit latency in CPU cycles (ticks).  The hierarchy charges l1d's
-     * on an L1 hit and l1d's plus l2's on an L2 hit; instruction fetch
-     * is functional, so l1i's is only reported (bench/table2_config).
+     * on an L1 hit and l1d's plus l2's on an L2 hit.
      */
     uint32_t latency_cycles = 4;
     Replacement replacement = Replacement::Lru;

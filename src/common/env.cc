@@ -10,28 +10,33 @@
 namespace silc {
 
 uint64_t
+parsePositiveCount(const char *what, const char *text, uint64_t max_value)
+{
+    // Reject empty and leading junk up front: strtoull would skip
+    // whitespace and accept a leading '-' by wrapping, both of which we
+    // want to be errors for a count.
+    if (*text == '\0' || !std::isdigit(static_cast<unsigned char>(*text)))
+        fatal("%s must be a positive integer, got '%s'", what, text);
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long n = std::strtoull(text, &end, 10);
+    if (errno == ERANGE || (end != nullptr && *end != '\0'))
+        fatal("%s must be a positive integer, got '%s'", what, text);
+    if (n == 0)
+        fatal("%s must be positive, got '%s' (use 1 for sequential)",
+              what, text);
+    if (n > max_value)
+        fatal("%s=%s exceeds the supported maximum of %llu", what, text,
+              static_cast<unsigned long long>(max_value));
+    return static_cast<uint64_t>(n);
+}
+
+uint64_t
 envPositiveCount(const char *name, uint64_t fallback, uint64_t max_value)
 {
     const char *v = std::getenv(name);
-    if (v == nullptr)
-        return fallback;
-    // Reject empty and leading junk up front: strtoull would skip
-    // whitespace and accept a leading '-' by wrapping, both of which we
-    // want to be errors for a count knob.
-    if (*v == '\0' || !std::isdigit(static_cast<unsigned char>(*v)))
-        fatal("%s must be a positive integer, got '%s'", name, v);
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (errno == ERANGE || (end != nullptr && *end != '\0'))
-        fatal("%s must be a positive integer, got '%s'", name, v);
-    if (n == 0)
-        fatal("%s must be positive, got '%s' (use 1 for sequential)",
-              name, v);
-    if (n > max_value)
-        fatal("%s=%s exceeds the supported maximum of %llu", name, v,
-              static_cast<unsigned long long>(max_value));
-    return static_cast<uint64_t>(n);
+    return v == nullptr ? fallback
+                        : parsePositiveCount(name, v, max_value);
 }
 
 unsigned

@@ -1,12 +1,11 @@
 /**
  * @file
  * Strictly-validated environment knob parsing shared by the thread-count
- * knob (SILC_THREADS), the scale and seed knobs and the on/off flags.
- * The historical parsers (one strtol in sim/parallel.cc, one parseSize
- * in sim/experiment.cc) silently accepted trailing junk ("4abc" read as
- * 4), which turns a typo into a quietly different experiment; here
- * anything but a clean positive decimal integer is a fatal error naming
- * the variable and the offending value.
+ * knob (SILC_THREADS), the scale and seed knobs and the on/off flags,
+ * plus the count check fuzz_check applies to its flags.  A lax parser
+ * reads "4abc" as 4 or "1k" as 1024, which turns a typo into a quietly
+ * different experiment; here anything but a clean positive decimal
+ * integer is a fatal error naming the variable and the offending value.
  */
 
 #ifndef SILC_COMMON_ENV_HH
@@ -17,12 +16,19 @@
 namespace silc {
 
 /**
+ * Parse @p text as a positive decimal count.  fatal()s, naming @p what
+ * (a variable or flag name) and the text, when it is empty, zero,
+ * negative, non-numeric, has leading or trailing characters (so no
+ * size suffixes and no hex), or exceeds @p max_value.
+ */
+uint64_t parsePositiveCount(const char *what, const char *text,
+                            uint64_t max_value = UINT64_MAX);
+
+/**
  * Read a positive decimal count from environment variable @p name.
  *
- * Returns @p fallback when the variable is unset.  fatal()s (with the
- * variable name and raw value in the message) when the value is empty,
- * zero, negative, non-numeric, has trailing characters, or exceeds
- * @p max_value.
+ * Returns @p fallback when the variable is unset; otherwise the value
+ * is checked as by parsePositiveCount().
  */
 uint64_t envPositiveCount(const char *name, uint64_t fallback,
                           uint64_t max_value = UINT64_MAX);

@@ -134,7 +134,6 @@ class SilcFmPolicy : public policy::FlatMemoryPolicy
     policy::Location locate(Addr paddr) const override;
     void registerTelemetry(telemetry::Sampler &sampler) const override;
 
-    bool supportsSampling() const override { return true; }
     void snapshotState(BlobWriter &w) const override;
     void restoreState(BlobReader &r) override;
 

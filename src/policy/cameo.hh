@@ -54,7 +54,6 @@ class CameoPolicy : public FlatMemoryPolicy
                       DemandCallback done, Tick now) override;
     Location locate(Addr paddr) const override;
 
-    bool supportsSampling() const override { return true; }
     void snapshotState(BlobWriter &w) const override;
     void restoreState(BlobReader &r) override;
 

@@ -46,7 +46,6 @@ class DramCachePolicy : public FlatMemoryPolicy
     void writeback(Addr paddr, CoreId core, Tick now) override;
     Location locate(Addr paddr) const override;
 
-    bool supportsSampling() const override { return true; }
     void snapshotState(BlobWriter &w) const override;
     void restoreState(BlobReader &r) override;
 

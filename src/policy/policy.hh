@@ -234,14 +234,6 @@ class FlatMemoryPolicy
     const PolicyEnv &environment() const { return env_; }
 
     /**
-     * Whether this policy's state round-trips through
-     * snapshotState()/restoreState() (epoch schemes whose behavior is
-     * coupled to detailed-mode tick counts return false and are run in
-     * full when sampling is requested).
-     */
-    virtual bool supportsSampling() const { return false; }
-
-    /**
      * Serialize policy state for checkpointing.  The base captures the
      * service counters; overrides chain up then append their own state.
      */

@@ -43,7 +43,6 @@ class PomPolicy : public FlatMemoryPolicy
                       DemandCallback done, Tick now) override;
     Location locate(Addr paddr) const override;
 
-    bool supportsSampling() const override { return true; }
     void snapshotState(BlobWriter &w) const override;
     void restoreState(BlobReader &r) override;
 

@@ -115,6 +115,7 @@ SchemeRegistry::registerBuiltins()
         t.baseline = true;
         t.in_matrix = false;
         t.fm_multiple_of_nm = false;
+        t.checkpointable = true;
         registerScheme("fmonly", t,
                        [](const SchemeConfig &, PolicyEnv env) {
                            return std::unique_ptr<FlatMemoryPolicy>(
@@ -124,6 +125,7 @@ SchemeRegistry::registerBuiltins()
     {
         SchemeTraits t;
         t.description = "static identity interleave, no migration";
+        t.checkpointable = true;
         registerScheme("rand", t,
                        [](const SchemeConfig &, PolicyEnv env) {
                            return std::unique_ptr<FlatMemoryPolicy>(
@@ -142,6 +144,7 @@ SchemeRegistry::registerBuiltins()
     {
         SchemeTraits t;
         t.description = "CAMEO: line-granularity congruence-group swaps";
+        t.checkpointable = true;
         registerScheme("cam", t,
                        [](const SchemeConfig &cfg, PolicyEnv env) {
                            CameoParams p = cfg.cameo;
@@ -153,6 +156,7 @@ SchemeRegistry::registerBuiltins()
     {
         SchemeTraits t;
         t.description = "CAMEO + next-line prefetch into NM";
+        t.checkpointable = true;
         registerScheme("camp", t,
                        [](const SchemeConfig &cfg, PolicyEnv env) {
                            CameoParams p = cfg.cameo;
@@ -165,6 +169,7 @@ SchemeRegistry::registerBuiltins()
     {
         SchemeTraits t;
         t.description = "PoM: counter-triggered 2KB segment swaps";
+        t.checkpointable = true;
         registerScheme("pom", t,
                        [](const SchemeConfig &cfg, PolicyEnv env) {
                            return std::unique_ptr<FlatMemoryPolicy>(
@@ -175,6 +180,7 @@ SchemeRegistry::registerBuiltins()
         SchemeTraits t;
         t.description = "pure die-stacked DRAM cache (NM not memory)";
         t.fm_multiple_of_nm = false;
+        t.checkpointable = true;
         registerScheme("dramcache", t,
                        [](const SchemeConfig &cfg, PolicyEnv env) {
                            return std::unique_ptr<FlatMemoryPolicy>(
@@ -186,6 +192,7 @@ SchemeRegistry::registerBuiltins()
         t.description =
             "MemCache hybrid: NM part flat memory, part FM cache";
         t.fm_multiple_of_nm = false;
+        t.checkpointable = true;
         registerScheme("memcache", t,
                        [](const SchemeConfig &cfg, PolicyEnv env) {
                            return std::unique_ptr<FlatMemoryPolicy>(
@@ -197,6 +204,7 @@ SchemeRegistry::registerBuiltins()
         t.description =
             "SILC-FM: subblocked interleaved cache-like flat memory";
         t.has_reference_oracle = true;
+        t.checkpointable = true;
         registerScheme("silcfm", t,
                        [](const SchemeConfig &cfg, PolicyEnv env) {
                            return std::unique_ptr<FlatMemoryPolicy>(

@@ -74,6 +74,11 @@ struct SchemeTraits
     /** Has a per-scheme lockstep ReferenceOracle beyond the shadow-data
      *  invariant checker every scheme gets. */
     bool has_reference_oracle = false;
+    /** Its state round-trips through snapshotState()/restoreState(), so
+     *  it can be sampled (sample/sampling.hh).  Schemes whose behaviour
+     *  is coupled to detailed-mode tick counts (HMA's epochs) are not,
+     *  and run in full detail when sampling is requested. */
+    bool checkpointable = false;
 };
 
 /** One registered memory organization. */

@@ -52,9 +52,6 @@ class FmOnlyPolicy : public FlatMemoryPolicy
         const std::function<void(uint64_t)> &) const override
     {
     }
-
-    /** Stateless beyond the base counters. */
-    bool supportsSampling() const override { return true; }
 };
 
 /**
@@ -81,9 +78,6 @@ class StaticRandomPolicy : public FlatMemoryPolicy
         const std::function<void(uint64_t)> &) const override
     {
     }
-
-    /** Stateless beyond the base counters. */
-    bool supportsSampling() const override { return true; }
 };
 
 } // namespace policy

@@ -12,6 +12,7 @@
 #include "common/stats.hh"
 #include "core/silc_fm.hh"
 #include "dram/dram_system.hh"
+#include "policy/registry.hh"
 #include "sim/parallel.hh"
 
 namespace silc {
@@ -271,11 +272,13 @@ SamplingController::run()
     sim::SystemConfig wcfg = cfg_;
     wcfg.telemetry.enabled = false;
 
-    sim::System warm(wcfg);
-    if (!warm.policyRef().supportsSampling()) {
-        fatal("policy '%s' does not support checkpointed sampling",
-              warm.policyRef().name());
+    const policy::SchemeInfo &scheme =
+        policy::SchemeRegistry::instance().resolve(cfg_.scheme);
+    if (!scheme.traits.checkpointable) {
+        fatal("scheme '%s' does not support checkpointed sampling",
+              scheme.name.c_str());
     }
+    sim::System warm(wcfg);
     warm.setFunctionalMode(true);
 
     const uint64_t total = cfg_.instructions_per_core;
@@ -390,17 +393,15 @@ SamplingController::run()
 sim::SimResult
 runMaybeSampled(const sim::SystemConfig &cfg, const SamplingConfig &scfg)
 {
-    {
-        sim::System probe(cfg);
-        if (!probe.policyRef().supportsSampling()) {
-            warn("policy '%s' carries tick-coupled state; running %s in "
-                 "full detail instead of sampling",
-                 probe.policyRef().name(), cfg.workload.c_str());
-            return probe.run();
-        }
+    const policy::SchemeInfo &scheme =
+        policy::SchemeRegistry::instance().resolve(cfg.scheme);
+    if (!scheme.traits.checkpointable) {
+        warn("policy '%s' carries tick-coupled state; running %s in "
+             "full detail instead of sampling",
+             scheme.name.c_str(), cfg.workload.c_str());
+        sim::System system(cfg);
+        return system.run();
     }
-    // The probe existed only for the capability check and is gone: the
-    // controller builds its own warming system.
     return SamplingController(cfg, scfg).run();
 }
 

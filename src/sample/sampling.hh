@@ -211,9 +211,9 @@ class SamplingController
 };
 
 /**
- * Sampled run when the policy supports it (FlatMemoryPolicy::
- * supportsSampling()), full detailed run otherwise (with a warning) —
- * the benches' --sample entry point, so HMA rows keep working.
+ * Sampled run when the scheme is checkpointable (policy::SchemeTraits),
+ * full detailed run otherwise (with a warning) — the entry point of the
+ * benches' --sample, so HMA rows keep working.
  */
 sim::SimResult runMaybeSampled(const sim::SystemConfig &cfg,
                                const SamplingConfig &scfg);

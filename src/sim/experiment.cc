@@ -1,16 +1,32 @@
 #include "sim/experiment.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "policy/registry.hh"
+#include "trace/profiles.hh"
 
 namespace silc {
 namespace sim {
+
+namespace {
+
+std::string
+joined(const std::vector<std::string> &names)
+{
+    std::string out;
+    for (const std::string &n : names) {
+        if (!out.empty())
+            out += ", ";
+        out += n;
+    }
+    return out;
+}
+
+} // namespace
 
 ExperimentOptions
 ExperimentOptions::fromEnv()
@@ -27,19 +43,19 @@ ExperimentOptions::fromEnv()
     o.nm_bytes = envMebibytes("SILC_NM_MIB", o.nm_bytes);
     o.fm_bytes = envMebibytes("SILC_FM_MIB", o.fm_bytes);
     o.seed = envPositiveCount("SILC_SEED", o.seed);
+    if (const char *w = std::getenv("SILC_WORKLOAD")) {
+        const std::vector<std::string> names = trace::profileNames();
+        if (std::find(names.begin(), names.end(), w) == names.end())
+            fatal("SILC_WORKLOAD: unknown workload '%s' (Table III "
+                  "workloads: %s)", w, joined(names).c_str());
+        o.workload = w;
+    }
     if (const char *s = std::getenv("SILC_SCHEME")) {
         // Validate eagerly so a typo fails at startup, not mid-bench.
         const auto &reg = policy::SchemeRegistry::instance();
-        if (!reg.known(s)) {
-            std::string names;
-            for (const std::string &n : reg.names()) {
-                if (!names.empty())
-                    names += ", ";
-                names += n;
-            }
+        if (!reg.known(s))
             fatal("SILC_SCHEME: unknown scheme '%s' (known schemes: %s)",
-                  s, names.c_str());
-        }
+                  s, joined(reg.names()).c_str());
         o.scheme = s;
     }
     o.telemetry = envFlag("SILC_TELEMETRY", o.telemetry);
@@ -115,34 +131,25 @@ u64str(uint64_t v)
     return std::to_string(v);
 }
 
-void
-printTableHeader(const std::string &label,
-                 const std::vector<std::string> &columns)
+bool
+checkArguments(int argc, char *const argv[], bool takes_json,
+               const char *flag)
 {
-    std::printf("%-10s", label.c_str());
-    for (const auto &c : columns)
-        std::printf(" %9s", c.c_str());
-    std::printf("\n");
-    printTableRule(columns.size());
-}
-
-void
-printTableRow(const std::string &label, const std::vector<double> &values,
-              int precision)
-{
-    std::printf("%-10s", label.c_str());
-    for (double v : values)
-        std::printf(" %9.*f", precision, v);
-    std::printf("\n");
-}
-
-void
-printTableRule(size_t columns)
-{
-    std::printf("----------");
-    for (size_t i = 0; i < columns; ++i)
-        std::printf("-%.9s", "---------");
-    std::printf("\n");
+    bool given = false;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (flag != nullptr && arg == flag) {
+            given = true;
+        } else if (takes_json && arg == "--json") {
+            if (++i >= argc)
+                fatal("--json requires a path argument");
+        } else if (!(takes_json && arg.rfind("--json=", 0) == 0)) {
+            fatal("unknown argument '%s' (runs are picked with the "
+                  "SILC_* environment knobs, see sim/experiment.hh)",
+                  argv[i]);
+        }
+    }
+    return given;
 }
 
 } // namespace sim

@@ -1,15 +1,24 @@
 /**
  * @file
- * Experiment setup shared by the bench binaries: builds configs for
- * (workload, scheme) pairs, applies environment-variable scale
- * overrides, and provides table formatting helpers.  ParallelRunner
- * (sim/parallel.hh) runs the configs and caches the no-NM baseline runs
- * so speedups share a denominator.
+ * Experiment setup shared by the bench and example binaries: picks the
+ * run from the environment, builds configs for (workload, scheme)
+ * pairs and checks the command line.  sim::Grid (sim/grid.hh) runs the
+ * figure benches' configs, and ParallelRunner (sim/parallel.hh) the
+ * examples'; both run one no-NM baseline per workload, so speedups
+ * share a denominator.
  *
- * Scale knobs (environment variables, all optional).  Defaults quote
- * the ExperimentOptions initializers below — keep them in sync:
- *   SILC_SCHEME  - memory-organization scheme for benches that run a
- *                  single scheme (registry name or alias, e.g. silcfm,
+ * Run-selection and scale knobs (environment variables, all optional).
+ * Defaults quote the ExperimentOptions initializers below — keep them in
+ * sync:
+ *   SILC_WORKLOAD - Table III workload of the binaries that run one
+ *                  workload: the examples, bypass_sweep, capacity_smoke
+ *                  and sampling_sweep (default: each binary's own, mcf
+ *                  for most).  Unknown or empty values are a fatal
+ *                  error listing the Table III names.
+ *   SILC_SCHEME  - memory-organization scheme of the binaries that run
+ *                  one scheme: example_quickstart,
+ *                  example_capacity_planning, capacity_smoke and
+ *                  sampling_sweep (registry name or alias, e.g. silcfm,
  *                  dramcache; see policy/registry.hh).  Validated
  *                  against the registry: unknown or empty values are a
  *                  fatal error listing the registered schemes.
@@ -35,11 +44,12 @@
  * Telemetry / export knobs (see src/telemetry/ and sim/result_writer.hh):
  *   SILC_JSON        - write every run's SimResult to this path as one
  *                      JSON document; the benches also accept
- *                      --json <path>, which wins.  The ParallelRunner
- *                      benches then record each run's epoch time series
- *                      too; capacity_smoke, sampling_sweep and the
- *                      --sample modes record series only under
- *                      SILC_TELEMETRY=1, and only on full-detail runs.
+ *                      --json <path>, which wins.  The full-detail
+ *                      Grid benches (sim/grid.hh) then record each
+ *                      run's epoch time series too; capacity_smoke,
+ *                      sampling_sweep and --sample grids record series
+ *                      only under SILC_TELEMETRY=1, and only on
+ *                      full-detail runs.
  *   SILC_EPOCH_TICKS - ticks per telemetry epoch (default 100000;
  *                      a positive count, validated like SILC_CORES)
  *   SILC_TELEMETRY   - set to 1 to record per-run time series even
@@ -54,7 +64,7 @@
  *                      the metadata-lockstep differential oracle.
  *
  * Sampling knobs (see src/sample/sampling.hh; active in
- * bench/sampling_sweep and the benches' --sample modes):
+ * bench/sampling_sweep and under a Grid bench's --sample):
  *   SILC_SAMPLE_PERIOD      - instructions/core between checkpoints
  *                             during functional warming (default 200000)
  *   SILC_SAMPLE_WINDOW      - detailed measurement window per
@@ -68,8 +78,8 @@
 #ifndef SILC_SIM_EXPERIMENT_HH
 #define SILC_SIM_EXPERIMENT_HH
 
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "sim/metrics.hh"
 #include "sim/system.hh"
@@ -86,7 +96,10 @@ struct ExperimentOptions
     uint64_t fm_bytes = 16 * 1024 * 1024;
     uint64_t seed = 1;
 
-    /** Scheme for single-scheme benches (SILC_SCHEME, registry name). */
+    /** Workload of single-workload binaries (SILC_WORKLOAD); unset
+     *  means the binary's own default. */
+    std::optional<std::string> workload;
+    /** Scheme of single-scheme binaries (SILC_SCHEME, registry name). */
     std::string scheme = "silcfm";
 
     /** Record per-run epoch time series (SILC_TELEMETRY / SILC_JSON). */
@@ -105,8 +118,6 @@ SystemConfig makeConfig(const std::string &workload,
                         const std::string &scheme,
                         const ExperimentOptions &opts);
 
-// ---- Small table-printing helpers shared by the benches. ----
-
 /**
  * Decimal rendering of a 64-bit counter for printf("%s") use.  Replaces
  * the non-portable "%llu" + static_cast<unsigned long long> pattern the
@@ -115,16 +126,15 @@ SystemConfig makeConfig(const std::string &workload,
  */
 std::string u64str(uint64_t v);
 
-/** Print a header row: left label column plus one column per entry. */
-void printTableHeader(const std::string &label,
-                      const std::vector<std::string> &columns);
-
-/** Print one row of doubles under a matching header. */
-void printTableRow(const std::string &label,
-                   const std::vector<double> &values, int precision = 3);
-
-/** A horizontal rule sized for @p columns entries. */
-void printTableRule(size_t columns);
+/**
+ * Check a binary's command line: each argument must be @p flag, or,
+ * when @p takes_json, "--json <path>" or "--json=<path>" (read with
+ * jsonOutputPath(), sim/result_writer.hh).  Any other argument is
+ * fatal and named: the run is picked by the environment knobs above.
+ * @return whether @p flag was given.
+ */
+bool checkArguments(int argc, char *const argv[], bool takes_json,
+                    const char *flag = nullptr);
 
 } // namespace sim
 } // namespace silc

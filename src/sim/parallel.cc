@@ -6,7 +6,6 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "policy/registry.hh"
-#include "sim/result_writer.hh"
 
 namespace silc {
 namespace sim {
@@ -72,47 +71,9 @@ ParallelRunner::ParallelRunner(ExperimentOptions opts, unsigned threads)
 {
 }
 
-ParallelRunner::~ParallelRunner()
-{
-    writeJson();
-}
-
-void
-ParallelRunner::setJsonPath(std::string path)
-{
-    if (path.empty())
-        return;
-    if (!recorded_.empty() || jobsCompleted() > 0)
-        warn("setJsonPath after submissions: earlier runs are not "
-             "recorded in %s", path.c_str());
-    json_path_ = std::move(path);
-    // Every recorded run should carry its time series.
-    opts_.telemetry = true;
-}
-
-void
-ParallelRunner::writeJson()
-{
-    if (json_path_.empty() || json_written_)
-        return;
-    json_written_ = true;
-    ResultWriter writer(json_path_, opts_);
-    for (const Job &job : recorded_)
-        writer.add(job.get());
-    writer.write();
-    std::fprintf(stderr, "[parallel] wrote %zu runs to %s\n",
-                 writer.runs(), json_path_.c_str());
-}
-
 ParallelRunner::Job
 ParallelRunner::submitJob(SystemConfig cfg, bool is_baseline)
 {
-    if (!json_path_.empty() && !cfg.telemetry.enabled) {
-        // submitConfig callers may have built the config before
-        // setJsonPath; keep the recorded document uniform.
-        cfg.telemetry.enabled = true;
-        cfg.telemetry.epoch_ticks = opts_.epoch_ticks;
-    }
     auto task = std::make_shared<std::packaged_task<SimResult()>>(
         [this, cfg = std::move(cfg), is_baseline] {
             logSetThreadTag(cfg.workload + "/" + cfg.scheme);
@@ -125,8 +86,6 @@ ParallelRunner::submitJob(SystemConfig cfg, bool is_baseline)
             return result;
         });
     Job job = task->get_future().share();
-    if (!json_path_.empty())
-        recorded_.push_back(job);
     pool_.submit([task] { (*task)(); });
     return job;
 }

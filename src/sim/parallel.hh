@@ -1,13 +1,16 @@
 /**
  * @file
  * Parallel experiment execution: a FIFO thread pool plus
- * ParallelRunner, the one runner the benches, examples and tests use.
+ * ParallelRunner, the one runner the benches (through sim::Grid,
+ * sim/grid.hh), examples and tests use.
  *
  * Every paper figure is a grid of independent (workload, scheme)
  * simulations; each sim::System is self-contained, so the grid is
  * embarrassingly parallel.  Benches submit all jobs up front and then
  * collect results in submission order, which keeps the printed tables
- * byte-identical to a sequential run regardless of thread count.
+ * byte-identical to a sequential run regardless of thread count.  The
+ * runner only runs jobs: results documents are written by
+ * sim::ResultWriter (sim/result_writer.hh).
  *
  * Thread count comes from the SILC_THREADS environment variable
  * (default: hardware_concurrency; 1 preserves the sequential behavior).
@@ -107,28 +110,7 @@ class ParallelRunner
     /** @param threads worker count; 0 means parallelThreadsFromEnv(). */
     explicit ParallelRunner(ExperimentOptions opts, unsigned threads = 0);
 
-    /** Flushes the JSON result file (if configured) after draining. */
-    ~ParallelRunner();
-
-    const ExperimentOptions &options() const { return opts_; }
     unsigned threads() const { return pool_.threads(); }
-
-    /**
-     * Record every subsequently submitted run and write one JSON
-     * document (sim/result_writer.hh schema) to @p path when the runner
-     * is destroyed or writeJson() is called.  Turns on per-run telemetry
-     * so each run embeds its epoch time series.  Empty path disables
-     * (so benches can pass jsonOutputPath() unconditionally).  Call
-     * before the first submit.
-     */
-    void setJsonPath(std::string path);
-
-    /**
-     * Wait for all recorded jobs and write the JSON document now.
-     * Idempotent; the destructor calls it.  Only call from the main
-     * (submitting) thread.
-     */
-    void writeJson();
 
     /**
      * Submit one (workload, scheme) pair.  Baseline-scheme requests are
@@ -179,11 +161,6 @@ class ParallelRunner
 
     ExperimentOptions opts_;
     std::chrono::steady_clock::time_point start_;
-
-    /** Jobs in submission order for the JSON document (main thread). */
-    std::string json_path_;
-    std::vector<Job> recorded_;
-    bool json_written_ = false;
 
     std::mutex baseline_mutex_;
     std::map<std::string, Job> baselines_;

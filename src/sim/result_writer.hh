@@ -36,7 +36,7 @@
  * (sample/sampling.hh).  The key stays so that sampled documents, the
  * sampled goldens and digests taken over them keep their bytes.
  *
- * Runs appear in add() order; the ParallelRunner adds them in
+ * Runs appear in add() order; sim::Grid (sim/grid.hh) adds them in
  * submission order, which makes the file byte-identical across
  * SILC_THREADS values (doubles render via shortest-round-trip
  * formatting, see telemetry/json.hh).

@@ -22,11 +22,6 @@ SystemConfig::defaults()
 {
     SystemConfig cfg;
 
-    cfg.l1i.name = "l1i";
-    cfg.l1i.size_bytes = 64 * 1024;
-    cfg.l1i.associativity = 2;
-    cfg.l1i.latency_cycles = 4;
-
     cfg.l1d.name = "l1d";
     cfg.l1d.size_bytes = 16 * 1024;
     cfg.l1d.associativity = 4;
@@ -112,11 +107,9 @@ MemoryHierarchy::MemoryHierarchy(const SystemConfig &cfg,
 {
     private_.reserve(cfg.cores);
     for (uint32_t c = 0; c < cfg.cores; ++c) {
-        cache::CacheParams pi = cfg.l1i;
         cache::CacheParams pd = cfg.l1d;
-        pi.name = "l1i" + std::to_string(c);
         pd.name = "l1d" + std::to_string(c);
-        private_.emplace_back(pi, pd);
+        private_.emplace_back(pd);
     }
     llc_misses_.assign(cfg.cores, 0);
 }
@@ -125,9 +118,6 @@ bool
 MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
                         std::function<void(Tick)> done, Tick now)
 {
-    // Instruction side: functional, virtually addressed, per 64B line.
-    fetchLine(core, pc);
-
     const Addr paddr = translation_.translate(core, vaddr);
     if (warming_) {
         Addr victim = kAddrInvalid;
@@ -248,13 +238,9 @@ void
 MemoryHierarchy::snapshot(BlobWriter &w) const
 {
     w.putU32(static_cast<uint32_t>(private_.size()));
-    for (const CorePrivate &p : private_) {
-        p.l1i.snapshot(w);
-        p.l1d.snapshot(w);
-    }
-    l2_.snapshot(w);
     for (const CorePrivate &p : private_)
-        w.putU64(p.last_iline);
+        p.l1d.snapshot(w);
+    l2_.snapshot(w);
     for (uint64_t m : llc_misses_)
         w.putU64(m);
     w.putU64(llc_misses_total_);
@@ -269,13 +255,9 @@ MemoryHierarchy::restore(BlobReader &r)
     if (cores != private_.size())
         fatal("hierarchy checkpoint core count %u != configured %zu",
               cores, private_.size());
-    for (CorePrivate &p : private_) {
-        p.l1i.restore(r);
-        p.l1d.restore(r);
-    }
-    l2_.restore(r);
     for (CorePrivate &p : private_)
-        p.last_iline = r.getU64();
+        p.l1d.restore(r);
+    l2_.restore(r);
     for (uint64_t &m : llc_misses_)
         m = r.getU64();
     llc_misses_total_ = r.getU64();
@@ -504,9 +486,10 @@ System::snapshotState(BlobWriter &w) const
     silc_assert(!nm_ || nm_->idle());
 
     w.section("SILC");
-    // Version 2: NM frame metadata is serialized sparsely (materialized
+    // Version 3: the hierarchy carries no L1i (it is not modeled).
+    // Version 2 serialized NM frame metadata sparsely (materialized
     // frames only); version-1 blobs carried the dense per-frame dump.
-    w.putU32(2); // checkpoint format version
+    w.putU32(3); // checkpoint format version
     w.putStr(policy_->name());
     w.putU32(cfg_.cores);
 
@@ -530,8 +513,8 @@ System::restoreState(BlobReader &r)
 {
     r.expect("SILC");
     const uint32_t version = r.getU32();
-    if (version != 2)
-        fatal("checkpoint format version %u unsupported (expected 2)",
+    if (version != 3)
+        fatal("checkpoint format version %u unsupported (expected 3)",
               version);
     const std::string pname = r.getStr();
     if (pname != policy_->name())

@@ -71,7 +71,6 @@ struct SystemConfig
     /** Extra ticks between LLC fill and dependent wakeup. */
     uint32_t fill_latency = 2;
 
-    cache::CacheParams l1i;
     cache::CacheParams l1d;
     cache::CacheParams l2;
 
@@ -292,23 +291,11 @@ class MemoryHierarchy : public cpu::MemoryPort
 
     // ---- Warming-mode access, split in halves ----------------------
     //
-    // A warming access is fetchLine(), translation, warmL1() and, on an
-    // L1d miss, warmShared().  access() runs them back to back; the
-    // warming engine (System::runToBudget) runs the per-core ones for
-    // many cores concurrently and only warmShared() serially.  That is
-    // exact because the L1d update never depends on the L2 outcome.
-
-    /** The instruction side: @p core's I-line memo and L1i.  Per-core. */
-    void
-    fetchLine(CoreId core, Addr pc)
-    {
-        CorePrivate &p = private_[core];
-        const Addr iline = subblockAddr(pc);
-        if (iline != p.last_iline) {
-            p.last_iline = iline;
-            p.l1i.access(iline, false);
-        }
-    }
+    // A warming access is translation, warmL1() and, on an L1d miss,
+    // warmShared().  access() runs them back to back; the warming
+    // engine (System::runToBudget) runs the per-core ones for many
+    // cores concurrently and only warmShared() serially.  That is exact
+    // because the L1d update never depends on the L2 outcome.
 
     /**
      * The L1d half: a hit, or on a miss the fill and its victim.
@@ -340,10 +327,6 @@ class MemoryHierarchy : public cpu::MemoryPort
     {
         return private_[core].l1d;
     }
-    const cache::Cache &l1i(CoreId core) const
-    {
-        return private_[core].l1i;
-    }
     const cache::Cache &l2() const { return l2_; }
     const cache::MshrFile &mshrs() const { return mshr_; }
 
@@ -355,14 +338,9 @@ class MemoryHierarchy : public cpu::MemoryPort
      */
     struct alignas(64) CorePrivate
     {
-        CorePrivate(const cache::CacheParams &i, const cache::CacheParams &d)
-            : l1i(i), l1d(d)
-        {
-        }
+        explicit CorePrivate(const cache::CacheParams &d) : l1d(d) {}
 
-        cache::Cache l1i;
         cache::Cache l1d;
-        Addr last_iline = kAddrInvalid;
     };
 
     /** Ticks to an L1 hit, and to an L2 hit after the L1 lookup. */

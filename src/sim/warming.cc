@@ -219,7 +219,6 @@ System::runFunctional()
         std::vector<WarmMiss> &misses = lane.misses[p_buf];
         misses.clear();
         for (const WarmOp &op : lane.ops) {
-            hierarchy_->fetchLine(c, op.pc);
             const Addr paddr = translation_->translateMapped(c, op.vaddr);
             Addr victim = kAddrInvalid;
             if (!hierarchy_->warmL1(c, paddr, op.is_write, victim)) {

@@ -13,9 +13,9 @@
  *   P1 (per core)  generate the chunk's instructions from the core's
  *                  trace source and note first touches of its pages;
  *   S1 (serial)    allocate those pages' frames in global order;
- *   P2 (per core)  I-line memo and L1i, translation through the core's
- *                  TLB slice, the L1d hit or fill with its victim, and
- *                  a record of every L1d miss;
+ *   P2 (per core)  translation through the core's TLB slice, the L1d
+ *                  hit or fill with its victim, and a record of every
+ *                  L1d miss;
  *   S2 (serial)    merge the misses by position and run the shared
  *                  tail (L2, demandAccess, the writeback cascade) and
  *                  the per-cycle event, DRAM and policy hooks.

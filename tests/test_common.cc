@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/bitvector.hh"
-#include "common/config.hh"
 #include "common/env.hh"
 #include "common/event_queue.hh"
 #include "common/logging.hh"
@@ -307,46 +306,6 @@ TEST(Zipf, SamplesInRange)
         EXPECT_LT(z.sample(rng), 37u);
 }
 
-// ---- config ----------------------------------------------------------------
-
-TEST(Config, ParseSizeSuffixes)
-{
-    EXPECT_EQ(parseSize("64"), 64u);
-    EXPECT_EQ(parseSize("4k"), 4096u);
-    EXPECT_EQ(parseSize("16m"), uint64_t(16) << 20);
-    EXPECT_EQ(parseSize("2g"), uint64_t(2) << 30);
-    EXPECT_EQ(parseSize("0x10"), 16u);
-}
-
-TEST(Config, TypedAccessors)
-{
-    Config cfg = Config::fromTokens(
-        {"cores=16", "rate=0.8", "flag=true", "name=mcf"});
-    EXPECT_EQ(cfg.getU64("cores", 1), 16u);
-    EXPECT_DOUBLE_EQ(cfg.getDouble("rate", 0.0), 0.8);
-    EXPECT_TRUE(cfg.getBool("flag", false));
-    EXPECT_EQ(cfg.getString("name", ""), "mcf");
-    EXPECT_EQ(cfg.getU64("missing", 7), 7u);
-}
-
-TEST(Config, TracksUnusedKeys)
-{
-    Config cfg = Config::fromTokens({"a=1", "b=2"});
-    (void)cfg.getU64("a", 0);
-    auto unused = cfg.unusedKeys();
-    ASSERT_EQ(unused.size(), 1u);
-    EXPECT_EQ(unused[0], "b");
-}
-
-TEST(Config, OverwriteKeepsSingleKey)
-{
-    Config cfg;
-    cfg.set("x", "1");
-    cfg.set("x", "2");
-    EXPECT_EQ(cfg.getU64("x", 0), 2u);
-    EXPECT_EQ(cfg.keys().size(), 1u);
-}
-
 // ---- bit vector -------------------------------------------------------------
 
 TEST(SubblockVector, StartsEmpty)
@@ -455,13 +414,6 @@ TEST(EventQueueDeath, PastSchedulingPanics)
     EXPECT_DEATH(q.schedule(50, [](Tick) {}), "past");
 }
 
-TEST(Config, MalformedTokensFatal)
-{
-    EXPECT_DEATH(Config::fromTokens({"noequals"}), "key=value");
-    Config cfg = Config::fromTokens({"x=abc"});
-    EXPECT_DEATH(cfg.getU64("x", 0), "malformed");
-}
-
 TEST(SubblockVector, IndependenceOfBits)
 {
     SubblockVector bv;
@@ -505,6 +457,7 @@ TEST(Env, PlainDecimalParses)
     EXPECT_EQ(envPositiveCount("SILC_TEST_KNOB", 1), 17u);
     ScopedEnv t("SILC_TEST_THREADS", "12");
     EXPECT_EQ(envThreadCount("SILC_TEST_THREADS", 1), 12u);
+    EXPECT_EQ(parsePositiveCount("--seed", "77"), 77u);
 }
 
 TEST(EnvDeath, EmptyValueFatal)
@@ -575,6 +528,18 @@ TEST(EnvDeath, ThreadCountCapFatal)
     EXPECT_DEATH(envThreadCount("SILC_TEST_KNOB", 1), "SILC_TEST_KNOB");
 }
 
+// The same check applies to command-line counts (fuzz_check's flags):
+// no size suffixes, no hex, no zero, no sign.
+
+TEST(EnvDeath, CountTextRejectsBadValues)
+{
+    for (const char *text : {"1k", "0x10", "0", "-1"}) {
+        EXPECT_DEATH(parsePositiveCount("--seed", text),
+                     std::string("--seed.*'") + text + "'")
+            << text;
+    }
+}
+
 // The knobs of removed subsystems (the intra-simulation windowed loop,
 // the multi-tenant trace layer, sampled early stopping) fail loudly for
 // any value, so a stale script cannot believe it still sets one.
@@ -638,6 +603,27 @@ TEST(EnvDeath, SchemeJunkFatal)
     // Case matters: registry names are lowercase.
     ScopedEnv e("SILC_SCHEME", "SILC-FM");
     EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SCHEME");
+}
+
+// SILC_WORKLOAD is checked against the Table III names the same way.
+
+TEST(EnvDeath, WorkloadUnknownOrEmptyFatal)
+{
+    for (const char *value : {"nope", ""}) {
+        ScopedEnv e("SILC_WORKLOAD", value);
+        EXPECT_DEATH(sim::ExperimentOptions::fromEnv(),
+                     std::string("SILC_WORKLOAD: unknown workload '") +
+                         value + "' .*: bwaves, cactus, .*, soplex")
+            << value;
+    }
+}
+
+TEST(Env, WorkloadValidNameParses)
+{
+    unsetenv("SILC_WORKLOAD");
+    EXPECT_FALSE(sim::ExperimentOptions::fromEnv().workload.has_value());
+    ScopedEnv e("SILC_WORKLOAD", "lbm");
+    EXPECT_EQ(sim::ExperimentOptions::fromEnv().workload, "lbm");
 }
 
 TEST(Env, SchemeValidNameParses)

@@ -5,21 +5,29 @@
  * the bench tables depend on — bit-identical results between
  * sequential and parallel runs and a baseline cache that computes each
  * workload's no-NM denominator exactly once no matter how many threads
- * request it.
+ * request it.  Also sim::Grid, the benches' front end: the document it
+ * records, full or sampled, and the arguments it rejects.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
 #include "policy/registry.hh"
+#include "sample/sampling.hh"
+#include "sim/grid.hh"
 #include "sim/parallel.hh"
+#include "sim/result_writer.hh"
 
 using namespace silc;
 using namespace silc::sim;
@@ -35,6 +43,25 @@ tinyOptions()
     opts.instructions_per_core = 20'000;
     return opts;
 }
+
+/** The tiny scale of the Grid tests, set through the bench knobs. */
+struct TinyGridEnv
+{
+    TinyGridEnv()
+    {
+        setenv("SILC_CORES", "2", 1);
+        setenv("SILC_INSTR", "30000", 1);
+        setenv("SILC_SAMPLE_PERIOD", "10000", 1);
+    }
+    ~TinyGridEnv()
+    {
+        for (const char *knob : {"SILC_CORES", "SILC_INSTR",
+                                 "SILC_SAMPLE_PERIOD"})
+            unsetenv(knob);
+    }
+    TinyGridEnv(const TinyGridEnv &) = delete;
+    TinyGridEnv &operator=(const TinyGridEnv &) = delete;
+};
 
 } // namespace
 
@@ -199,4 +226,72 @@ TEST(ParallelRunnerTest, LogThreadTagRoundTrips)
     EXPECT_EQ(logThreadTag(), "unit/test");
     logSetThreadTag("");
     EXPECT_EQ(logThreadTag(), "");
+}
+
+// ---- Grid ----------------------------------------------------------------
+
+TEST(Grid, DocumentIsTheSubmittedRunsInOrder)
+{
+    const std::string path = ::testing::TempDir() + "silc_grid.json";
+    const TinyGridEnv env;
+    const sample::SamplingConfig scfg = sample::SamplingConfig::fromEnv();
+    for (const bool sampled : {false, true}) {
+        SCOPED_TRACE(sampled ? "--sample" : "full detail");
+        ExperimentOptions opts = ExperimentOptions::fromEnv();
+        // --json records each full-detail run's time series.
+        opts.telemetry = !sampled;
+        SystemConfig variant = makeConfig("lbm", "silcfm", opts);
+        variant.silc.associativity = 1;
+        {
+            std::vector<const char *> argv = {"bench", "--json",
+                                              path.c_str()};
+            if (sampled)
+                argv.push_back("--sample");
+            Grid grid(static_cast<int>(argv.size()),
+                      const_cast<char **>(argv.data()));
+            grid.baseline("lbm");
+            const Grid::Cell silc = grid.submit("lbm", "silcfm");
+            grid.submit("lbm", "hma"); // not checkpointable: full detail
+            grid.submit(variant);
+            // Read out of order; the document keeps submission order.
+            EXPECT_GT(grid.speedup(silc.get()), 0.0);
+        }
+
+        // The same runs one after another on this thread: for
+        // --sample, what fig7 and fig8 did before they ran on a Grid.
+        ResultWriter expected("unused.json", opts);
+        for (const SystemConfig &cfg :
+             {makeConfig("lbm", "fmonly", opts),
+              makeConfig("lbm", "silcfm", opts),
+              makeConfig("lbm", "hma", opts), variant}) {
+            expected.add(sampled ? sample::runMaybeSampled(cfg, scfg)
+                                 : System(cfg).run());
+        }
+        std::ostringstream os;
+        expected.serialize(os);
+        std::ifstream in(path);
+        std::stringstream doc;
+        doc << in.rdbuf();
+        EXPECT_EQ(doc.str(), os.str());
+        EXPECT_EQ(os.str().find("\"sampling\"") != std::string::npos,
+                  sampled);
+        EXPECT_EQ(os.str().find("\"telemetry\"") != std::string::npos,
+                  !sampled);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(GridDeath, RejectsArgumentsItDoesNotTake)
+{
+    const TinyGridEnv env;
+    const char *stale[] = {"bench", "policy=dramcache"};
+    EXPECT_DEATH(Grid(2, const_cast<char **>(stale)),
+                 "unknown argument 'policy=dramcache'");
+    const char *flag[] = {"bench", "--workload", "lbm"};
+    EXPECT_DEATH(Grid(3, const_cast<char **>(flag)),
+                 "unknown argument '--workload'");
+    // A bench whose output sampling does not estimate refuses --sample.
+    const char *sample[] = {"bench", "--sample"};
+    EXPECT_DEATH(Grid(2, const_cast<char **>(sample), "energy"),
+                 "--sample: .*energy");
 }

@@ -469,15 +469,17 @@ TEST(SamplingEndToEnd, HmaFallsBackToFullRun)
     EXPECT_EQ(r.sampling, nullptr);
     EXPECT_GT(r.ipc, 0.0);
     EXPECT_FALSE(r.hit_tick_limit);
-    // And the sampled path still works for supported policies.
-    EXPECT_TRUE(System(cfg).policyRef().supportsSampling() == false);
+    EXPECT_FALSE(policy::SchemeRegistry::instance()
+                     .resolve(cfg.scheme)
+                     .traits.checkpointable);
 }
 
 TEST(SamplingEndToEnd, SupportedPolicyMatrix)
 {
     const auto supports = [](const std::string &k) {
-        System sys(sampleConfig("mcf", k, 2, 50'000));
-        return sys.policyRef().supportsSampling();
+        return policy::SchemeRegistry::instance()
+            .resolve(k)
+            .traits.checkpointable;
     };
     EXPECT_TRUE(supports("silcfm"));
     EXPECT_TRUE(supports("fmonly"));
@@ -571,9 +573,11 @@ TEST(WarmingEngine, MatchesPerCycleLoopForEverySamplingScheme)
 {
     for (const std::string &scheme :
          policy::SchemeRegistry::instance().names()) {
-        const SystemConfig cfg = sampleConfig("mcf", scheme, 4, 60'000);
-        if (!System(cfg).policyRef().supportsSampling())
+        if (!policy::SchemeRegistry::instance()
+                 .resolve(scheme)
+                 .traits.checkpointable)
             continue;
+        const SystemConfig cfg = sampleConfig("mcf", scheme, 4, 60'000);
         SCOPED_TRACE(scheme);
         expectEngineMatchesReference(cfg, 20'000);
     }

@@ -9,15 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "common/event_queue.hh"
 #include "common/stats.hh"
 #include "sim/experiment.hh"
-#include "sim/parallel.hh"
 #include "sim/result_writer.hh"
 #include "sim/system.hh"
 #include "telemetry/json.hh"
@@ -370,39 +367,4 @@ TEST(ResultWriter, EmbedsTelemetrySeries)
     EXPECT_NE(doc.find("\"probes\":["), std::string::npos);
     EXPECT_NE(doc.find("\"epochs\":["), std::string::npos);
     EXPECT_NE(doc.find("policy.hitRate"), std::string::npos);
-}
-
-TEST(ResultWriter, ParallelRunnerWritesSubmissionOrderJson)
-{
-    const std::string path = ::testing::TempDir() + "silc_runner.json";
-    {
-        sim::ExperimentOptions opts;
-        opts.cores = 2;
-        opts.instructions_per_core = 30'000;
-        opts.nm_bytes = 1 * 1024 * 1024;
-        opts.fm_bytes = 4 * 1024 * 1024;
-        opts.epoch_ticks = 20'000;
-        sim::ParallelRunner runner(opts, 2);
-        runner.setJsonPath(path);
-        runner.submit("mcf", "silcfm");
-        runner.submit("milc", "cam");
-        // Destructor drains the pool and writes the document.
-    }
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.is_open());
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string doc = buf.str();
-    // Submission order is preserved: mcf/silcfm before milc/cameo.
-    const size_t first = doc.find("\"workload\":\"mcf\"");
-    const size_t second = doc.find("\"workload\":\"milc\"");
-    ASSERT_NE(first, std::string::npos);
-    ASSERT_NE(second, std::string::npos);
-    EXPECT_LT(first, second);
-    EXPECT_NE(doc.find("\"schema\":\"silc.results.v1\""),
-              std::string::npos);
-    // setJsonPath turned telemetry on for both runs.
-    EXPECT_NE(doc.find("\"telemetry\""), std::string::npos);
-    std::remove(path.c_str());
 }

@@ -99,18 +99,6 @@ Cache::scanSet(Addr tag, uint64_t set, Line **invalid_out,
     return nullptr;
 }
 
-Cache::Line &
-Cache::victimLine(uint64_t set)
-{
-    // Only reached for Random replacement when every way is valid
-    // (scanSet() hands the miss path an invalid way or the LRU minimum
-    // first).
-    Line *base = &lines_[set * params_.associativity];
-    // Deterministic round-robin pseudo-random victim.
-    rr_victim_ = (rr_victim_ + 1) % params_.associativity;
-    return base[rr_victim_];
-}
-
 AccessOutcome
 Cache::access(Addr addr, bool is_write)
 {
@@ -130,9 +118,7 @@ Cache::access(Addr addr, bool is_write)
     }
 
     ++misses_;
-    Line &victim = invalid            ? *invalid
-        : params_.replacement == Replacement::Lru ? *lru_min
-                                                  : victimLine(set);
+    Line &victim = invalid ? *invalid : *lru_min;
     if (victim.valid) {
         ++evictions_;
         if (victim.dirty) {
@@ -164,9 +150,7 @@ Cache::fill(Addr addr, bool dirty)
         return out;
     }
 
-    Line &victim = invalid            ? *invalid
-        : params_.replacement == Replacement::Lru ? *lru_min
-                                                  : victimLine(set);
+    Line &victim = invalid ? *invalid : *lru_min;
     if (victim.valid) {
         ++evictions_;
         if (victim.dirty) {
@@ -201,19 +185,6 @@ Cache::probe(Addr addr) const
     return findLine(tagOf(addr), setIndex(addr)) != nullptr;
 }
 
-bool
-Cache::invalidate(Addr addr)
-{
-    if (Line *line = findLine(tagOf(addr), setIndex(addr))) {
-        const bool was_dirty = line->dirty;
-        line->valid = false;
-        line->dirty = false;
-        line->tag = kAddrInvalid;
-        return was_dirty;
-    }
-    return false;
-}
-
 void
 Cache::snapshot(BlobWriter &w) const
 {
@@ -225,7 +196,6 @@ Cache::snapshot(BlobWriter &w) const
         w.putU64(l.lru);
     }
     w.putU64(lru_clock_);
-    w.putU64(rr_victim_);
 }
 
 void
@@ -244,7 +214,6 @@ Cache::restore(BlobReader &r)
         l.lru = r.getU64();
     }
     lru_clock_ = r.getU64();
-    rr_victim_ = r.getU64();
     hits_ = misses_ = evictions_ = writebacks_ = 0;
 }
 

@@ -24,9 +24,6 @@ class BlobReader;
 
 namespace cache {
 
-/** Replacement policy selector. */
-enum class Replacement { Lru, Random };
-
 /** Cache geometry and behaviour. */
 struct CacheParams
 {
@@ -39,7 +36,6 @@ struct CacheParams
      * on an L1 hit and l1d's plus l2's on an L2 hit.
      */
     uint32_t latency_cycles = 4;
-    Replacement replacement = Replacement::Lru;
 
     uint64_t numSets() const
     {
@@ -100,10 +96,6 @@ class Cache
      */
     void noteMiss() { ++misses_; }
 
-    /** Invalidate the line containing @p addr if present.
-     *  @return true when the line was present and dirty. */
-    bool invalidate(Addr addr);
-
     const CacheParams &params() const { return params_; }
 
     uint64_t hits() const { return hits_; }
@@ -144,7 +136,6 @@ class Cache
      *  valid). */
     Line *scanSet(Addr tag, uint64_t set, Line **invalid_out,
                   Line **lru_out);
-    Line &victimLine(uint64_t set);
 
     uint64_t setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;
@@ -156,7 +147,6 @@ class Cache
     uint32_t set_bits_;
     std::vector<Line> lines_;
     uint64_t lru_clock_ = 0;
-    uint64_t rr_victim_ = 0;
 
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;

@@ -103,15 +103,6 @@ MshrFile::allocate(Addr block_addr, CoreId core, MissCallback cb)
     return MshrAllocation::Primary;
 }
 
-void
-MshrFile::addWaiter(Addr block_addr, MissCallback cb)
-{
-    Slot *slot = findSlot(block_addr);
-    if (slot == nullptr)
-        panic("addWaiter on missing MSHR entry");
-    slot->more.push_back(std::move(cb));
-}
-
 size_t
 MshrFile::complete(Addr block_addr, Tick now)
 {

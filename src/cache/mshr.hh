@@ -64,12 +64,6 @@ class MshrFile
      */
     MshrAllocation allocate(Addr block_addr, CoreId core, MissCallback cb);
 
-    /**
-     * Register an extra waiter on an existing entry.
-     * @pre an entry for @p block_addr exists.
-     */
-    void addWaiter(Addr block_addr, MissCallback cb);
-
     /** True when an entry for @p block_addr is outstanding. */
     bool outstanding(Addr block_addr) const
     {

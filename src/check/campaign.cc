@@ -140,17 +140,18 @@ runCampaignTrace(const CampaignConfig &cfg,
     std::unique_ptr<policy::FlatMemoryPolicy> policy =
         scheme.factory(cfg.schemes, env);
 
-    // Tier 1: the shadow-data invariant checker shadows every scheme.
-    ShadowChecker shadow(*policy);
-    policy->setAccessObserver(&shadow);
-
-    // Tier 2: metadata lockstep where the scheme has a reference model.
+    // Tier 2, attached first as in sim::System: metadata lockstep
+    // where the scheme has a reference model.
     std::unique_ptr<DifferentialChecker> checker;
     if (scheme.traits.has_reference_oracle) {
-        auto &silc_policy = static_cast<core::SilcFmPolicy &>(*policy);
-        checker = std::make_unique<DifferentialChecker>(silc_policy);
-        silc_policy.setObserver(checker.get());
+        checker = std::make_unique<DifferentialChecker>(
+            static_cast<const core::SilcFmPolicy &>(*policy));
+        policy->addAccessObserver(checker.get());
     }
+
+    // Tier 1: the shadow-data invariant checker shadows every scheme.
+    ShadowChecker shadow(*policy);
+    policy->addAccessObserver(&shadow);
 
     // The generators emit addresses across the full NM+FM span; fold
     // them into this scheme's flat space (cache-like schemes expose

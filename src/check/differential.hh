@@ -1,8 +1,8 @@
 /**
  * @file
  * The differential oracle: runs a ReferenceModel in lockstep with a
- * live SilcFmPolicy (via the SilcFmObserver hook) and cross-checks,
- * after every demand access,
+ * live SilcFmPolicy (as one of its policy::AccessObservers) and
+ * cross-checks, after every demand access,
  *
  *  - where the access was serviced from (NM frame/way vs. FM home),
  *  - the post-access residence of the touched subblock (locate()),
@@ -35,7 +35,7 @@
 namespace silc {
 namespace check {
 
-class DifferentialChecker final : public core::SilcFmObserver
+class DifferentialChecker final : public policy::AccessObserver
 {
   public:
     struct Options
@@ -47,8 +47,10 @@ class DifferentialChecker final : public core::SilcFmObserver
     };
 
     /**
-     * @param policy the live policy to shadow; the caller must also
-     *               register this checker via policy.setObserver()
+     * @param policy the live policy to shadow, freshly constructed (the
+     *               reference model starts from the same empty
+     *               metadata); the caller must also attach this checker
+     *               via policy.addAccessObserver()
      */
     explicit DifferentialChecker(const core::SilcFmPolicy &policy);
     DifferentialChecker(const core::SilcFmPolicy &policy, Options opts);
@@ -56,6 +58,11 @@ class DifferentialChecker final : public core::SilcFmObserver
     void onDemandResolved(Addr paddr, bool is_write, CoreId core,
                           Addr pc,
                           const policy::Location &serviced) override;
+    /** Data movement is the shadow tier's job (check/shadow.hh). */
+    void onBlockCopied(const policy::Location &,
+                       const policy::Location &) override {}
+    void onBlocksSwapped(const policy::Location &,
+                         const policy::Location &) override {}
 
     /** A divergence has been observed (first one is kept). */
     bool failed() const { return failed_; }

@@ -1,9 +1,7 @@
 #include "check/shadow.hh"
 
-#include <algorithm>
 #include <sstream>
 #include <unordered_set>
-#include <vector>
 
 #include "common/logging.hh"
 
@@ -36,36 +34,6 @@ ShadowChecker::ShadowChecker(const policy::FlatMemoryPolicy &policy,
 {
     silc_assert(opts_.sweep_interval > 0);
     blocks_ = policy_.flatSpaceBytes() / kSubblockSize;
-    reseed();
-}
-
-void
-ShadowChecker::reseed()
-{
-    content_.clear();
-    version_.clear();
-    touched_.clear();
-    displaced_.clear();
-
-    // Everything not enumerated below is at home with version 0 — the
-    // implicit default.  For the displaced blocks, first vacate every
-    // home (another displaced block may have landed there; if not, the
-    // empty marker stands), then record current residences.
-    std::vector<uint64_t> moved;
-    policy_.forEachDisplacedBlock(
-        [&](uint64_t b) { moved.push_back(b); });
-    std::sort(moved.begin(), moved.end());
-    moved.erase(std::unique(moved.begin(), moved.end()), moved.end());
-
-    for (uint64_t b : moved) {
-        content_.set(key(policy_.homeLocation(b * kSubblockSize)),
-                     Entry{kEmptyBlock, 0});
-    }
-    for (uint64_t b : moved) {
-        const Location loc = policy_.locate(b * kSubblockSize);
-        content_.set(key(loc), Entry{b, 0});
-        touch(b);
-    }
 }
 
 void

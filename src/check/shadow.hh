@@ -61,8 +61,10 @@ class ShadowChecker final : public policy::AccessObserver
     };
 
     /**
-     * @param policy the live policy to shadow; the caller must also
-     *               attach this checker via policy.setAccessObserver()
+     * @param policy the live policy to shadow, freshly constructed so
+     *               every block is at its home location (the checker
+     *               starts from the home layout); the caller must also
+     *               attach this checker via policy.addAccessObserver()
      */
     explicit ShadowChecker(const policy::FlatMemoryPolicy &policy);
     ShadowChecker(const policy::FlatMemoryPolicy &policy, Options opts);
@@ -91,13 +93,6 @@ class ShadowChecker final : public policy::AccessObserver
      * Options::sweep_interval accesses.
      */
     bool verifyFullState();
-
-    /**
-     * Rebuild the shadow map from the policy's current locate() state
-     * and restart write tracking.  Call after restoring the policy from
-     * a snapshot (the data layout reverted under the checker's feet).
-     */
-    void reseed();
 
   private:
     /** What a device location currently holds. */

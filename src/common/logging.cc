@@ -11,7 +11,7 @@ namespace {
 
 std::atomic<uint64_t> warn_counter{0};
 
-/** Serialises writes to the sinks; parallel runs share stderr. */
+/** Serialises writes to stderr, which parallel runs share. */
 std::mutex sink_mutex;
 
 thread_local std::string thread_tag;
@@ -23,7 +23,6 @@ levelName(LogLevel level)
       case LogLevel::Panic: return "panic";
       case LogLevel::Fatal: return "fatal";
       case LogLevel::Warn: return "warn";
-      case LogLevel::Inform: return "info";
     }
     return "?";
 }
@@ -59,12 +58,11 @@ logEmit(LogLevel level, const std::string &msg)
 {
     if (level == LogLevel::Warn)
         warn_counter.fetch_add(1, std::memory_order_relaxed);
-    std::FILE *sink = (level == LogLevel::Inform) ? stdout : stderr;
     std::lock_guard<std::mutex> lock(sink_mutex);
     if (thread_tag.empty()) {
-        std::fprintf(sink, "%s: %s\n", levelName(level), msg.c_str());
+        std::fprintf(stderr, "%s: %s\n", levelName(level), msg.c_str());
     } else {
-        std::fprintf(sink, "%s: [%s] %s\n", levelName(level),
+        std::fprintf(stderr, "%s: [%s] %s\n", levelName(level),
                      thread_tag.c_str(), msg.c_str());
     }
 }
@@ -113,15 +111,6 @@ warn(const char *fmt, ...)
     va_list args;
     va_start(args, fmt);
     logEmit(LogLevel::Warn, logFormatV(fmt, args));
-    va_end(args);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    logEmit(LogLevel::Inform, logFormatV(fmt, args));
     va_end(args);
 }
 

@@ -5,7 +5,6 @@
  * panic()  - an internal invariant was violated (simulator bug); aborts.
  * fatal()  - the user asked for something impossible (bad config); exits.
  * warn()   - something is suspicious but simulation can continue.
- * inform() - purely informational status output.
  */
 
 #ifndef SILC_COMMON_LOGGING_HH
@@ -19,7 +18,7 @@
 namespace silc {
 
 /** Severity classes understood by the log sink. */
-enum class LogLevel { Panic, Fatal, Warn, Inform };
+enum class LogLevel { Panic, Fatal, Warn };
 
 /**
  * Formats a printf-style message and routes it to the log sink.
@@ -57,9 +56,6 @@ const std::string &logThreadTag();
 
 /** Suspicious but survivable condition. */
 void warn(const char *fmt, ...);
-
-/** Informational status message. */
-void inform(const char *fmt, ...);
 
 /** panic() with a standard message unless @p cond holds. */
 #define silc_assert(cond)                                                   \

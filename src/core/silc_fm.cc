@@ -88,21 +88,9 @@ SilcFmPolicy::locate(Addr paddr) const
 }
 
 void
-SilcFmPolicy::migrateSubblockIn(uint64_t frame, uint64_t fm_page,
-                                uint32_t sub, CoreId core, Tick now)
+SilcFmPolicy::swapWithFmHome(uint64_t frame, uint64_t fm_page,
+                             uint32_t sub, CoreId core, Tick now)
 {
-    // Native subblock leaves NM for the FM page's home slot; the FM
-    // subblock is installed into the frame.
-    swapSubblocks(Location{true, nmAddr(frame, sub)},
-                  Location{false, fmHomeAddr(fm_page, sub)}, core, now);
-}
-
-void
-SilcFmPolicy::migrateSubblockOut(uint64_t frame, uint64_t fm_page,
-                                 uint32_t sub, CoreId core, Tick now)
-{
-    // The swapped-in FM subblock returns home; the native subblock
-    // returns to its frame.
     swapSubblocks(Location{true, nmAddr(frame, sub)},
                   Location{false, fmHomeAddr(fm_page, sub)}, core, now);
 }
@@ -136,7 +124,7 @@ SilcFmPolicy::swapInSubblock(uint64_t frame, uint64_t fm_page,
                    dram::TrafficClass::Migration, core, now);
         notifySwap(nm_loc, fm_loc);
     } else {
-        migrateSubblockIn(frame, fm_page, sub, core, now);
+        swapWithFmHome(frame, fm_page, sub, core, now);
     }
     m.bv.set(sub);
     if (demand)
@@ -156,7 +144,7 @@ SilcFmPolicy::swapInSubblock(uint64_t frame, uint64_t fm_page,
             for (uint32_t j = 0; j < kSubblocksPerBlock; ++j) {
                 if (j == sub || !hist.test(j) || m.bv.test(j))
                     continue;
-                migrateSubblockIn(frame, fm_page, j, core, now);
+                swapWithFmHome(frame, fm_page, j, core, now);
                 m.bv.set(j);
                 ++swaps_;
                 ++history_fetched_;
@@ -183,7 +171,7 @@ SilcFmPolicy::restoreWay(uint64_t frame, CoreId core, Tick now)
 
     for (uint32_t j = 0; j < kSubblocksPerBlock; ++j) {
         if (m.bv.test(j))
-            migrateSubblockOut(frame, m.remap, j, core, now);
+            swapWithFmHome(frame, m.remap, j, core, now);
     }
     ++restores_;
 
@@ -207,7 +195,7 @@ SilcFmPolicy::lockWay(uint64_t frame, CoreId core, Tick now)
     if (m.used.count() >= params_.lock_full_fetch_min_used) {
         for (uint32_t j = 0; j < kSubblocksPerBlock; ++j) {
             if (!m.bv.test(j)) {
-                migrateSubblockIn(frame, m.remap, j, core, now);
+                swapWithFmHome(frame, m.remap, j, core, now);
                 ++swaps_;
             }
         }
@@ -265,7 +253,7 @@ SilcFmPolicy::resolveNative(uint64_t page, uint32_t sub, Addr pc,
         if (m.locked) {
             // Locked interleaves are stable: no swap-back churn.
         } else if (!bypass) {
-            migrateSubblockOut(frame, m.remap, sub, core, now);
+            swapWithFmHome(frame, m.remap, sub, core, now);
             m.bv.clear(sub);
             m.used.clear(sub);
             res.metadata_dirty = true;
@@ -467,8 +455,6 @@ SilcFmPolicy::demandAccess(Addr paddr, bool is_write, CoreId core,
 
     issueDemandTimed(res, set, pc, sub_addr, core, std::move(done), now);
 
-    if (observer_ != nullptr)
-        observer_->onDemandResolved(paddr, is_write, core, pc, res.loc);
     notifyDemand(paddr, is_write, core, pc, res.loc);
 }
 
@@ -535,26 +521,6 @@ SilcFmPolicy::verifyIntegrity() const
         }
     });
     return true;
-}
-
-void
-SilcFmPolicy::forEachDisplacedBlock(
-    const std::function<void(uint64_t)> &fn) const
-{
-    // Interleaving is the only displacement: for every swapped-in
-    // subblock position the native block sits at the FM page's home and
-    // the FM block sits in the frame.  Locked-but-clear bits and lock
-    // state itself move no data.
-    meta_.forEachMaterialized([&](uint64_t frame, const WayMeta &m) {
-        if (m.remap == kNoRemap || m.bv.none())
-            return;
-        for (uint32_t j = 0; j < kSubblocksPerBlock; ++j) {
-            if (!m.bv.test(j))
-                continue;
-            fn(frame * kSubblocksPerBlock + j);
-            fn(m.remap * kSubblocksPerBlock + j);
-        }
-    });
 }
 
 void

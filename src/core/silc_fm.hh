@@ -98,29 +98,6 @@ struct SilcFmParams
     uint32_t metadata_bytes = 8;
 };
 
-/**
- * Observes every demand access after its functional resolution, with
- * the policy's metadata already in its post-access state.  The
- * differential oracle (src/check/) implements this to drive an untimed
- * reference model in lockstep with the timed policy.
- */
-class SilcFmObserver
-{
-  public:
-    virtual ~SilcFmObserver() = default;
-
-    /**
-     * @param paddr    flat physical address of the demand (64B aligned)
-     * @param is_write the miss was triggered by a store
-     * @param core     requesting core
-     * @param pc       program counter of the triggering instruction
-     * @param serviced where the critical data was serviced from
-     */
-    virtual void onDemandResolved(Addr paddr, bool is_write, CoreId core,
-                                  Addr pc,
-                                  const policy::Location &serviced) = 0;
-};
-
 /** The SILC-FM flat-memory policy. */
 class SilcFmPolicy : public policy::FlatMemoryPolicy
 {
@@ -136,11 +113,6 @@ class SilcFmPolicy : public policy::FlatMemoryPolicy
 
     void snapshotState(BlobWriter &w) const override;
     void restoreState(BlobReader &r) override;
-
-    /** Footprint-proportional walk of the interleaved subblocks (the
-     *  sparse shadow oracle reseeds from this after restores). */
-    void forEachDisplacedBlock(
-        const std::function<void(uint64_t)> &fn) const override;
 
     // ---- Introspection for tests and benches. ----
 
@@ -164,14 +136,6 @@ class SilcFmPolicy : public policy::FlatMemoryPolicy
      * consistency).  panic()s on violation; returns true otherwise.
      */
     bool verifyIntegrity() const;
-
-    /**
-     * Attach (or detach, with nullptr) a lockstep observer.  Called at
-     * the end of every demandAccess with the post-access state; the
-     * policy does not own the observer, which must outlive it or be
-     * detached first.
-     */
-    void setObserver(SilcFmObserver *observer) { observer_ = observer; }
 
     /**
      * Mutable metadata handle for the injected-fault self-tests of the
@@ -230,13 +194,14 @@ class SilcFmPolicy : public policy::FlatMemoryPolicy
                         Addr pc, Addr sub_addr, CoreId core, Tick now,
                         bool demand);
 
-    /** Fetch one subblock as pure migration (history fetch, locking). */
-    void migrateSubblockIn(uint64_t frame, uint64_t fm_page, uint32_t sub,
-                           CoreId core, Tick now);
-
-    /** Return one swapped-in subblock to FM and restore the native one. */
-    void migrateSubblockOut(uint64_t frame, uint64_t fm_page, uint32_t sub,
-                            CoreId core, Tick now);
+    /**
+     * Exchange subblock @p sub of @p frame with the same subblock of FM
+     * page @p fm_page's home slot, as pure migration: installs the FM
+     * subblock (history fetch, locking) or returns it home and restores
+     * the native one (swap-back, restore).
+     */
+    void swapWithFmHome(uint64_t frame, uint64_t fm_page, uint32_t sub,
+                        CoreId core, Tick now);
 
     /** Fully restore @p frame's interleave and save its bit vector. */
     void restoreWay(uint64_t frame, CoreId core, Tick now);
@@ -271,8 +236,6 @@ class SilcFmPolicy : public policy::FlatMemoryPolicy
     BandwidthBalancer balancer_;
     AgingCounterOps counter_ops_;
     AgingSchedule aging_;
-
-    SilcFmObserver *observer_ = nullptr;
 
     uint64_t swaps_ = 0;
     uint64_t restores_ = 0;

@@ -157,15 +157,6 @@ DramSystem::refreshes() const
 }
 
 uint64_t
-DramSystem::bgPromotions() const
-{
-    uint64_t s = 0;
-    for (const auto &ch : channels_)
-        s += ch->bgPromotions();
-    return s;
-}
-
-uint64_t
 DramSystem::readsServed() const
 {
     uint64_t s = 0;

@@ -140,9 +140,6 @@ class DramSystem
     uint64_t readsServed() const;
     uint64_t writesServed() const;
 
-    /** Background reads promoted past demand traffic by the aging bound. */
-    uint64_t bgPromotions() const;
-
     /** Mean read queueing delay in CPU ticks. */
     double avgReadQueueDelay() const;
 

@@ -65,17 +65,6 @@ BlockCacheDir::install(uint64_t block)
 }
 
 void
-BlockCacheDir::erase(uint64_t block)
-{
-    auto it = slot_of_.find(block);
-    if (it == slot_of_.end())
-        return;
-    owner_[it->second] = kNoBlock;
-    dirty_[it->second] = 0;
-    slot_of_.erase(it);
-}
-
-void
 BlockCacheDir::snapshot(BlobWriter &w) const
 {
     w.putU64(owner_.size());

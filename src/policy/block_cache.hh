@@ -63,20 +63,8 @@ class BlockCacheDir
     /** Install @p block (must not be resident), evicting the victim. */
     Fill install(uint64_t block);
 
-    /** Drop @p block from the directory (no-op when absent). */
-    void erase(uint64_t block);
-
     bool dirty(uint64_t slot) const { return dirty_[slot] != 0; }
     void markDirty(uint64_t slot) { dirty_[slot] = 1; }
-
-    /** Visit (block, slot) for every resident block (arbitrary order). */
-    template <typename Fn>
-    void
-    forEachResident(Fn fn) const
-    {
-        for (const auto &[block, slot] : slot_of_)
-            fn(block, slot);
-    }
 
     void snapshot(BlobWriter &w) const;
     void restore(BlobReader &r);

@@ -159,18 +159,5 @@ DramCachePolicy::restoreState(BlobReader &r)
     dirty_evictions_ = r.getU64();
 }
 
-void
-DramCachePolicy::forEachDisplacedBlock(
-    const std::function<void(uint64_t)> &fn) const
-{
-    // Exactly the cached blocks are away from home.  fmHome() composed
-    // with homeFlatAddr() recovers the flat block number in both the
-    // pure cache and the MemCache hybrid (whose cacheable block indices
-    // start past the static region).
-    dir_.forEachResident([&](uint64_t block, uint64_t) {
-        fn(homeFlatAddr(fmHome(block)) / kSubblockSize);
-    });
-}
-
 } // namespace policy
 } // namespace silc

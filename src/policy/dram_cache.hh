@@ -65,9 +65,6 @@ class DramCachePolicy : public FlatMemoryPolicy
 
     uint64_t homeNmBytes() const override { return 0; }
 
-    void forEachDisplacedBlock(
-        const std::function<void(uint64_t)> &fn) const override;
-
     uint64_t fills() const { return fills_; }
     uint64_t dirtyEvictions() const { return dirty_evictions_; }
 

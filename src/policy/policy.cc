@@ -30,18 +30,6 @@ FlatMemoryPolicy::identityLocation(Addr paddr) const
     return loc;
 }
 
-void
-FlatMemoryPolicy::forEachDisplacedBlock(
-    const std::function<void(uint64_t)> &fn) const
-{
-    const uint64_t blocks = flatSpaceBytes() / kSubblockSize;
-    for (uint64_t b = 0; b < blocks; ++b) {
-        const Addr flat = b * kSubblockSize;
-        if (!(locate(flat) == homeLocation(flat)))
-            fn(b);
-    }
-}
-
 dram::DramSystem &
 FlatMemoryPolicy::deviceFor(const Location &loc) const
 {

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "common/event_queue.hh"
 #include "common/types.hh"
@@ -60,9 +61,12 @@ struct PolicyEnv
 
 /**
  * Scheme-agnostic functional observer, called synchronously with the
- * policy's metadata already in its post-event state.  The shadow-data
- * oracle (src/check/shadow.hh) implements this to track where every
- * flat block's bytes live under ANY organization scheme:
+ * policy's metadata already in its post-event state.  Both tiers of the
+ * oracle implement it: the shadow-data checker (src/check/shadow.hh)
+ * tracks where every flat block's bytes live under ANY organization
+ * scheme, and SILC-FM's differential checker
+ * (src/check/differential.hh) steps its reference model on every
+ * demand.
  *
  *  - onBlockCopied fires for every 64B block whose data is copied from
  *    one device location to another (the destination's prior content is
@@ -177,16 +181,6 @@ class FlatMemoryPolicy
     }
 
     /**
-     * Enumerate (a superset of) the flat 64B block numbers whose current
-     * locate() differs from homeLocation().  The sparse shadow oracle
-     * reseeds from this after a checkpoint restore.  The default scans
-     * the whole flat space; schemes with sparse remap metadata override
-     * with a footprint-proportional walk.
-     */
-    virtual void
-    forEachDisplacedBlock(const std::function<void(uint64_t)> &fn) const;
-
-    /**
      * Register per-epoch telemetry probes over this policy's counters.
      * The base registers the service counters and the Equation 1 hit
      * rate; schemes override (and chain up) to add their own series.
@@ -241,13 +235,13 @@ class FlatMemoryPolicy
     virtual void restoreState(BlobReader &r);
 
     /**
-     * Attach (or detach, with nullptr) a scheme-agnostic functional
-     * observer.  The policy does not own the observer, which must
-     * outlive it or be detached first.
+     * Attach a functional observer.  Observers are notified in the
+     * order they were added; the policy does not own them, and each
+     * must outlive it.
      */
-    void setAccessObserver(AccessObserver *observer)
+    void addAccessObserver(AccessObserver *observer)
     {
-        access_observer_ = observer;
+        access_observers_.push_back(observer);
     }
 
   protected:
@@ -274,7 +268,7 @@ class FlatMemoryPolicy
     /**
      * Move one 64B subblock: read from @p src, then (on completion)
      * write to @p dst.  Counts as one migration op and notifies the
-     * access observer of the copy.
+     * access observers of the copy.
      */
     void moveSubblock(const Location &src, const Location &dst,
                       CoreId core, Tick now);
@@ -292,36 +286,34 @@ class FlatMemoryPolicy
      * Exchange the 64B contents of @p a and @p b: exactly the traffic
      * of moveSubblock(a, b) followed by moveSubblock(b, a) (two
      * migration ops, reads issued at @p now, writes chained on their
-     * completions), reported to the observer as one atomic swap.
+     * completions), reported to the observers as one atomic swap.
      */
     void swapSubblocks(const Location &a, const Location &b, CoreId core,
                        Tick now);
 
-    /** Report a demand access' resolution to the access observer. */
+    /** Report a demand access' resolution to the access observers. */
     void
     notifyDemand(Addr paddr, bool is_write, CoreId core, Addr pc,
                  const Location &serviced)
     {
-        if (access_observer_ != nullptr) {
-            access_observer_->onDemandResolved(paddr, is_write, core, pc,
-                                               serviced);
-        }
+        for (AccessObserver *o : access_observers_)
+            o->onDemandResolved(paddr, is_write, core, pc, serviced);
     }
 
     /** Report a functional copy the traffic helpers did not. */
     void
     notifyCopy(const Location &src, const Location &dst)
     {
-        if (access_observer_ != nullptr)
-            access_observer_->onBlockCopied(src, dst);
+        for (AccessObserver *o : access_observers_)
+            o->onBlockCopied(src, dst);
     }
 
     /** Report a functional swap the traffic helpers did not. */
     void
     notifySwap(const Location &a, const Location &b)
     {
-        if (access_observer_ != nullptr)
-            access_observer_->onBlocksSwapped(a, b);
+        for (AccessObserver *o : access_observers_)
+            o->onBlocksSwapped(a, b);
     }
 
     /** Device + address for a flat physical address (identity layout:
@@ -331,7 +323,7 @@ class FlatMemoryPolicy
     dram::DramSystem &deviceFor(const Location &loc) const;
 
     PolicyEnv env_;
-    AccessObserver *access_observer_ = nullptr;
+    std::vector<AccessObserver *> access_observers_;
     uint64_t nm_serviced_ = 0;
     uint64_t fm_serviced_ = 0;
     uint64_t migration_ops_ = 0;

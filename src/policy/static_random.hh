@@ -45,13 +45,6 @@ class FmOnlyPolicy : public FlatMemoryPolicy
     }
 
     uint64_t homeNmBytes() const override { return 0; }
-
-    /** Static placement: nothing is ever displaced. */
-    void
-    forEachDisplacedBlock(
-        const std::function<void(uint64_t)> &) const override
-    {
-    }
 };
 
 /**
@@ -70,14 +63,6 @@ class StaticRandomPolicy : public FlatMemoryPolicy
     void demandAccess(Addr paddr, bool is_write, CoreId core, Addr pc,
                       DemandCallback done, Tick now) override;
     Location locate(Addr paddr) const override;
-
-    /** Static identity placement: nothing is ever displaced (skips the
-     *  base class's O(flat blocks) comparison scan on reseed). */
-    void
-    forEachDisplacedBlock(
-        const std::function<void(uint64_t)> &) const override
-    {
-    }
 };
 
 } // namespace policy

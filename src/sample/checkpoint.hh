@@ -50,8 +50,8 @@ Checkpoint capture(const sim::System &system, uint64_t warm_instructions);
 
 /**
  * Restore @p ckpt into @p system, which must be freshly constructed from
- * the same SystemConfig as the warming run (fatal on policy/core-count
- * mismatch, truncation, or trailing bytes).
+ * the warming run's SystemConfig with check off (fatal on policy/
+ * core-count mismatch, truncation, trailing bytes, or the oracle on).
  */
 void restore(sim::System &system, const Checkpoint &ckpt);
 

@@ -176,7 +176,7 @@ SamplingController::replayCheckpoint(Checkpoint ckpt, uint64_t index)
 {
     sim::SystemConfig rcfg = cfg_;
     rcfg.telemetry.enabled = false;
-    rcfg.check = false;            // the oracle already ran in warming
+    rcfg.check = false;  // the oracle checked warming; restores refuse it
     // Core retire counters restart at zero after a restore (they are
     // not checkpointed — at a pause point the ROB is empty), so budgets
     // count instructions since the checkpoint.

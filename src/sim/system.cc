@@ -315,23 +315,22 @@ System::System(SystemConfig cfg)
         attachTelemetry();
 
     if (cfg_.check) {
+        // Tier 2 first, so it sees each demand before tier 1: the
+        // per-scheme metadata-lockstep oracle, where the scheme has a
+        // reference model.
+        if (scheme.traits.has_reference_oracle) {
+            check::DifferentialChecker::Options opts;
+            opts.panic_on_divergence = true;
+            checker_ = std::make_unique<check::DifferentialChecker>(
+                static_cast<const core::SilcFmPolicy &>(*policy_), opts);
+            policy_->addAccessObserver(checker_.get());
+        }
         // Tier 1: the scheme-agnostic shadow-data invariant checker,
         // valid for every organization.
         check::ShadowChecker::Options sopts;
         sopts.panic_on_divergence = true;
         shadow_ = std::make_unique<check::ShadowChecker>(*policy_, sopts);
-        policy_->setAccessObserver(shadow_.get());
-        // Tier 2: the per-scheme metadata-lockstep oracle, where the
-        // scheme has a reference model.
-        if (scheme.traits.has_reference_oracle) {
-            auto &silc_policy =
-                static_cast<core::SilcFmPolicy &>(*policy_);
-            check::DifferentialChecker::Options opts;
-            opts.panic_on_divergence = true;
-            checker_ = std::make_unique<check::DifferentialChecker>(
-                silc_policy, opts);
-            silc_policy.setObserver(checker_.get());
-        }
+        policy_->addAccessObserver(shadow_.get());
     }
 }
 
@@ -486,10 +485,11 @@ System::snapshotState(BlobWriter &w) const
     silc_assert(!nm_ || nm_->idle());
 
     w.section("SILC");
-    // Version 3: the hierarchy carries no L1i (it is not modeled).
-    // Version 2 serialized NM frame metadata sparsely (materialized
-    // frames only); version-1 blobs carried the dense per-frame dump.
-    w.putU32(3); // checkpoint format version
+    // Version 4: caches carry no random-replacement cursor.  Version 3
+    // dropped the L1i (it is not modeled).  Version 2 serialized NM
+    // frame metadata sparsely (materialized frames only); version-1
+    // blobs carried the dense per-frame dump.
+    w.putU32(4); // checkpoint format version
     w.putStr(policy_->name());
     w.putU32(cfg_.cores);
 
@@ -511,10 +511,15 @@ System::snapshotState(BlobWriter &w) const
 void
 System::restoreState(BlobReader &r)
 {
+    // The oracle checks runs from the home layout only: it cannot
+    // follow state restored under its feet.
+    if (cfg_.check)
+        fatal("cannot restore a checkpoint under the oracle "
+              "(SILC_CHECK): check the warming run instead");
     r.expect("SILC");
     const uint32_t version = r.getU32();
-    if (version != 3)
-        fatal("checkpoint format version %u unsupported (expected 3)",
+    if (version != 4)
+        fatal("checkpoint format version %u unsupported (expected 4)",
               version);
     const std::string pname = r.getStr();
     if (pname != policy_->name())
@@ -539,11 +544,6 @@ System::restoreState(BlobReader &r)
         t->restore(r);
     }
     r.done();
-
-    // The data layout reverted under the shadow oracle's feet; rebuild
-    // its map from the restored locate() state.
-    if (shadow_)
-        shadow_->reseed();
 }
 
 SimResult

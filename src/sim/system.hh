@@ -198,7 +198,8 @@ class System
     void snapshotState(BlobWriter &w) const;
 
     /** Restore state captured by snapshotState() on an identically
-     *  configured System. */
+     *  configured System.  fatal() when the oracle is on (check): it
+     *  checks fresh runs only. */
     void restoreState(BlobReader &r);
 
     /** Current cycle of the resumable sequential loop. */

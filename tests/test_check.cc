@@ -85,7 +85,7 @@ class CheckFixture : public ::testing::Test
         l.policy = std::make_unique<SilcFmPolicy>(env_, params);
         l.checker =
             std::make_unique<DifferentialChecker>(*l.policy, opts);
-        l.policy->setObserver(l.checker.get());
+        l.policy->addAccessObserver(l.checker.get());
         return l;
     }
 
@@ -411,7 +411,7 @@ TEST_F(CheckFixture, ShadowCleanOnEveryRegisteredScheme)
         std::unique_ptr<policy::FlatMemoryPolicy> p =
             reg.resolve(name).factory(params, env_);
         ShadowChecker shadow(*p);
-        p->setAccessObserver(&shadow);
+        p->addAccessObserver(&shadow);
         Rng rng(77);
         Tick now = 0;
         const uint64_t blocks = p->flatSpaceBytes() / kSubblockSize;
@@ -445,7 +445,7 @@ runCacheFaultScenario(policy::DramCachePolicy &p, Addr base,
                       CacheFault fault, const char *expect_substr)
 {
     ShadowChecker shadow(p);
-    p.setAccessObserver(&shadow);
+    p.addAccessObserver(&shadow);
     const uint64_t sets = p.directory().sets();
     const uint32_t ways = p.directory().ways();
     Tick now = 0;
@@ -558,7 +558,7 @@ TEST_F(CacheShadowFaults, ShadowPanicModeDiesOnCorruption)
     ShadowChecker::Options opts;
     opts.panic_on_divergence = true;
     ShadowChecker shadow(p, opts);
-    p.setAccessObserver(&shadow);
+    p.addAccessObserver(&shadow);
     p.demandAccess(3 * kSubblockSize, false, 0, 0x400, nullptr, 0);
     p.directoryForFaultInjection().faultMapToSlot(
         3, p.directory().slots() + 123);

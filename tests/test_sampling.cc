@@ -363,6 +363,26 @@ TEST(CheckpointDeath, PolicyMismatchDies)
     EXPECT_DEATH(restore(victim, ckpt), "does not match");
 }
 
+TEST(CheckpointDeath, RestoreUnderOracleDies)
+{
+    // The oracle checks fresh runs only: a restore under SILC_CHECK is
+    // refused whether the scheme has both tiers (silcfm) or only the
+    // shadow tier (pom).  Sampled runs check their warming pass and
+    // replay with the oracle off.
+    for (const char *scheme : {"silcfm", "pom"}) {
+        SystemConfig cfg = sampleConfig("mcf", scheme, 2, 100'000);
+        cfg.check = true;
+        System warm(cfg);
+        warm.setFunctionalMode(true);
+        warm.setPerCoreBudget(10'000);
+        ASSERT_TRUE(warm.runToBudget()) << scheme;
+        const Checkpoint ckpt = capture(warm, 10'000);
+
+        System victim(cfg);
+        EXPECT_DEATH(restore(victim, ckpt), "SILC_CHECK") << scheme;
+    }
+}
+
 // ---- Functional warming ------------------------------------------------
 
 TEST(FunctionalWarming, RunsFasterShapeAndFootprintMatch)

@@ -5,7 +5,8 @@
  * member (Random, HMA, CAMEO, CAMEO+P, PoM, the pure DRAM cache,
  * MemCache and SILC-FM) across all 14 Table III workloads, plus the
  * geometric mean.  The column list is enumerated from the registry, so
- * a newly registered scheme shows up here without editing this file.
+ * a new row of its scheme table shows up here without editing this
+ * file.
  *
  * Paper shape to check (Section V-B): SILC-FM wins overall (+36% over
  * the best alternative); CAMEO is the strongest hardware baseline; HMA
@@ -36,7 +37,8 @@ main(int argc, char **argv)
     const ExperimentOptions &opts = grid.options();
 
     // Every registry scheme flagged for the comparison matrix; silcfm
-    // is registered last so means.back() below is the SILC-FM column.
+    // is the table's last row so means.back() below is the SILC-FM
+    // column.
     const std::vector<std::string> schemes =
         policy::SchemeRegistry::instance().matrixNames();
 

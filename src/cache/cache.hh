@@ -3,9 +3,11 @@
  * Set-associative write-back, write-allocate cache with LRU replacement.
  *
  * The cache is functional (hit/miss and victim bookkeeping); access
- * latencies are applied by the memory hierarchy that owns it.  Geometry
- * defaults follow Table II of the paper (L1I 64K/2w, L1D 16K/4w,
- * shared L2 8M/16w, 64B lines).
+ * latencies are applied by the memory hierarchy that owns it.  The
+ * system defaults (sim::SystemConfig::defaults) follow Table II of the
+ * paper for the L1D (16K/4w) and the 64B lines; the shared L2 is
+ * 256K/16w, Table II's 8M scaled with the footprints.  The L1I is not
+ * modeled.
  */
 
 #ifndef SILC_CACHE_CACHE_HH

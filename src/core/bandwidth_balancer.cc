@@ -32,8 +32,6 @@ BandwidthBalancer::record(bool serviced_from_nm)
         // swapping as soon as the rate drops back (Section III-E).
         bypassing_ = last_rate_ > target_rate_;
         ++windows_;
-        if (bypassing_)
-            ++bypassed_windows_;
         in_window_ = 0;
         nm_in_window_ = 0;
     }

@@ -56,7 +56,6 @@ class BandwidthBalancer
         w.putBool(bypassing_);
         w.putF64(last_rate_);
         w.putU64(windows_);
-        w.putU64(bypassed_windows_);
     }
 
     void
@@ -67,7 +66,6 @@ class BandwidthBalancer
         bypassing_ = r.getBool();
         last_rate_ = r.getF64();
         windows_ = r.getU64();
-        bypassed_windows_ = r.getU64();
     }
 
   private:
@@ -80,8 +78,6 @@ class BandwidthBalancer
     bool bypassing_ = false;
     double last_rate_ = 0.0;
     uint64_t windows_ = 0;
-    /** Nothing reads it; it stays because checkpoint blobs carry it. */
-    uint64_t bypassed_windows_ = 0;
 };
 
 } // namespace core

@@ -210,12 +210,11 @@ DramSystem::energyJoules(Tick elapsed, double cpu_freq_hz) const
 double
 DramSystem::dynamicEnergyJoules() const
 {
-    EnergyMeter m;
-    // The meter is counter-based; replay aggregates rather than events.
-    m.recordActivations(activations());
-    m.recordTransfer(traffic_.totalRead(), false);
-    m.recordTransfer(traffic_.totalWrite(), true);
-    return m.dynamicJoules(params_);
+    const double act_j = static_cast<double>(activations()) *
+        params_.energy.act_pre_pj * 1e-12;
+    const double bits = static_cast<double>(traffic_.total()) * 8.0;
+    const double xfer_j = bits * params_.energy.pj_per_bit * 1e-12;
+    return act_j + xfer_j;
 }
 
 size_t

@@ -19,7 +19,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/controller.hh"
-#include "dram/energy.hh"
 #include "dram/request.hh"
 #include "dram/timing.hh"
 
@@ -146,10 +145,15 @@ class DramSystem
     /** Fraction of tick-time the data buses were transferring. */
     double busUtilization(Tick elapsed) const;
 
-    /** Total energy (dynamic + background) in joules. */
+    /**
+     * Total energy (dynamic + background) in joules after @p elapsed
+     * CPU ticks at @p cpu_freq_hz: the paper's Energy-Delay Product
+     * claim rests on die-stacked DRAM's low per-bit energy.
+     */
     double energyJoules(Tick elapsed, double cpu_freq_hz) const;
 
-    /** Dynamic-only energy in joules. */
+    /** Dynamic-only energy in joules: activations plus every byte
+     *  moved, priced by the device's EnergyParams. */
     double dynamicEnergyJoules() const;
 
     /** Queue depth across channels (diagnostics / backpressure hints). */

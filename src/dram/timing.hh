@@ -19,7 +19,8 @@
 namespace silc {
 namespace dram {
 
-/** Per-operation energy model parameters (see dram/energy.hh). */
+/** Per-operation energy model parameters (see
+ *  DramSystem::energyJoules). */
 struct EnergyParams
 {
     /** Energy per activate+precharge pair, picojoules. */

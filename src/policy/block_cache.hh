@@ -1,10 +1,10 @@
 /**
  * @file
- * BlockCacheDir: the set-associative directory shared by the cache-like
- * organization schemes (the pure die-stacked DRAM cache and the
- * MemCache hybrid).  Tracks which 64B flat block occupies each NM slot,
- * per-slot dirty bits, and a deterministic per-set round-robin
- * replacement cursor.
+ * BlockCacheDir: the set-associative directory of the cache-like
+ * organization schemes (MemCachePolicy, which serves both the pure
+ * die-stacked DRAM cache and the MemCache hybrid).  Tracks which 64B
+ * flat block occupies each NM slot, per-slot dirty bits, and a
+ * deterministic per-set round-robin replacement cursor.
  *
  * The directory is purely functional bookkeeping — the owning policy
  * issues all DRAM traffic.  It also carries the fault-injection hooks

@@ -1,5 +1,7 @@
 #include "policy/policy.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/serialize.hh"
 #include "telemetry/sampler.hh"
@@ -13,6 +15,32 @@ FlatMemoryPolicy::FlatMemoryPolicy(PolicyEnv env)
     silc_assert(env_.fm != nullptr);
     silc_assert(env_.events != nullptr);
     // env_.nm may be null only for the no-NM baseline.
+}
+
+uint64_t
+FlatMemoryPolicy::homeNmBytes() const
+{
+    const uint64_t nm_bytes = env_.nm ? env_.nm->capacity() : 0;
+    return std::min(nm_bytes, flatSpaceBytes());
+}
+
+Location
+FlatMemoryPolicy::homeLocation(Addr paddr) const
+{
+    const Addr sub = subblockAddr(paddr);
+    const uint64_t nm_home = homeNmBytes();
+    if (sub < nm_home)
+        return Location{true, sub};
+    return Location{false, sub - nm_home};
+}
+
+Addr
+FlatMemoryPolicy::homeFlatAddr(const Location &loc) const
+{
+    const uint64_t nm_home = homeNmBytes();
+    if (loc.in_nm)
+        return loc.device_addr < nm_home ? loc.device_addr : kAddrInvalid;
+    return nm_home + loc.device_addr;
 }
 
 Location

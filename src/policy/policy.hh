@@ -1,8 +1,8 @@
 /**
  * @file
  * FlatMemoryPolicy: the interface every NM/FM organization scheme
- * implements (Random static, HMA, CAMEO, CAMEO+P, PoM, SILC-FM, plus the
- * no-NM baseline).
+ * implements (static placement and its no-NM baseline, HMA, CAMEO,
+ * CAMEO+P, PoM, SILC-FM and the cache-like rivals).
  *
  * A policy owns the flat OS-visible physical address space (NM occupies
  * the low addresses, FM the high ones, per Section III of the paper) and
@@ -17,7 +17,6 @@
 #ifndef SILC_POLICY_POLICY_HH
 #define SILC_POLICY_POLICY_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -150,35 +149,21 @@ class FlatMemoryPolicy
     // in a freshly constructed policy, before any migration.  The sparse
     // shadow-data oracle stores only the blocks that DEVIATE from this
     // layout, so its memory cost is footprint- rather than
-    // capacity-proportional.  Contract:
-    //   - locate(p) == homeLocation(p) for every p on a fresh policy,
-    //   - homeFlatAddr(homeLocation(p)) == subblockAddr(p), and
-    //     homeFlatAddr(loc) == kAddrInvalid iff no flat block homes at
-    //     loc (e.g. DRAM-cache slots),
-    //   - homeNmBytes() == bytes of NM that are some block's home.
+    // capacity-proportional.  One number sets the layout, homeNmBytes():
+    // a flat address below it homes at the same NM address, any other
+    // at FM address (flat - homeNmBytes()), and NM past it is nobody's
+    // home (e.g. DRAM-cache slots).  Contract: locate(p) ==
+    // homeLocation(p) for every p on a fresh policy.
+
+    /** Bytes of NM, from address 0, that are some block's home.  The
+     *  base is the identity layout's min(NM capacity, flat space). */
+    virtual uint64_t homeNmBytes() const;
 
     /** Residence of @p paddr in a freshly constructed policy. */
-    virtual Location
-    homeLocation(Addr paddr) const
-    {
-        return identityLocation(subblockAddr(paddr));
-    }
+    Location homeLocation(Addr paddr) const;
 
     /** Flat address whose home is @p loc, or kAddrInvalid if none. */
-    virtual Addr
-    homeFlatAddr(const Location &loc) const
-    {
-        const uint64_t nm_bytes = env_.nm ? env_.nm->capacity() : 0;
-        return loc.in_nm ? loc.device_addr : nm_bytes + loc.device_addr;
-    }
-
-    /** Bytes of NM device space used as home locations. */
-    virtual uint64_t
-    homeNmBytes() const
-    {
-        const uint64_t nm_bytes = env_.nm ? env_.nm->capacity() : 0;
-        return std::min(nm_bytes, flatSpaceBytes());
-    }
+    Addr homeFlatAddr(const Location &loc) const;
 
     /**
      * Register per-epoch telemetry probes over this policy's counters.

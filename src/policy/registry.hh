@@ -2,9 +2,9 @@
  * @file
  * The MemOrganization registry: every memory-organization scheme the
  * simulator knows (SILC-FM, the rivals it is compared against, and the
- * no-NM baseline) registered as siblings under a string name, so
- * configs, benches, fuzz campaigns, and CI enumerate one source of
- * truth instead of hardcoded policy lists.
+ * no-NM baseline) as one fixed table of named siblings, so configs,
+ * benches, fuzz campaigns, and CI enumerate one source of truth instead
+ * of hardcoded policy lists.
  *
  * Usage:
  *
@@ -12,24 +12,21 @@
  *     const auto &scheme = reg.resolve("silcfm");   // fatal if unknown
  *     auto pol = scheme.factory(schemes_cfg, env);
  *
- * Registration order is enumeration order and is part of the output
- * contract: `names()` drives the bench scheme x workload matrices, and
- * "silcfm" is registered last so comparison footers ("SILC-FM vs best
+ * Table order is enumeration order and is part of the output contract:
+ * `names()` drives the bench scheme x workload matrices, and "silcfm"
+ * is the last row so comparison footers ("SILC-FM vs best
  * alternative") keep indexing the final column.
  */
 
 #ifndef SILC_POLICY_REGISTRY_HH
 #define SILC_POLICY_REGISTRY_HH
 
-#include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/silc_fm.hh"
 #include "policy/cameo.hh"
-#include "policy/dram_cache.hh"
 #include "policy/hma.hh"
 #include "policy/memcache.hh"
 #include "policy/pom.hh"
@@ -39,10 +36,11 @@ namespace silc {
 namespace policy {
 
 /**
- * Parameter bundle covering every registered scheme.  A factory reads
+ * Parameter bundle covering every scheme in the table.  A factory reads
  * only its own member; carrying all of them keeps the factory signature
- * uniform and lets one struct ride through SystemConfig, the fuzz
- * campaign generator, and snapshot plumbing unchanged.
+ * uniform and lets one struct ride through SystemConfig (which derives
+ * from it), the fuzz campaign generator, and snapshot plumbing
+ * unchanged.
  */
 struct SchemeConfig
 {
@@ -55,8 +53,8 @@ struct SchemeConfig
 };
 
 /** Builds a policy instance for one scheme. */
-using SchemeFactory = std::function<std::unique_ptr<FlatMemoryPolicy>(
-    const SchemeConfig &, PolicyEnv)>;
+using SchemeFactory = std::unique_ptr<FlatMemoryPolicy> (*)(
+    const SchemeConfig &, PolicyEnv);
 
 /** Static facts about a scheme the harness needs before building it. */
 struct SchemeTraits
@@ -81,7 +79,7 @@ struct SchemeTraits
     bool checkpointable = false;
 };
 
-/** One registered memory organization. */
+/** One memory organization of the table. */
 struct SchemeInfo
 {
     std::string name;
@@ -89,31 +87,24 @@ struct SchemeInfo
     SchemeFactory factory;
 };
 
-/** Name -> scheme, in stable registration order. */
+/** Name -> scheme, in stable table order. */
 class SchemeRegistry
 {
   public:
-    /** The process-wide registry, builtins pre-registered. */
+    /** The process-wide registry, built once from the fixed table. */
     static SchemeRegistry &instance();
-
-    /** Register a scheme; fatal on a duplicate or empty name. */
-    void registerScheme(std::string name, SchemeTraits traits,
-                        SchemeFactory factory);
-
-    /** Register @p alias for existing @p target (fatal if clashing). */
-    void registerAlias(std::string alias, const std::string &target);
 
     /** Scheme for @p name (aliases resolve); fatal with the list of
      *  known names when unknown. */
     const SchemeInfo &resolve(const std::string &name) const;
 
-    /** True when @p name (or alias) is registered. */
+    /** True when @p name (or alias) is in the table. */
     bool known(const std::string &name) const;
 
-    /** All scheme names, registration order. */
+    /** All scheme names, table order. */
     std::vector<std::string> names() const;
 
-    /** Names of matrix schemes (traits.in_matrix), registration order;
+    /** Names of matrix schemes (traits.in_matrix), table order;
      *  "silcfm" is last by construction. */
     std::vector<std::string> matrixNames() const;
 
@@ -123,11 +114,10 @@ class SchemeRegistry
   private:
     SchemeRegistry();
 
-    void registerBuiltins();
+    /** The scheme @p name (or alias) names; nullptr when none. */
+    const SchemeInfo *find(const std::string &name) const;
 
     std::vector<SchemeInfo> schemes_;
-    std::unordered_map<std::string, size_t> index_;
-    std::unordered_map<std::string, std::string> aliases_;
 };
 
 } // namespace policy

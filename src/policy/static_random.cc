@@ -5,50 +5,16 @@
 namespace silc {
 namespace policy {
 
-// ---- FmOnlyPolicy ------------------------------------------------------
-
-FmOnlyPolicy::FmOnlyPolicy(PolicyEnv env)
-    : FlatMemoryPolicy(env)
-{
-}
-
-uint64_t
-FmOnlyPolicy::flatSpaceBytes() const
-{
-    return env_.fm->capacity();
-}
-
-Location
-FmOnlyPolicy::locate(Addr paddr) const
-{
-    silc_assert(paddr < env_.fm->capacity());
-    return Location{false, subblockAddr(paddr)};
-}
-
-void
-FmOnlyPolicy::demandAccess(Addr paddr, bool is_write, CoreId core,
-                           Addr pc, DemandCallback done, Tick now)
-{
-    recordService(false);
-    const Location loc{false, subblockAddr(paddr)};
-    issueRead(*env_.fm, loc.device_addr,
-              static_cast<uint32_t>(kSubblockSize),
-              dram::TrafficClass::Demand, core, std::move(done), now);
-    notifyDemand(paddr, is_write, core, pc, loc);
-}
-
-// ---- StaticRandomPolicy ------------------------------------------------
-
 StaticRandomPolicy::StaticRandomPolicy(PolicyEnv env)
     : FlatMemoryPolicy(env)
 {
-    silc_assert(env_.nm != nullptr);
 }
 
 uint64_t
 StaticRandomPolicy::flatSpaceBytes() const
 {
-    return env_.nm->capacity() + env_.fm->capacity();
+    const uint64_t nm_bytes = env_.nm ? env_.nm->capacity() : 0;
+    return nm_bytes + env_.fm->capacity();
 }
 
 Location

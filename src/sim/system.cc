@@ -8,8 +8,6 @@
 #include "check/shadow.hh"
 #include "common/logging.hh"
 #include "common/serialize.hh"
-#include "policy/registry.hh"
-#include "policy/static_random.hh"
 #include "sim/warming.hh"
 #include "trace/file_trace.hh"
 #include "trace/profiles.hh"
@@ -28,8 +26,9 @@ SystemConfig::defaults()
     cfg.l1d.latency_cycles = 4;
 
     // Table II uses an 8MB shared L2 against multi-GB footprints
-    // (ratio >= 100x); this scaled system keeps the footprint:LLC ratio
-    // by using 512KB against 16-64MB footprints (see DESIGN.md).
+    // (ratio >= 100x); this scaled system scales the L2 with the
+    // footprints to 256 KiB, 16-way (see DESIGN.md, "LLC-filtered
+    // reuse").
     cfg.l2.name = "l2";
     cfg.l2.size_bytes = 256 * 1024;
     cfg.l2.associativity = 16;
@@ -65,32 +64,6 @@ SystemConfig::validate() const
     if (instructions_per_core == 0)
         fatal("system: zero instruction budget");
 }
-
-namespace {
-
-/** SystemConfig's per-scheme param members, as the registry wants them. */
-policy::SchemeConfig
-schemeConfigOf(const SystemConfig &cfg)
-{
-    policy::SchemeConfig sc;
-    sc.silc = cfg.silc;
-    sc.hma = cfg.hma;
-    sc.pom = cfg.pom;
-    sc.cameo = cfg.cameo;
-    sc.dramcache = cfg.dramcache;
-    sc.memcache = cfg.memcache;
-    return sc;
-}
-
-std::unique_ptr<policy::FlatMemoryPolicy>
-makePolicy(const SystemConfig &cfg, policy::PolicyEnv env)
-{
-    const policy::SchemeInfo &scheme =
-        policy::SchemeRegistry::instance().resolve(cfg.scheme);
-    return scheme.factory(schemeConfigOf(cfg), env);
-}
-
-} // namespace
 
 // ---- MemoryHierarchy ---------------------------------------------------
 
@@ -285,7 +258,7 @@ System::System(SystemConfig cfg)
     env.nm = nm_.get();
     env.fm = fm_.get();
     env.events = &events_;
-    policy_ = makePolicy(cfg_, env);
+    policy_ = scheme.factory(cfg_, env);
 
     translation_ = std::make_unique<Translation>(
         policy_->flatSpaceBytes(), cfg_.seed);
@@ -485,11 +458,12 @@ System::snapshotState(BlobWriter &w) const
     silc_assert(!nm_ || nm_->idle());
 
     w.section("SILC");
-    // Version 4: caches carry no random-replacement cursor.  Version 3
-    // dropped the L1i (it is not modeled).  Version 2 serialized NM
-    // frame metadata sparsely (materialized frames only); version-1
-    // blobs carried the dense per-frame dump.
-    w.putU32(4); // checkpoint format version
+    // Version 5: SILC-FM's bandwidth balancer carries no bypassed-window
+    // count.  Version 4: caches carry no random-replacement cursor.
+    // Version 3 dropped the L1i (it is not modeled).  Version 2
+    // serialized NM frame metadata sparsely (materialized frames only);
+    // version-1 blobs carried the dense per-frame dump.
+    w.putU32(5); // checkpoint format version
     w.putStr(policy_->name());
     w.putU32(cfg_.cores);
 
@@ -518,8 +492,8 @@ System::restoreState(BlobReader &r)
               "(SILC_CHECK): check the warming run instead");
     r.expect("SILC");
     const uint32_t version = r.getU32();
-    if (version != 4)
-        fatal("checkpoint format version %u unsupported (expected 4)",
+    if (version != 5)
+        fatal("checkpoint format version %u unsupported (expected 5)",
               version);
     const std::string pname = r.getStr();
     if (pname != policy_->name())

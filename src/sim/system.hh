@@ -22,14 +22,9 @@
 #include "cache/cache.hh"
 #include "cache/mshr.hh"
 #include "common/event_queue.hh"
-#include "core/silc_fm.hh"
 #include "cpu/core.hh"
 #include "dram/dram_system.hh"
-#include "policy/cameo.hh"
-#include "policy/dram_cache.hh"
-#include "policy/hma.hh"
-#include "policy/memcache.hh"
-#include "policy/pom.hh"
+#include "policy/registry.hh"
 #include "sim/metrics.hh"
 #include "sim/translation.hh"
 #include "telemetry/recorder.hh"
@@ -44,8 +39,12 @@ class ShadowChecker;
 
 namespace sim {
 
-/** All knobs of one simulation. */
-struct SystemConfig
+/**
+ * All knobs of one simulation.  The per-scheme parameter structs come
+ * from policy::SchemeConfig (cfg.silc, cfg.memcache, ...), which the
+ * scheme factories read.
+ */
+struct SystemConfig : policy::SchemeConfig
 {
     uint32_t cores = 8;
     uint64_t instructions_per_core = 500'000;
@@ -79,13 +78,6 @@ struct SystemConfig
 
     dram::DramTimingParams nm_timing;
     dram::DramTimingParams fm_timing;
-
-    core::SilcFmParams silc;
-    policy::HmaParams hma;
-    policy::PomParams pom;
-    policy::CameoParams cameo;
-    policy::DramCacheParams dramcache;
-    policy::MemCacheParams memcache;
 
     /**
      * Epoch time-series instrumentation (src/telemetry/).  Disabled by

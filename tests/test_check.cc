@@ -24,7 +24,6 @@
 #include "common/rng.hh"
 #include "core/silc_fm.hh"
 #include "dram/dram_system.hh"
-#include "policy/dram_cache.hh"
 #include "policy/memcache.hh"
 #include "policy/registry.hh"
 #include "sim/system.hh"
@@ -410,6 +409,13 @@ TEST_F(CheckFixture, ShadowCleanOnEveryRegisteredScheme)
         const policy::SchemeConfig params;
         std::unique_ptr<policy::FlatMemoryPolicy> p =
             reg.resolve(name).factory(params, env_);
+        // The table wires each name to the class configuration that
+        // reports it (rand/fmonly and dramcache/memcache share a
+        // class), and fmonly drops the env's NM device.
+        EXPECT_STREQ(p->name(), name.c_str());
+        if (name == "fmonly") {
+            EXPECT_EQ(p->flatSpaceBytes(), env_.fm->capacity());
+        }
         ShadowChecker shadow(*p);
         p->addAccessObserver(&shadow);
         Rng rng(77);
@@ -441,7 +447,7 @@ enum class CacheFault { LostWrite, DuplicateBlock, CapacityOverflow };
  * MemCache, 0 for the pure cache).
  */
 void
-runCacheFaultScenario(policy::DramCachePolicy &p, Addr base,
+runCacheFaultScenario(policy::MemCachePolicy &p, Addr base,
                       CacheFault fault, const char *expect_substr)
 {
     ShadowChecker shadow(p);
@@ -511,20 +517,20 @@ class CacheShadowFaults : public CheckFixture
 
 TEST_F(CacheShadowFaults, DramCacheLostWriteDetected)
 {
-    policy::DramCachePolicy p(env_, dcParams());
+    policy::MemCachePolicy p(env_, dcParams());
     runCacheFaultScenario(p, 0, CacheFault::LostWrite, "lost write");
 }
 
 TEST_F(CacheShadowFaults, DramCacheDuplicateBlockDetected)
 {
-    policy::DramCachePolicy p(env_, dcParams());
+    policy::MemCachePolicy p(env_, dcParams());
     runCacheFaultScenario(p, 0, CacheFault::DuplicateBlock,
                           "duplicate mapping");
 }
 
 TEST_F(CacheShadowFaults, DramCacheCapacityOverflowDetected)
 {
-    policy::DramCachePolicy p(env_, dcParams());
+    policy::MemCachePolicy p(env_, dcParams());
     runCacheFaultScenario(p, 0, CacheFault::CapacityOverflow,
                           "capacity overflow");
 }
@@ -554,7 +560,7 @@ TEST_F(CacheShadowFaults, MemCacheCapacityOverflowDetected)
 
 TEST_F(CacheShadowFaults, ShadowPanicModeDiesOnCorruption)
 {
-    policy::DramCachePolicy p(env_, dcParams());
+    policy::MemCachePolicy p(env_, dcParams());
     ShadowChecker::Options opts;
     opts.panic_on_divergence = true;
     ShadowChecker shadow(p, opts);

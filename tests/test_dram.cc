@@ -15,7 +15,6 @@
 #include "dram/bank.hh"
 #include "dram/controller.hh"
 #include "dram/dram_system.hh"
-#include "dram/energy.hh"
 #include "dram/timing.hh"
 
 using namespace silc;
@@ -415,22 +414,23 @@ TEST(DramSystem, BusUtilizationBounded)
 
 TEST(Energy, DynamicScalesWithTraffic)
 {
-    DramTimingParams p = ddr3Params();
-    EnergyMeter m;
-    m.recordActivations(10);
-    m.recordTransfer(6400, false);
-    const double base = m.dynamicJoules(p);
+    EventQueue events;
+    DramSystem sys(simpleParams(), 16_MiB, events);
+    runRead(sys, events, 0, 0);
+    const double base = sys.dynamicEnergyJoules();
     EXPECT_GT(base, 0.0);
-    m.recordTransfer(6400, true);
-    EXPECT_GT(m.dynamicJoules(p), base);
+    runRead(sys, events, 1_MiB, 200'000);
+    EXPECT_GT(sys.dynamicEnergyJoules(), base);
 }
 
 TEST(Energy, BackgroundScalesWithTime)
 {
-    DramTimingParams p = ddr3Params();
-    EnergyMeter m;
-    const double e1 = m.totalJoules(p, 3'200'000, 3.2e9);   // 1 ms
-    const double e2 = m.totalJoules(p, 6'400'000, 3.2e9);   // 2 ms
+    // An idle device burns background power only: linear in time.
+    EventQueue events;
+    DramSystem sys(simpleParams(), 16_MiB, events);
+    const double e1 = sys.energyJoules(3'200'000, 3.2e9);   // 1 ms
+    const double e2 = sys.energyJoules(6'400'000, 3.2e9);   // 2 ms
+    EXPECT_GT(e1, 0.0);
     EXPECT_NEAR(e2, 2.0 * e1, 1e-12);
 }
 
@@ -440,14 +440,20 @@ TEST(Energy, NmCheaperPerBitThanFm)
     // bits much more cheaply than off-chip DDR.
     DramTimingParams hbm = hbm2Params();
     DramTimingParams ddr = ddr3Params();
-    EnergyMeter a, b;
-    a.recordTransfer(1'000'000, false);
-    b.recordTransfer(1'000'000, false);
-    EXPECT_LT(a.dynamicJoules(hbm), b.dynamicJoules(ddr));
+    hbm.t_refi = 0;
+    ddr.t_refi = 0;
+    EventQueue hbm_events, ddr_events;
+    DramSystem a(hbm, 16_MiB, hbm_events);
+    DramSystem b(ddr, 16_MiB, ddr_events);
+    runRead(a, hbm_events, 0, 0);
+    runRead(b, ddr_events, 0, 0);
+    ASSERT_EQ(a.traffic().total(), b.traffic().total());
+    EXPECT_LT(a.dynamicEnergyJoules(), b.dynamicEnergyJoules());
 }
 
 TEST(Energy, SystemEnergyMatchesMeter)
 {
+    // Background power is always on: the total exceeds the dynamic part.
     EventQueue events;
     DramSystem sys(simpleParams(), 16_MiB, events);
     runRead(sys, events, 0, 0);

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit and property tests for the baseline flat-memory policies:
- * FmOnly, StaticRandom, CAMEO(+P), PoM and HMA.  The central property is
- * that locate() stays a bijection over the flat space no matter what
- * sequence of accesses and migrations has happened.
+ * static placement (rand, and fmonly without NM), CAMEO(+P), PoM, HMA
+ * and the cache-like rivals (dramcache, memcache).  The central
+ * property is that locate() stays a bijection over the flat space no
+ * matter what sequence of accesses and migrations has happened.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 #include "common/serialize.hh"
 #include "dram/dram_system.hh"
 #include "policy/cameo.hh"
-#include "policy/dram_cache.hh"
 #include "policy/hma.hh"
 #include "policy/memcache.hh"
 #include "policy/pom.hh"
@@ -79,6 +79,16 @@ class PolicyFixture : public ::testing::Test
         EXPECT_EQ(seen.size(), policy.flatSpaceBytes() / kSubblockSize);
     }
 
+    /** The fixture's env without its NM device: static placement
+     *  built on it is the no-NM baseline. */
+    PolicyEnv
+    fmOnlyEnv() const
+    {
+        PolicyEnv env = env_;
+        env.nm = nullptr;
+        return env;
+    }
+
     EventQueue events_;
     std::unique_ptr<dram::DramSystem> nm_;
     std::unique_ptr<dram::DramSystem> fm_;
@@ -105,7 +115,7 @@ demand(FlatMemoryPolicy &policy, Addr a, Tick now, CoreId core = 0,
 
 TEST_F(PolicyFixture, FmOnlySpansOnlyFm)
 {
-    FmOnlyPolicy p(env_);
+    StaticRandomPolicy p(fmOnlyEnv());
     EXPECT_EQ(p.flatSpaceBytes(), fm_->capacity());
     const Location loc = p.locate(4096);
     EXPECT_FALSE(loc.in_nm);
@@ -114,7 +124,7 @@ TEST_F(PolicyFixture, FmOnlySpansOnlyFm)
 
 TEST_F(PolicyFixture, FmOnlyCountsAllAsFm)
 {
-    FmOnlyPolicy p(env_);
+    StaticRandomPolicy p(fmOnlyEnv());
     demand(p, 0, 0);
     demand(p, 64, 0);
     drain();
@@ -571,7 +581,7 @@ TEST_F(PolicyFixture, HmaMigrationIsBackgroundTraffic)
 TEST_F(PolicyFixture, DramCacheFlatSpaceIsFmAlone)
 {
     // NM is a cache, not memory: the OS-visible space gains nothing.
-    DramCachePolicy p(env_, DramCacheParams{});
+    MemCachePolicy p(env_, DramCacheParams{});
     EXPECT_EQ(p.flatSpaceBytes(), fm_->capacity());
     const Location loc = p.locate(3_MiB);
     EXPECT_FALSE(loc.in_nm);
@@ -580,7 +590,7 @@ TEST_F(PolicyFixture, DramCacheFlatSpaceIsFmAlone)
 
 TEST_F(PolicyFixture, DramCacheMissFillsThenHits)
 {
-    DramCachePolicy p(env_, DramCacheParams{});
+    MemCachePolicy p(env_, DramCacheParams{});
     demand(p, 2_MiB, 0);
     drain();
     EXPECT_EQ(p.fmServiced(), 1u);
@@ -599,7 +609,7 @@ TEST_F(PolicyFixture, DramCacheDirtyVictimWritesBackToFmHome)
     // Direct-mapped: block B and block B + slots collide in set B.
     DramCacheParams params;
     params.ways = 1;
-    DramCachePolicy p(env_, params);
+    MemCachePolicy p(env_, params);
     const uint64_t slots = p.directory().slots();
     const Addr a = 64 * kSubblockSize;
     const Addr conflict = a + slots * kSubblockSize;
@@ -623,7 +633,7 @@ TEST_F(PolicyFixture, DramCacheWriteAroundSkipsFill)
 {
     DramCacheParams params;
     params.fill_on_write = false;
-    DramCachePolicy p(env_, params);
+    MemCachePolicy p(env_, params);
     p.demandAccess(2_MiB, true, 0, 0x400, nullptr, 0);
     drain();
     // Write miss goes around the cache: no fill, line stays in FM.
@@ -638,7 +648,7 @@ TEST_F(PolicyFixture, DramCacheWriteAroundSkipsFill)
 
 TEST_F(PolicyFixture, DramCacheSnapshotRestoreRoundTrips)
 {
-    DramCachePolicy p(env_, DramCacheParams{});
+    MemCachePolicy p(env_, DramCacheParams{});
     Tick now = 0;
     for (int i = 0; i < 32; ++i) {
         p.demandAccess((i * 977) % (4_MiB / kSubblockSize) * kSubblockSize,
@@ -649,7 +659,7 @@ TEST_F(PolicyFixture, DramCacheSnapshotRestoreRoundTrips)
     BlobWriter w;
     p.snapshotState(w);
 
-    DramCachePolicy q(env_, DramCacheParams{});
+    MemCachePolicy q(env_, DramCacheParams{});
     BlobReader r(w.data());
     q.restoreState(r);
     EXPECT_EQ(q.fills(), p.fills());

@@ -3,16 +3,11 @@
  * Unit tests for the MemOrganization scheme registry: enumeration
  * order (which the bench matrices and the per-scheme fuzz ctest list
  * in bench/CMakeLists.txt depend on), baseline/matrix trait queries,
- * alias resolution, and the fatal paths (duplicate registration,
- * clashing alias, unknown scheme).
- *
- * The fatal paths run against the process-wide singleton inside
- * EXPECT_DEATH, which forks: the parent's registry is never mutated.
+ * alias resolution, and the unknown-scheme fatal.
  */
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,17 +15,6 @@
 
 using namespace silc;
 using policy::SchemeRegistry;
-
-namespace {
-
-/** Factory stub for registration-failure tests (never invoked). */
-std::unique_ptr<policy::FlatMemoryPolicy>
-nullFactory(const policy::SchemeConfig &, policy::PolicyEnv)
-{
-    return nullptr;
-}
-
-} // namespace
 
 TEST(SchemeRegistry, EnumerationOrderIsStable)
 {
@@ -110,39 +94,4 @@ TEST(SchemeRegistryDeath, ResolveUnknownIsFatalAndListsKnown)
 {
     EXPECT_DEATH(SchemeRegistry::instance().resolve("alloy"),
                  "unknown scheme 'alloy'.*fmonly.*silcfm");
-}
-
-TEST(SchemeRegistryDeath, DuplicateRegistrationIsFatal)
-{
-    EXPECT_DEATH(SchemeRegistry::instance().registerScheme(
-                     "silcfm", policy::SchemeTraits{}, nullFactory),
-                 "duplicate registration of 'silcfm'");
-}
-
-TEST(SchemeRegistryDeath, RegisteringOverAnAliasIsFatal)
-{
-    // "cameo" is an alias; a scheme registration must not shadow it.
-    EXPECT_DEATH(SchemeRegistry::instance().registerScheme(
-                     "cameo", policy::SchemeTraits{}, nullFactory),
-                 "duplicate registration of 'cameo'");
-}
-
-TEST(SchemeRegistryDeath, EmptySchemeNameIsFatal)
-{
-    EXPECT_DEATH(SchemeRegistry::instance().registerScheme(
-                     "", policy::SchemeTraits{}, nullFactory),
-                 "empty scheme name");
-}
-
-TEST(SchemeRegistryDeath, AliasClashingWithSchemeIsFatal)
-{
-    EXPECT_DEATH(SchemeRegistry::instance().registerAlias("pom", "silcfm"),
-                 "alias 'pom' clashes");
-}
-
-TEST(SchemeRegistryDeath, AliasToUnknownTargetIsFatal)
-{
-    EXPECT_DEATH(
-        SchemeRegistry::instance().registerAlias("alloy2", "alloy"),
-        "alias 'alloy2' targets unknown scheme 'alloy'");
 }

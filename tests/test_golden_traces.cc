@@ -20,6 +20,13 @@
  * pool follows SILC_THREADS, so every CI leg compares the same golden
  * at its own width.
  *
+ * Checkpoint blobs are pinned by size and FNV-1a 64 digest
+ * (golden_checkpoints.json): every checkpointable scheme warms mcf on
+ * three cores and is captured at several per-core budgets, and SILC-FM
+ * is captured once more on a recorded trace.  A format change that
+ * writer and reader make together still round-trips within one build;
+ * only this golden sees it move across commits.
+ *
  * Regenerating after an intentional behaviour change:
  *
  *     GOLDEN_REGEN=1 ./tests/test_golden_traces
@@ -30,11 +37,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "sample/checkpoint.hh"
 #include "sample/sampling.hh"
 #include "sim/experiment.hh"
 #include "sim/result_writer.hh"
@@ -176,7 +187,70 @@ runSampled(const SampledCase &c)
     return sample::SamplingController(cfg, s).run();
 }
 
+/** FNV-1a 64 of @p bytes. */
+uint64_t
+fnv1a64(const std::vector<uint8_t> &bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * Warm @p cfg functionally and add one golden entry per budget of
+ * @p budgets (ascending): the blob captured there, by size and digest.
+ */
+void
+addCheckpointEntries(std::vector<std::string> &entries,
+                     const std::string &label, const sim::SystemConfig &cfg,
+                     std::initializer_list<uint64_t> budgets)
+{
+    sim::System warm(cfg);
+    warm.setFunctionalMode(true);
+    for (uint64_t budget : budgets) {
+        warm.setPerCoreBudget(budget);
+        ASSERT_TRUE(warm.runToBudget()) << label << " at " << budget;
+        const std::vector<uint8_t> blob =
+            sample::capture(warm, budget).blob;
+        char entry[256];
+        std::snprintf(entry, sizeof entry,
+                      "  \"%s/%llu\": {\"bytes\": %zu, \"fnv1a64\": "
+                      "\"%016llx\"}",
+                      label.c_str(), static_cast<unsigned long long>(budget),
+                      blob.size(),
+                      static_cast<unsigned long long>(fnv1a64(blob)));
+        entries.push_back(entry);
+    }
+}
+
 } // namespace
+
+TEST(GoldenCheckpoint, BlobBytesAreStable)
+{
+    const policy::SchemeRegistry &reg = policy::SchemeRegistry::instance();
+    sim::ExperimentOptions opts;
+    opts.cores = 3;
+    opts.instructions_per_core = 150'000;
+    std::vector<std::string> entries;
+    for (const std::string &scheme : reg.names()) {
+        if (reg.resolve(scheme).traits.checkpointable) {
+            addCheckpointEntries(entries, "mcf/" + scheme + "/3c",
+                                 sim::makeConfig("mcf", scheme, opts),
+                                 {0, 20'000, 150'000});
+        }
+    }
+    addCheckpointEntries(entries, "golden_stream/silcfm/2c",
+                         configFor("golden_stream", "silcfm"), {20'000});
+
+    std::string json = "{\n";
+    for (size_t i = 0; i < entries.size(); ++i)
+        json += entries[i] + (i + 1 < entries.size() ? ",\n" : "\n");
+    json += "}\n";
+    expectMatchesGolden(json, "golden_checkpoints.json");
+}
 
 class GoldenTrace : public ::testing::TestWithParam<GoldenCase>
 {

@@ -186,35 +186,16 @@ Cache::probe(Addr addr) const
 }
 
 void
-Cache::snapshot(BlobWriter &w) const
+Cache::checkpoint(Blob &b)
 {
-    w.putU64(lines_.size());
-    for (const Line &l : lines_) {
-        w.putU64(l.tag);
-        w.putBool(l.valid);
-        w.putBool(l.dirty);
-        w.putU64(l.lru);
-    }
-    w.putU64(lru_clock_);
-}
-
-void
-Cache::restore(BlobReader &r)
-{
-    const uint64_t n = r.getU64();
-    if (n != lines_.size()) {
-        fatal("%s: checkpoint has %llu lines, cache has %zu (geometry "
-              "mismatch)", params_.name.c_str(),
-              static_cast<unsigned long long>(n), lines_.size());
-    }
+    b.size(lines_.size(), (params_.name + " geometry").c_str());
     for (Line &l : lines_) {
-        l.tag = r.getU64();
-        l.valid = r.getBool();
-        l.dirty = r.getBool();
-        l.lru = r.getU64();
+        b.u64(l.tag);
+        b.flag(l.valid);
+        b.flag(l.dirty);
+        b.u64(l.lru);
     }
-    lru_clock_ = r.getU64();
-    hits_ = misses_ = evictions_ = writebacks_ = 0;
+    b.u64(lru_clock_);
 }
 
 } // namespace cache

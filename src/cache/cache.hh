@@ -21,8 +21,7 @@
 
 namespace silc {
 
-class BlobWriter;
-class BlobReader;
+class Blob;
 
 namespace cache {
 
@@ -114,13 +113,11 @@ class Cache
     }
 
     /**
-     * Serialize the array contents (tags, valid/dirty bits, LRU state)
-     * for checkpointing.  Hit/miss statistics are deliberately NOT
-     * captured: replays measure deltas from a fresh zero, so restore()
-     * zeroes them.
+     * Checkpoint the array contents (tags, valid/dirty bits, LRU state).
+     * Hit/miss statistics are deliberately not captured: replays restore
+     * into a fresh cache and measure from its zero counters.
      */
-    void snapshot(BlobWriter &w) const;
-    void restore(BlobReader &r);
+    void checkpoint(Blob &b);
 
   private:
     struct Line

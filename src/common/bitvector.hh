@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "common/serialize.hh"
 #include "common/types.hh"
 
 namespace silc {
@@ -72,6 +73,9 @@ class SubblockVector
 
     /** Raw 32-bit image (for storage in the bit vector history table). */
     uint32_t raw() const { return bits_; }
+
+    /** The raw image as one u32 field. */
+    void checkpoint(Blob &b) { b.u32(bits_); }
 
     bool operator==(const SubblockVector &) const = default;
 

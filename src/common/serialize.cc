@@ -1,122 +1,29 @@
 #include "common/serialize.hh"
 
-#include <cstring>
-
 #include "common/logging.hh"
 
 namespace silc {
 
 void
-BlobWriter::raw(const void *p, size_t n)
+Blob::str(std::string &s)
 {
-    const uint8_t *b = static_cast<const uint8_t *>(p);
-    buf_.insert(buf_.end(), b, b + n);
-}
-
-void
-BlobWriter::putU32(uint32_t v)
-{
-    uint8_t b[4];
-    for (int i = 0; i < 4; ++i)
-        b[i] = static_cast<uint8_t>(v >> (8 * i));
-    raw(b, sizeof(b));
-}
-
-void
-BlobWriter::putU64(uint64_t v)
-{
-    uint8_t b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<uint8_t>(v >> (8 * i));
-    raw(b, sizeof(b));
-}
-
-void
-BlobWriter::putF64(double v)
-{
-    static_assert(sizeof(double) == sizeof(uint64_t), "IEEE-754 doubles");
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(bits);
-}
-
-void
-BlobWriter::putStr(const std::string &s)
-{
-    putU64(s.size());
-    raw(s.data(), s.size());
-}
-
-void
-BlobWriter::section(const char tag[5])
-{
-    raw(tag, 4);
-}
-
-const uint8_t *
-BlobReader::need(size_t n)
-{
-    if (n > buf_.size() - pos_) {
-        fatal("checkpoint blob truncated: need %zu bytes at offset %zu "
-              "of %zu", n, pos_, buf_.size());
-    }
-    const uint8_t *p = buf_.data() + pos_;
-    pos_ += n;
-    return p;
-}
-
-uint8_t
-BlobReader::getU8()
-{
-    return *need(1);
-}
-
-uint32_t
-BlobReader::getU32()
-{
-    const uint8_t *b = need(4);
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<uint32_t>(b[i]) << (8 * i);
-    return v;
-}
-
-uint64_t
-BlobReader::getU64()
-{
-    const uint8_t *b = need(8);
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(b[i]) << (8 * i);
-    return v;
-}
-
-double
-BlobReader::getF64()
-{
-    const uint64_t bits = getU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-std::string
-BlobReader::getStr()
-{
-    const uint64_t n = getU64();
-    if (n > remaining()) {
-        fatal("checkpoint blob truncated: string of %llu bytes at offset "
-              "%zu of %zu", static_cast<unsigned long long>(n), pos_,
-              buf_.size());
+    uint64_t n = s.size();
+    le(n);
+    if (!reading()) {
+        out_.insert(out_.end(), s.begin(), s.end());
+        return;
     }
     const uint8_t *b = need(static_cast<size_t>(n));
-    return std::string(reinterpret_cast<const char *>(b),
-                       static_cast<size_t>(n));
+    s.assign(reinterpret_cast<const char *>(b), static_cast<size_t>(n));
 }
 
 void
-BlobReader::expect(const char tag[5])
+Blob::section(const char tag[5])
 {
+    if (!reading()) {
+        out_.insert(out_.end(), tag, tag + 4);
+        return;
+    }
     const uint8_t *b = need(4);
     if (std::memcmp(b, tag, 4) != 0) {
         fatal("checkpoint section mismatch at offset %zu: expected '%s', "
@@ -125,12 +32,31 @@ BlobReader::expect(const char tag[5])
 }
 
 void
-BlobReader::done() const
+Blob::size(uint64_t n, const char *what)
 {
-    if (pos_ != buf_.size()) {
-        fatal("checkpoint blob has %zu trailing bytes (consumed %zu of "
-              "%zu)", buf_.size() - pos_, pos_, buf_.size());
+    uint64_t held = n;
+    le(held);
+    if (held != n) {
+        fatal("checkpoint %s mismatch: blob has %llu, system has %llu",
+              what, static_cast<unsigned long long>(held),
+              static_cast<unsigned long long>(n));
     }
+}
+
+void
+Blob::done() const
+{
+    if (reading() && pos_ != in_->size()) {
+        fatal("checkpoint blob has %zu trailing bytes (consumed %zu of "
+              "%zu)", in_->size() - pos_, pos_, in_->size());
+    }
+}
+
+void
+Blob::truncated(size_t n) const
+{
+    fatal("checkpoint blob truncated: need %zu bytes at offset %zu of %zu",
+          n, pos_, in_->size());
 }
 
 } // namespace silc

@@ -18,7 +18,7 @@
  * keeps probing free of deletion markers.
  *
  * Iteration order of the backing table is hash order; forEachSorted()
- * visits entries in ascending key order so serialization and sweep
+ * visits entries in ascending key order so checkpoints and sweep
  * diagnostics stay byte-deterministic.
  */
 
@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/serialize.hh"
 
 namespace silc {
 
@@ -146,6 +147,32 @@ class SparseArray
         }
         std::sort(keys.begin(), keys.end());
         return keys;
+    }
+
+    /**
+     * Checkpoint the materialized entries: their count, then each key in
+     * ascending order followed by @p fields(value), which lists the
+     * value's fields on @p b.  Reading materializes the entries; a key
+     * at or past @p key_limit, or out of order, is fatal (naming
+     * @p what).
+     */
+    template <typename Fields>
+    void
+    checkpoint(Blob &b, uint64_t key_limit, const char *what, Fields fields)
+    {
+        const std::vector<uint64_t> keys = sortedKeys();
+        uint64_t n = keys.size();
+        b.u64(n);
+        uint64_t prev = 0;
+        for (uint64_t i = 0; i < n; ++i) {
+            uint64_t key = b.reading() ? 0 : keys[i];
+            b.u64(key);
+            if (key >= key_limit || (i > 0 && key <= prev))
+                fatal("checkpoint %s: key %llu out of range or order",
+                      what, static_cast<unsigned long long>(key));
+            prev = key;
+            fields(getOrCreate(key));
+        }
     }
 
   private:

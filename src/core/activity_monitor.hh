@@ -54,19 +54,12 @@ class AgingSchedule
     uint64_t accesses() const { return accesses_; }
     uint64_t sweeps() const { return sweeps_; }
 
-    /** Serialize / restore the access/sweep counters. */
+    /** Checkpoint the access/sweep counters. */
     void
-    snapshot(BlobWriter &w) const
+    checkpoint(Blob &b)
     {
-        w.putU64(accesses_);
-        w.putU64(sweeps_);
-    }
-
-    void
-    restore(BlobReader &r)
-    {
-        accesses_ = r.getU64();
-        sweeps_ = r.getU64();
+        b.u64(accesses_);
+        b.u64(sweeps_);
     }
 
   private:

@@ -47,25 +47,15 @@ class BandwidthBalancer
 
     uint64_t windowsElapsed() const { return windows_; }
 
-    /** Serialize / restore the window state (ctor params excluded). */
+    /** Checkpoint the window state (ctor params excluded). */
     void
-    snapshot(BlobWriter &w) const
+    checkpoint(Blob &b)
     {
-        w.putU64(in_window_);
-        w.putU64(nm_in_window_);
-        w.putBool(bypassing_);
-        w.putF64(last_rate_);
-        w.putU64(windows_);
-    }
-
-    void
-    restore(BlobReader &r)
-    {
-        in_window_ = r.getU64();
-        nm_in_window_ = r.getU64();
-        bypassing_ = r.getBool();
-        last_rate_ = r.getF64();
-        windows_ = r.getU64();
+        b.u64(in_window_);
+        b.u64(nm_in_window_);
+        b.flag(bypassing_);
+        b.f64(last_rate_);
+        b.u64(windows_);
     }
 
   private:

@@ -1,7 +1,6 @@
 #include "core/bitvector_table.hh"
 
 #include "common/logging.hh"
-#include "common/serialize.hh"
 
 namespace silc {
 namespace core {
@@ -46,41 +45,14 @@ BitVectorTable::lookup(Addr pc, Addr first_addr) const
 }
 
 void
-BitVectorTable::snapshot(BlobWriter &w) const
+BitVectorTable::checkpoint(Blob &b)
 {
-    // The blob stores only populated slots, ascending — the same
-    // format the dense table emitted, so old checkpoints round-trip.
-    w.putU64(entries_);
-    w.putU64(table_.size());
-    table_.forEachSorted([&](uint64_t i, const uint32_t &v) {
-        w.putU64(i);
-        w.putU32(v);
-    });
-    w.putU64(saves_);
-    w.putU64(hits_);
-    w.putU64(lookups_);
-}
-
-void
-BitVectorTable::restore(BlobReader &r)
-{
-    const uint64_t n = r.getU64();
-    if (n != entries_)
-        fatal("bit vector table restore: %llu entries vs %llu",
-              static_cast<unsigned long long>(n),
-              static_cast<unsigned long long>(entries_));
-    table_.clear();
-    const uint64_t populated = r.getU64();
-    for (uint64_t i = 0; i < populated; ++i) {
-        const uint64_t idx = r.getU64();
-        if (idx >= entries_)
-            fatal("bit vector table restore: index %llu out of range",
-                  static_cast<unsigned long long>(idx));
-        table_.set(idx, r.getU32());
-    }
-    saves_ = r.getU64();
-    hits_ = r.getU64();
-    lookups_ = r.getU64();
+    b.size(entries_, "bit vector table size");
+    table_.checkpoint(b, entries_, "bit vector table",
+                      [&](uint32_t &v) { b.u32(v); });
+    b.u64(saves_);
+    b.u64(hits_);
+    b.u64(lookups_);
 }
 
 } // namespace core

@@ -18,10 +18,6 @@
 #include "common/types.hh"
 
 namespace silc {
-
-class BlobWriter;
-class BlobReader;
-
 namespace core {
 
 /** Direct-mapped, tagless SRAM table of subblock-usage bit vectors. */
@@ -50,9 +46,8 @@ class BitVectorTable
     uint64_t hits() const { return hits_; }
     uint64_t lookups() const { return lookups_; }
 
-    /** Serialize / restore contents (sparse: non-empty entries only). */
-    void snapshot(BlobWriter &w) const;
-    void restore(BlobReader &r);
+    /** Checkpoint the contents (sparse: non-empty entries only). */
+    void checkpoint(Blob &b);
 
   private:
     /**

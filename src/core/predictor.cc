@@ -1,5 +1,7 @@
 #include "core/predictor.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/serialize.hh"
 
@@ -51,49 +53,30 @@ WayPredictor::update(Addr pc, Addr addr, uint8_t way, bool in_fm)
 }
 
 void
-WayPredictor::snapshot(BlobWriter &w) const
+WayPredictor::checkpoint(Blob &b)
 {
-    uint64_t valid = 0;
-    for (const Entry &e : table_) {
-        if (e.valid)
-            ++valid;
-    }
-    w.putU64(table_.size());
-    w.putU64(valid);
-    for (uint64_t i = 0; i < table_.size(); ++i) {
-        if (table_[i].valid) {
-            w.putU64(i);
-            w.putU8(table_[i].way);
-            w.putBool(table_[i].in_fm);
-        }
-    }
-    w.putU64(predictions_);
-    w.putU64(way_hits_);
-    w.putU64(location_hits_);
-}
-
-void
-WayPredictor::restore(BlobReader &r)
-{
-    const uint64_t n = r.getU64();
-    if (n != table_.size())
-        fatal("way predictor restore: %llu entries vs %zu",
-              static_cast<unsigned long long>(n), table_.size());
-    std::fill(table_.begin(), table_.end(), Entry{});
-    const uint64_t valid = r.getU64();
-    for (uint64_t i = 0; i < valid; ++i) {
-        const uint64_t idx = r.getU64();
+    b.size(table_.size(), "way predictor size");
+    uint64_t valid = static_cast<uint64_t>(std::count_if(
+        table_.begin(), table_.end(),
+        [](const Entry &e) { return e.valid; }));
+    b.u64(valid);
+    // The valid entries, ascending; a reading pass takes each index
+    // from the blob instead of scanning for it.
+    for (uint64_t i = 0, idx = 0; i < valid; ++i, ++idx) {
+        while (!b.reading() && !table_[idx].valid)
+            ++idx;
+        b.u64(idx);
         if (idx >= table_.size())
             fatal("way predictor restore: index %llu out of range",
                   static_cast<unsigned long long>(idx));
         Entry &e = table_[idx];
         e.valid = true;
-        e.way = r.getU8();
-        e.in_fm = r.getBool();
+        b.u8(e.way);
+        b.flag(e.in_fm);
     }
-    predictions_ = r.getU64();
-    way_hits_ = r.getU64();
-    location_hits_ = r.getU64();
+    b.u64(predictions_);
+    b.u64(way_hits_);
+    b.u64(location_hits_);
 }
 
 } // namespace core

@@ -20,8 +20,7 @@
 
 namespace silc {
 
-class BlobWriter;
-class BlobReader;
+class Blob;
 
 namespace core {
 
@@ -63,9 +62,8 @@ class WayPredictor
             ++location_hits_;
     }
 
-    /** Serialize / restore contents (sparse: valid entries only). */
-    void snapshot(BlobWriter &w) const;
-    void restore(BlobReader &r);
+    /** Checkpoint the contents (sparse: valid entries only). */
+    void checkpoint(Blob &b);
 
   private:
     struct Entry

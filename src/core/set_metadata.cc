@@ -1,7 +1,6 @@
 #include "core/set_metadata.hh"
 
 #include "common/logging.hh"
-#include "common/serialize.hh"
 
 namespace silc {
 namespace core {
@@ -72,58 +71,24 @@ NmMetadata::ageCounters()
 }
 
 void
-NmMetadata::snapshot(BlobWriter &w) const
+NmMetadata::checkpoint(Blob &b)
 {
-    w.putU64(num_frames_);
-    w.putU64(frames_.size());
-    frames_.forEachSorted([&](uint64_t frame, const WayMeta &m) {
-        w.putU64(frame);
-        w.putU64(m.remap);
-        w.putU32(m.bv.raw());
-        w.putU32(m.used.raw());
-        w.putBool(m.locked);
-        w.putBool(m.native_locked);
-        w.putU64(m.lru);
-        w.putU8(m.nm_counter);
-        w.putU8(m.fm_counter);
-        w.putU64(m.first_pc);
-        w.putU64(m.first_addr);
-        w.putBool(m.has_signature);
+    b.size(num_frames_, "silcfm NM frame count");
+    frames_.checkpoint(b, num_frames_, "silcfm NM frame",
+                       [&](WayMeta &m) {
+        b.u64(m.remap);
+        m.bv.checkpoint(b);
+        m.used.checkpoint(b);
+        b.flag(m.locked);
+        b.flag(m.native_locked);
+        b.u64(m.lru);
+        b.u8(m.nm_counter);
+        b.u8(m.fm_counter);
+        b.u64(m.first_pc);
+        b.u64(m.first_addr);
+        b.flag(m.has_signature);
     });
-    w.putU64(lru_clock_);
-}
-
-void
-NmMetadata::restore(BlobReader &r)
-{
-    const uint64_t n = r.getU64();
-    if (n != num_frames_)
-        fatal("silcfm restore: checkpoint has %llu NM frames, metadata "
-              "has %llu", static_cast<unsigned long long>(n),
-              static_cast<unsigned long long>(num_frames_));
-    frames_.clear();
-    const uint64_t populated = r.getU64();
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < populated; ++i) {
-        const uint64_t frame = r.getU64();
-        if (frame >= num_frames_ || (i > 0 && frame <= prev))
-            fatal("silcfm restore: corrupt frame index %llu",
-                  static_cast<unsigned long long>(frame));
-        prev = frame;
-        WayMeta &m = frames_.getOrCreate(frame);
-        m.remap = r.getU64();
-        m.bv = SubblockVector{r.getU32()};
-        m.used = SubblockVector{r.getU32()};
-        m.locked = r.getBool();
-        m.native_locked = r.getBool();
-        m.lru = r.getU64();
-        m.nm_counter = r.getU8();
-        m.fm_counter = r.getU8();
-        m.first_pc = r.getU64();
-        m.first_addr = r.getU64();
-        m.has_signature = r.getBool();
-    }
-    lru_clock_ = r.getU64();
+    b.u64(lru_clock_);
 }
 
 } // namespace core

@@ -29,10 +29,6 @@
 #include "common/types.hh"
 
 namespace silc {
-
-class BlobWriter;
-class BlobReader;
-
 namespace core {
 
 /** Sentinel: no FM page interleaved into this frame. */
@@ -163,9 +159,8 @@ class NmMetadata
             fn(frame, *frames_.find(frame));
     }
 
-    /** Serialize / restore the materialized frames and LRU clock. */
-    void snapshot(BlobWriter &w) const;
-    void restore(BlobReader &r);
+    /** Checkpoint the materialized frames and the LRU clock. */
+    void checkpoint(Blob &b);
 
   private:
     static const WayMeta kDefaultMeta;

@@ -524,39 +524,21 @@ SilcFmPolicy::verifyIntegrity() const
 }
 
 void
-SilcFmPolicy::snapshotState(BlobWriter &w) const
+SilcFmPolicy::checkpoint(Blob &b)
 {
-    FlatMemoryPolicy::snapshotState(w);
-    meta_.snapshot(w);
-    history_.snapshot(w);
-    predictor_.snapshot(w);
-    balancer_.snapshot(w);
-    aging_.snapshot(w);
-    w.putU64(swaps_);
-    w.putU64(restores_);
-    w.putU64(locks_);
-    w.putU64(unlocks_);
-    w.putU64(history_fetched_);
-    w.putU64(bypassed_);
-    w.putU64(all_locked_);
-}
-
-void
-SilcFmPolicy::restoreState(BlobReader &r)
-{
-    FlatMemoryPolicy::restoreState(r);
-    meta_.restore(r);
-    history_.restore(r);
-    predictor_.restore(r);
-    balancer_.restore(r);
-    aging_.restore(r);
-    swaps_ = r.getU64();
-    restores_ = r.getU64();
-    locks_ = r.getU64();
-    unlocks_ = r.getU64();
-    history_fetched_ = r.getU64();
-    bypassed_ = r.getU64();
-    all_locked_ = r.getU64();
+    FlatMemoryPolicy::checkpoint(b);
+    meta_.checkpoint(b);
+    history_.checkpoint(b);
+    predictor_.checkpoint(b);
+    balancer_.checkpoint(b);
+    aging_.checkpoint(b);
+    b.u64(swaps_);
+    b.u64(restores_);
+    b.u64(locks_);
+    b.u64(unlocks_);
+    b.u64(history_fetched_);
+    b.u64(bypassed_);
+    b.u64(all_locked_);
 }
 
 } // namespace core

@@ -111,8 +111,7 @@ class SilcFmPolicy : public policy::FlatMemoryPolicy
     policy::Location locate(Addr paddr) const override;
     void registerTelemetry(telemetry::Sampler &sampler) const override;
 
-    void snapshotState(BlobWriter &w) const override;
-    void restoreState(BlobReader &r) override;
+    void checkpoint(Blob &b) override;
 
     // ---- Introspection for tests and benches. ----
 

@@ -65,35 +65,18 @@ BlockCacheDir::install(uint64_t block)
 }
 
 void
-BlockCacheDir::snapshot(BlobWriter &w) const
+BlockCacheDir::checkpoint(Blob &b)
 {
-    w.putU64(owner_.size());
-    for (uint64_t b : owner_)
-        w.putU64(b);
-    for (uint8_t d : dirty_)
-        w.putU8(d);
-    w.putU64(rr_.size());
-    for (uint32_t c : rr_)
-        w.putU32(c);
-}
-
-void
-BlockCacheDir::restore(BlobReader &r)
-{
-    if (r.getU64() != owner_.size())
-        fatal("block cache restore: slot count mismatch");
-    slot_of_.clear();
-    for (uint64_t s = 0; s < owner_.size(); ++s) {
-        owner_[s] = r.getU64();
-        if (owner_[s] != kNoBlock)
-            slot_of_[owner_[s]] = s;
-    }
+    b.items(owner_, "block cache slot count");
     for (uint8_t &d : dirty_)
-        d = r.getU8();
-    if (r.getU64() != rr_.size())
-        fatal("block cache restore: set count mismatch");
-    for (uint32_t &c : rr_)
-        c = r.getU32();
+        b.u8(d);
+    b.items(rr_, "block cache set count");
+    if (b.reading()) {
+        for (uint64_t s = 0; s < owner_.size(); ++s) {
+            if (owner_[s] != kNoBlock)
+                slot_of_[owner_[s]] = s;
+        }
+    }
 }
 
 void

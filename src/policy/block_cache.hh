@@ -24,8 +24,7 @@
 
 namespace silc {
 
-class BlobWriter;
-class BlobReader;
+class Blob;
 
 namespace policy {
 
@@ -66,8 +65,7 @@ class BlockCacheDir
     bool dirty(uint64_t slot) const { return dirty_[slot] != 0; }
     void markDirty(uint64_t slot) { dirty_[slot] = 1; }
 
-    void snapshot(BlobWriter &w) const;
-    void restore(BlobReader &r);
+    void checkpoint(Blob &b);
 
     // ---- Fault injection (shadow-oracle self-tests ONLY). ----
 

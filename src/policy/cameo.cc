@@ -220,37 +220,15 @@ CameoPolicy::demandAccess(Addr paddr, bool is_write, CoreId core, Addr pc,
 }
 
 void
-CameoPolicy::snapshotState(BlobWriter &w) const
+CameoPolicy::checkpoint(Blob &b)
 {
-    FlatMemoryPolicy::snapshotState(w);
-    w.putU64(perm_.size());
-    for (uint8_t v : perm_)
-        w.putU8(v);
-    w.putU64(llp_.size());
-    for (uint8_t v : llp_)
-        w.putU8(v);
-    w.putU64(swaps_);
-    w.putU64(prefetches_);
-    w.putU64(llp_correct_);
-    w.putU64(llp_lookups_);
-}
-
-void
-CameoPolicy::restoreState(BlobReader &r)
-{
-    FlatMemoryPolicy::restoreState(r);
-    if (r.getU64() != perm_.size())
-        fatal("cameo restore: permutation size mismatch");
-    for (uint8_t &v : perm_)
-        v = r.getU8();
-    if (r.getU64() != llp_.size())
-        fatal("cameo restore: LLP size mismatch");
-    for (uint8_t &v : llp_)
-        v = r.getU8();
-    swaps_ = r.getU64();
-    prefetches_ = r.getU64();
-    llp_correct_ = r.getU64();
-    llp_lookups_ = r.getU64();
+    FlatMemoryPolicy::checkpoint(b);
+    b.items(perm_, "cameo permutation size");
+    b.items(llp_, "cameo LLP size");
+    b.u64(swaps_);
+    b.u64(prefetches_);
+    b.u64(llp_correct_);
+    b.u64(llp_lookups_);
 }
 
 } // namespace policy

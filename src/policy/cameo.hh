@@ -54,8 +54,7 @@ class CameoPolicy : public FlatMemoryPolicy
                       DemandCallback done, Tick now) override;
     Location locate(Addr paddr) const override;
 
-    void snapshotState(BlobWriter &w) const override;
-    void restoreState(BlobReader &r) override;
+    void checkpoint(Blob &b) override;
 
     uint64_t swaps() const { return swaps_; }
     uint64_t prefetches() const { return prefetches_; }

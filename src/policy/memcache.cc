@@ -162,21 +162,12 @@ MemCachePolicy::writeback(Addr paddr, CoreId core, Tick now)
 }
 
 void
-MemCachePolicy::snapshotState(BlobWriter &w) const
+MemCachePolicy::checkpoint(Blob &b)
 {
-    FlatMemoryPolicy::snapshotState(w);
-    dir_.snapshot(w);
-    w.putU64(fills_);
-    w.putU64(dirty_evictions_);
-}
-
-void
-MemCachePolicy::restoreState(BlobReader &r)
-{
-    FlatMemoryPolicy::restoreState(r);
-    dir_.restore(r);
-    fills_ = r.getU64();
-    dirty_evictions_ = r.getU64();
+    FlatMemoryPolicy::checkpoint(b);
+    dir_.checkpoint(b);
+    b.u64(fills_);
+    b.u64(dirty_evictions_);
 }
 
 } // namespace policy

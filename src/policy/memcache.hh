@@ -73,8 +73,7 @@ class MemCachePolicy : public FlatMemoryPolicy
     void writeback(Addr paddr, CoreId core, Tick now) override;
     Location locate(Addr paddr) const override;
 
-    void snapshotState(BlobWriter &w) const override;
-    void restoreState(BlobReader &r) override;
+    void checkpoint(Blob &b) override;
 
     /** NM bytes exposed as flat memory ([0, staticBytes()) of the flat
      *  space identity-maps onto NM). */

@@ -177,19 +177,11 @@ FlatMemoryPolicy::writeback(Addr paddr, CoreId core, Tick now)
 }
 
 void
-FlatMemoryPolicy::snapshotState(BlobWriter &w) const
+FlatMemoryPolicy::checkpoint(Blob &b)
 {
-    w.putU64(nm_serviced_);
-    w.putU64(fm_serviced_);
-    w.putU64(migration_ops_);
-}
-
-void
-FlatMemoryPolicy::restoreState(BlobReader &r)
-{
-    nm_serviced_ = r.getU64();
-    fm_serviced_ = r.getU64();
-    migration_ops_ = r.getU64();
+    b.u64(nm_serviced_);
+    b.u64(fm_serviced_);
+    b.u64(migration_ops_);
 }
 
 } // namespace policy

@@ -28,8 +28,7 @@
 
 namespace silc {
 
-class BlobWriter;
-class BlobReader;
+class Blob;
 
 namespace telemetry {
 class Sampler;
@@ -213,11 +212,10 @@ class FlatMemoryPolicy
     const PolicyEnv &environment() const { return env_; }
 
     /**
-     * Serialize policy state for checkpointing.  The base captures the
-     * service counters; overrides chain up then append their own state.
+     * Checkpoint the policy state (common/serialize.hh).  The base lists
+     * the service counters; overrides chain up, then list their own.
      */
-    virtual void snapshotState(BlobWriter &w) const;
-    virtual void restoreState(BlobReader &r);
+    virtual void checkpoint(Blob &b);
 
     /**
      * Attach a functional observer.  Observers are notified in the

@@ -149,35 +149,14 @@ PomPolicy::demandAccess(Addr paddr, bool is_write, CoreId core, Addr pc,
 }
 
 void
-PomPolicy::snapshotState(BlobWriter &w) const
+PomPolicy::checkpoint(Blob &b)
 {
-    FlatMemoryPolicy::snapshotState(w);
-    w.putU64(resident_.size());
-    for (uint8_t v : resident_)
-        w.putU8(v);
-    w.putU64(counters_.size());
-    for (uint8_t v : counters_)
-        w.putU8(v);
-    w.putU64(accesses_);
-    w.putU64(migrations_);
-    w.putU64(restores_);
-}
-
-void
-PomPolicy::restoreState(BlobReader &r)
-{
-    FlatMemoryPolicy::restoreState(r);
-    if (r.getU64() != resident_.size())
-        fatal("pom restore: residency table size mismatch");
-    for (uint8_t &v : resident_)
-        v = r.getU8();
-    if (r.getU64() != counters_.size())
-        fatal("pom restore: counter table size mismatch");
-    for (uint8_t &v : counters_)
-        v = r.getU8();
-    accesses_ = r.getU64();
-    migrations_ = r.getU64();
-    restores_ = r.getU64();
+    FlatMemoryPolicy::checkpoint(b);
+    b.items(resident_, "pom residency table size");
+    b.items(counters_, "pom counter table size");
+    b.u64(accesses_);
+    b.u64(migrations_);
+    b.u64(restores_);
 }
 
 } // namespace policy

@@ -43,8 +43,7 @@ class PomPolicy : public FlatMemoryPolicy
                       DemandCallback done, Tick now) override;
     Location locate(Addr paddr) const override;
 
-    void snapshotState(BlobWriter &w) const override;
-    void restoreState(BlobReader &r) override;
+    void checkpoint(Blob &b) override;
 
     uint64_t migrations() const { return migrations_; }
     uint64_t restores() const { return restores_; }

@@ -39,7 +39,7 @@ namespace policy {
  * Parameter bundle covering every scheme in the table.  A factory reads
  * only its own member; carrying all of them keeps the factory signature
  * uniform and lets one struct ride through SystemConfig (which derives
- * from it), the fuzz campaign generator, and snapshot plumbing
+ * from it), the fuzz campaign generator, and checkpoint plumbing
  * unchanged.
  */
 struct SchemeConfig
@@ -72,7 +72,7 @@ struct SchemeTraits
     /** Has a per-scheme lockstep ReferenceOracle beyond the shadow-data
      *  invariant checker every scheme gets. */
     bool has_reference_oracle = false;
-    /** Its state round-trips through snapshotState()/restoreState(), so
+    /** Its state round-trips through FlatMemoryPolicy::checkpoint(), so
      *  it can be sampled (sample/sampling.hh).  Schemes whose behaviour
      *  is coupled to detailed-mode tick counts (HMA's epochs) are not,
      *  and run in full detail when sampling is requested. */

@@ -7,21 +7,18 @@ namespace silc {
 namespace sample {
 
 Checkpoint
-capture(const sim::System &system, uint64_t warm_instructions)
+capture(sim::System &system, uint64_t warm_instructions)
 {
-    Checkpoint c;
-    c.warm_instructions = warm_instructions;
-    BlobWriter w;
-    system.snapshotState(w);
-    c.blob = w.take();
-    return c;
+    Blob b;
+    system.checkpoint(b);
+    return Checkpoint{warm_instructions, b.take()};
 }
 
 void
 restore(sim::System &system, const Checkpoint &ckpt)
 {
-    BlobReader r(ckpt.blob);
-    system.restoreState(r);
+    Blob b(ckpt.blob);
+    system.checkpoint(b);
 }
 
 } // namespace sample

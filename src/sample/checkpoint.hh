@@ -9,7 +9,7 @@
  * state, counters) and per-core trace positions.  Timing state — MSHRs,
  * DRAM queues, in-flight events — is deliberately excluded: checkpoints
  * are only taken at quiesced functional-warming pause points where all
- * of it is empty (System::snapshotState() asserts this), and each replay
+ * of it is empty (System::checkpoint() asserts this), and each replay
  * re-warms the timing structures during its detailed-warmup prefix.
  *
  * Because replays construct their System from the identical
@@ -46,7 +46,7 @@ struct Checkpoint
  * functional-warming instruction boundary (System::runToBudget()
  * returned true in functional mode): empty MSHRs, idle DRAM devices.
  */
-Checkpoint capture(const sim::System &system, uint64_t warm_instructions);
+Checkpoint capture(sim::System &system, uint64_t warm_instructions);
 
 /**
  * Restore @p ckpt into @p system, which must be freshly constructed from

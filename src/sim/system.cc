@@ -208,34 +208,21 @@ MemoryHierarchy::warmShared(CoreId core, Addr paddr, Addr pc, bool is_write,
 }
 
 void
-MemoryHierarchy::snapshot(BlobWriter &w) const
+MemoryHierarchy::checkpoint(Blob &b)
 {
-    w.putU32(static_cast<uint32_t>(private_.size()));
-    for (const CorePrivate &p : private_)
-        p.l1d.snapshot(w);
-    l2_.snapshot(w);
-    for (uint64_t m : llc_misses_)
-        w.putU64(m);
-    w.putU64(llc_misses_total_);
-    w.putF64(miss_latency_sum_);
-    w.putU64(misses_completed_);
-}
-
-void
-MemoryHierarchy::restore(BlobReader &r)
-{
-    const uint32_t cores = r.getU32();
+    uint32_t cores = static_cast<uint32_t>(private_.size());
+    b.u32(cores);
     if (cores != private_.size())
         fatal("hierarchy checkpoint core count %u != configured %zu",
               cores, private_.size());
     for (CorePrivate &p : private_)
-        p.l1d.restore(r);
-    l2_.restore(r);
+        p.l1d.checkpoint(b);
+    l2_.checkpoint(b);
     for (uint64_t &m : llc_misses_)
-        m = r.getU64();
-    llc_misses_total_ = r.getU64();
-    miss_latency_sum_ = r.getF64();
-    misses_completed_ = r.getU64();
+        b.u64(m);
+    b.u64(llc_misses_total_);
+    b.f64(miss_latency_sum_);
+    b.u64(misses_completed_);
 }
 
 // ---- System ------------------------------------------------------------
@@ -261,7 +248,7 @@ System::System(SystemConfig cfg)
     policy_ = scheme.factory(cfg_, env);
 
     translation_ = std::make_unique<Translation>(
-        policy_->flatSpaceBytes(), cfg_.seed);
+        policy_->flatSpaceBytes(), cfg_.cores, cfg_.seed);
 
     hierarchy_ = std::make_unique<MemoryHierarchy>(cfg_, *translation_,
                                                    *policy_, events_);
@@ -449,75 +436,60 @@ System::setPerCoreBudget(uint64_t instructions)
 }
 
 void
-System::snapshotState(BlobWriter &w) const
+System::checkpoint(Blob &b)
 {
-    // Only legal at a quiesced functional-mode pause point: nothing in
-    // flight, so timing state need not (and must not) be captured.
-    silc_assert(hierarchy_->mshrs().size() == 0);
-    silc_assert(fm_->idle());
-    silc_assert(!nm_ || nm_->idle());
+    if (b.reading()) {
+        // The oracle checks runs from the home layout only: it cannot
+        // follow state restored under its feet.
+        if (cfg_.check)
+            fatal("cannot restore a checkpoint under the oracle "
+                  "(SILC_CHECK): check the warming run instead");
+    } else {
+        // Only legal at a quiesced functional-mode pause point: nothing
+        // in flight, so timing state need not (and must not) be
+        // captured.
+        silc_assert(hierarchy_->mshrs().size() == 0);
+        silc_assert(fm_->idle());
+        silc_assert(!nm_ || nm_->idle());
+    }
 
-    w.section("SILC");
+    b.section("SILC");
     // Version 5: SILC-FM's bandwidth balancer carries no bypassed-window
     // count.  Version 4: caches carry no random-replacement cursor.
     // Version 3 dropped the L1i (it is not modeled).  Version 2
     // serialized NM frame metadata sparsely (materialized frames only);
     // version-1 blobs carried the dense per-frame dump.
-    w.putU32(5); // checkpoint format version
-    w.putStr(policy_->name());
-    w.putU32(cfg_.cores);
-
-    w.section("TRNS");
-    translation_->snapshot(w);
-
-    w.section("HIER");
-    hierarchy_->snapshot(w);
-
-    w.section("POLI");
-    policy_->snapshotState(w);
-
-    for (const auto &t : traces_) {
-        w.section("TRCE");
-        t->snapshot(w);
-    }
-}
-
-void
-System::restoreState(BlobReader &r)
-{
-    // The oracle checks runs from the home layout only: it cannot
-    // follow state restored under its feet.
-    if (cfg_.check)
-        fatal("cannot restore a checkpoint under the oracle "
-              "(SILC_CHECK): check the warming run instead");
-    r.expect("SILC");
-    const uint32_t version = r.getU32();
-    if (version != 5)
-        fatal("checkpoint format version %u unsupported (expected 5)",
-              version);
-    const std::string pname = r.getStr();
+    constexpr uint32_t kFormatVersion = 5;
+    uint32_t version = kFormatVersion;
+    b.u32(version);
+    if (version != kFormatVersion)
+        fatal("checkpoint format version %u unsupported (expected %u)",
+              version, kFormatVersion);
+    std::string pname = policy_->name();
+    b.str(pname);
     if (pname != policy_->name())
         fatal("checkpoint policy '%s' does not match system policy '%s'",
               pname.c_str(), policy_->name());
-    const uint32_t cores = r.getU32();
+    uint32_t cores = cfg_.cores;
+    b.u32(cores);
     if (cores != cfg_.cores)
         fatal("checkpoint core count %u does not match config (%u)",
               cores, cfg_.cores);
 
-    r.expect("TRNS");
-    translation_->restore(r);
+    b.section("TRNS");
+    translation_->checkpoint(b);
 
-    r.expect("HIER");
-    hierarchy_->restore(r);
+    b.section("HIER");
+    hierarchy_->checkpoint(b);
 
-    r.expect("POLI");
-    policy_->restoreState(r);
+    b.section("POLI");
+    policy_->checkpoint(b);
 
     for (auto &t : traces_) {
-        r.expect("TRCE");
-        t->restore(r);
+        b.section("TRCE");
+        t->checkpoint(b);
     }
-    r.done();
+    b.done();
 }
 
 SimResult

@@ -180,19 +180,17 @@ class System
     trace::TraceSource &traceSource(uint32_t c) { return *traces_.at(c); }
 
     /**
-     * Serialize the architectural state (translation, caches, policy
-     * metadata, trace positions) into a checkpoint blob.  Only legal at
-     * a functional-mode pause point: the MSHR file must be empty and
-     * both DRAM systems idle.  Timing state is deliberately excluded —
+     * Checkpoint the architectural state (translation, caches, policy
+     * metadata, trace positions).  Writing is only legal at a
+     * functional-mode pause point: the MSHR file must be empty and both
+     * DRAM systems idle.  Timing state is deliberately excluded —
      * replays start from quiesced devices and re-warm them during the
-     * detailed-warmup prefix of each window.
+     * detailed-warmup prefix of each window.  Reading is only legal on
+     * a freshly built System configured like the one that wrote the
+     * blob, and fatal() when the oracle is on (check): it checks fresh
+     * runs only.
      */
-    void snapshotState(BlobWriter &w) const;
-
-    /** Restore state captured by snapshotState() on an identically
-     *  configured System.  fatal() when the oracle is on (check): it
-     *  checks fresh runs only. */
-    void restoreState(BlobReader &r);
+    void checkpoint(Blob &b);
 
     /** Current cycle of the resumable sequential loop. */
     Tick currentCycle() const { return cycle_; }
@@ -312,9 +310,8 @@ class MemoryHierarchy : public cpu::MemoryPort
     bool warmShared(CoreId core, Addr paddr, Addr pc, bool is_write,
                     Addr victim, Tick now);
 
-    /** Serialize cache contents + miss counters for checkpointing. */
-    void snapshot(BlobWriter &w) const;
-    void restore(BlobReader &r);
+    /** Checkpoint the cache contents and miss counters. */
+    void checkpoint(Blob &b);
 
     const cache::Cache &l1d(CoreId core) const
     {

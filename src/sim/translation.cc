@@ -8,7 +8,9 @@
 namespace silc {
 namespace sim {
 
-Translation::Translation(uint64_t phys_bytes, uint64_t seed)
+Translation::Translation(uint64_t phys_bytes, uint32_t cores,
+                         uint64_t seed)
+    : tlb_(cores)
 {
     if (phys_bytes == 0 || phys_bytes % kLargeBlockSize != 0)
         fatal("translation: physical space must be a positive multiple "
@@ -41,30 +43,14 @@ Addr
 Translation::translate(CoreId core, Addr vaddr)
 {
     const uint64_t vpage = vaddr >> kLargeBlockBits;
-    if (core < tlb_.size()) {
-        const TlbEntry &e = tlbEntry(core, vpage);
-        if (e.vpage == vpage)
-            return e.frame * kLargeBlockSize +
-                (vaddr & (kLargeBlockSize - 1));
-    }
-    const uint64_t k = key(core, vpage);
-    auto it = page_table_.find(k);
-    const uint64_t frame =
-        it != page_table_.end() ? it->second : allocate(core, k);
-    if (core >= tlb_.size())
-        tlb_.resize(static_cast<size_t>(core) + 1);
     TlbEntry &e = tlbEntry(core, vpage);
-    e.vpage = vpage;
-    e.frame = frame;
-    return frame * kLargeBlockSize + (vaddr & (kLargeBlockSize - 1));
-}
-
-void
-Translation::ensureCores(uint32_t cores)
-{
-    sized_cores_ = std::max(sized_cores_, cores);
-    if (tlb_.size() < sized_cores_)
-        tlb_.resize(sized_cores_);
+    if (e.vpage != vpage) {
+        const uint64_t k = key(core, vpage);
+        const auto it = page_table_.find(k);
+        e.vpage = vpage;
+        e.frame = it != page_table_.end() ? it->second : allocate(core, k);
+    }
+    return e.frame * kLargeBlockSize + (vaddr & (kLargeBlockSize - 1));
 }
 
 bool
@@ -113,58 +99,45 @@ Translation::pagesAllocatedFor(CoreId core) const
     return it == per_core_pages_.end() ? 0 : it->second;
 }
 
+namespace {
+
+/**
+ * Checkpoint @p map as a count and its (key, value) pairs in ascending
+ * key order, the key listed by @p key_field.
+ */
+template <typename K>
 void
-Translation::snapshot(BlobWriter &w) const
+checkpointMap(Blob &b, std::unordered_map<K, uint64_t> &map,
+              void (Blob::*key_field)(K &))
 {
-    w.putU64(next_free_);
-
-    std::vector<std::pair<uint64_t, uint64_t>> entries(
-        page_table_.begin(), page_table_.end());
-    std::sort(entries.begin(), entries.end());
-    w.putU64(entries.size());
-    for (const auto &[k, frame] : entries) {
-        w.putU64(k);
-        w.putU64(frame);
-    }
-
-    std::vector<std::pair<CoreId, uint64_t>> per_core(
-        per_core_pages_.begin(), per_core_pages_.end());
-    std::sort(per_core.begin(), per_core.end());
-    w.putU64(per_core.size());
-    for (const auto &[core, pages] : per_core) {
-        w.putU32(core);
-        w.putU64(pages);
+    std::vector<std::pair<K, uint64_t>> sorted(map.begin(), map.end());
+    std::sort(sorted.begin(), sorted.end());
+    uint64_t n = sorted.size();
+    b.u64(n);
+    for (uint64_t i = 0; i < n; ++i) {
+        auto [key, value] =
+            b.reading() ? std::pair<K, uint64_t>{} : sorted[i];
+        (b.*key_field)(key);
+        b.u64(value);
+        if (b.reading())
+            map[key] = value;
     }
 }
 
+} // namespace
+
 void
-Translation::restore(BlobReader &r)
+Translation::checkpoint(Blob &b)
 {
-    next_free_ = r.getU64();
+    b.u64(next_free_);
     if (next_free_ > frames_.size())
         fatal("translation restore: %llu pages allocated but only %zu "
               "frames (phys size mismatch)",
               static_cast<unsigned long long>(next_free_), frames_.size());
-
-    page_table_.clear();
-    const uint64_t entries = r.getU64();
-    for (uint64_t i = 0; i < entries; ++i) {
-        const uint64_t k = r.getU64();
-        const uint64_t frame = r.getU64();
-        page_table_.emplace(k, frame);
-    }
-
-    per_core_pages_.clear();
-    const uint64_t cores = r.getU64();
-    for (uint64_t i = 0; i < cores; ++i) {
-        const CoreId core = r.getU32();
-        per_core_pages_[core] = r.getU64();
-    }
-
-    // Invalidate the translation cache but keep the ensureCores() floor:
-    // shrinking here would reintroduce the lazy-resize that the warming
-    // engine's concurrent per-core phases cannot tolerate.
-    tlb_.assign(sized_cores_, TlbSlice{});
+    checkpointMap(b, page_table_, &Blob::u64);
+    checkpointMap(b, per_core_pages_, &Blob::u32);
+    if (b.reading())
+        std::fill(tlb_.begin(), tlb_.end(), TlbSlice{});
 }
 
 } // namespace sim

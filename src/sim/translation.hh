@@ -20,8 +20,7 @@
 
 namespace silc {
 
-class BlobWriter;
-class BlobReader;
+class Blob;
 
 namespace sim {
 
@@ -31,24 +30,16 @@ class Translation
   public:
     /**
      * @param phys_bytes flat physical space size (policy-defined)
+     * @param cores      cores [0, cores) that translate
      * @param seed       RNG seed for the frame shuffle
      */
-    Translation(uint64_t phys_bytes, uint64_t seed);
+    Translation(uint64_t phys_bytes, uint32_t cores, uint64_t seed);
 
     /**
      * Translate @p vaddr of @p core, allocating a frame on first touch.
      * fatal() when physical memory is exhausted.
      */
     Addr translate(CoreId core, Addr vaddr);
-
-    /**
-     * Pre-size the translation cache for cores [0, @p cores).  Without
-     * this, translate() grows the TLB vector lazily on first miss — a
-     * reallocation that would race with the warming engine's concurrent
-     * per-core translateMapped() calls.  The sizing floor survives
-     * restore().
-     */
-    void ensureCores(uint32_t cores);
 
     // ---- First-touch split (the functional-warming engine) ----------
     //
@@ -57,8 +48,7 @@ class Translation
     // translate concurrently (each touches only its own core's TLB
     // slice and reads the page table), and allocatePage() runs serially
     // in between, in global access order, so frames are handed out
-    // exactly as the interleaved translate() calls would.  Call
-    // ensureCores() first.
+    // exactly as the interleaved translate() calls would.
 
     /**
      * True when @p core's page of @p vaddr has no frame yet and was not
@@ -87,14 +77,14 @@ class Translation
     uint64_t pagesAllocatedFor(CoreId core) const;
 
     /**
-     * Serialize the page table and allocation cursor.  The shuffled
+     * Checkpoint the page table and allocation cursor.  The shuffled
      * frame list is ctor-pure (a pure function of phys_bytes and seed)
-     * and is not captured; restore() requires a Translation constructed
-     * with the same parameters.  Entries are written in sorted-key order
-     * so the blob is byte-deterministic despite the unordered_map.
+     * and is not captured, so a checkpoint is read into a Translation
+     * constructed with the same parameters.  Entries go in sorted-key
+     * order so the blob is byte-deterministic despite the hash maps.
+     * Reading invalidates the translation cache.
      */
-    void snapshot(BlobWriter &w) const;
-    void restore(BlobReader &r);
+    void checkpoint(Blob &b);
 
   private:
     static uint64_t
@@ -117,11 +107,9 @@ class Translation
      * here is exact; it exists because the interleaving of instruction
      * lines, stack-like friendly-region accesses and hot-page bursts
      * defeats a single-entry memo, and the hash-map probe was ~17% of
-     * simulation time.  Grown lazily per core unless pre-sized via
-     * ensureCores(); restore() invalidates entries but keeps the
-     * pre-sized capacity (see sized_cores_).  One cache-line-aligned
-     * slice per core, so cores translating concurrently never write a
-     * shared line.
+     * simulation time.  One cache-line-aligned slice per core, sized
+     * at construction, so cores translating concurrently never write a
+     * shared line and nothing reallocates under them.
      */
     static constexpr uint32_t kTlbEntries = 256; // per core, power of 2
 
@@ -148,8 +136,6 @@ class Translation
     }
 
     std::vector<TlbSlice> tlb_;
-    /** ensureCores() floor, reapplied by restore(). */
-    uint32_t sized_cores_ = 0;
 };
 
 } // namespace sim

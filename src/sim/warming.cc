@@ -131,7 +131,6 @@ System::runFunctional()
         warm_ = std::make_unique<WarmEngine>(
             n, std::min<unsigned>(parallelThreadsFromEnv(), n));
     }
-    translation_->ensureCores(n);
     std::vector<WarmLane> &lanes = warm_->lanes();
 
     // The segment's schedule: core c retires `width` instructions in

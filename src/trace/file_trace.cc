@@ -142,42 +142,30 @@ FileTraceReader::next()
 }
 
 void
-FileTraceReader::snapshot(BlobWriter &w) const
+FileTraceReader::checkpoint(Blob &b)
 {
     // tellg() on a good stream is non-destructive; the stream stays
     // positioned where refill() left it.
-    const std::streamoff off = static_cast<std::streamoff>(in_.tellg());
+    int64_t off = b.reading() ? 0 : static_cast<int64_t>(in_.tellg());
     if (off < 0)
         fatal("trace file '%s': cannot checkpoint (tellg failed)",
               path_.c_str());
-    w.putI64(off);
-    w.putU64(nonmem_left_);
-    w.putBool(have_mem_);
-    w.putBool(mem_.is_mem);
-    w.putBool(mem_.is_write);
-    w.putU64(mem_.vaddr);
-    w.putU64(mem_.pc);
-    w.putU64(delivered_);
-    w.putU64(wraps_);
-}
-
-void
-FileTraceReader::restore(BlobReader &r)
-{
-    const std::streamoff off = static_cast<std::streamoff>(r.getI64());
-    in_.clear();
-    in_.seekg(off);
-    if (!in_)
-        fatal("trace file '%s': cannot restore checkpoint offset %lld",
-              path_.c_str(), static_cast<long long>(off));
-    nonmem_left_ = r.getU64();
-    have_mem_ = r.getBool();
-    mem_.is_mem = r.getBool();
-    mem_.is_write = r.getBool();
-    mem_.vaddr = r.getU64();
-    mem_.pc = r.getU64();
-    delivered_ = r.getU64();
-    wraps_ = r.getU64();
+    b.i64(off);
+    if (b.reading()) {
+        in_.clear();
+        in_.seekg(off);
+        if (!in_)
+            fatal("trace file '%s': cannot restore checkpoint offset %lld",
+                  path_.c_str(), static_cast<long long>(off));
+    }
+    b.u64(nonmem_left_);
+    b.flag(have_mem_);
+    b.flag(mem_.is_mem);
+    b.flag(mem_.is_write);
+    b.u64(mem_.vaddr);
+    b.u64(mem_.pc);
+    b.u64(delivered_);
+    b.u64(wraps_);
 }
 
 } // namespace trace

@@ -78,12 +78,11 @@ class FileTraceReader : public TraceSource
     TraceInstruction next() override;
 
     /**
-     * Serialize / restore the stream position (file offset plus the
-     * staged record).  restore() requires a reader opened on the same
+     * Checkpoint the stream position (file offset plus the staged
+     * record).  A checkpoint is read into a reader opened on the same
      * trace file.
      */
-    void snapshot(BlobWriter &w) const override;
-    void restore(BlobReader &r) override;
+    void checkpoint(Blob &b) override;
 
     /** Instructions delivered so far. */
     uint64_t delivered() const { return delivered_; }
@@ -95,7 +94,7 @@ class FileTraceReader : public TraceSource
     /** Refill the current record from the file, wrapping at EOF. */
     void refill();
 
-    mutable std::ifstream in_;
+    std::ifstream in_;
     std::string path_;
     std::streampos body_start_;
 

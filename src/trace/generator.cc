@@ -74,16 +74,8 @@ ctorKey(const WorkloadProfile &p, uint64_t seed)
 } // namespace
 
 void
-TraceSource::snapshot(BlobWriter &w) const
+TraceSource::checkpoint(Blob &)
 {
-    (void)w;
-    fatal("this trace source does not support checkpointing");
-}
-
-void
-TraceSource::restore(BlobReader &r)
-{
-    (void)r;
     fatal("this trace source does not support checkpointing");
 }
 
@@ -292,53 +284,25 @@ SyntheticGenerator::next()
 }
 
 void
-SyntheticGenerator::snapshot(BlobWriter &w) const
+SyntheticGenerator::checkpoint(Blob &b)
 {
-    for (uint64_t word : rng_.state())
-        w.putU64(word);
-    w.putU64(hot_perm_.size());
-    for (uint32_t p : hot_perm_)
-        w.putU32(p);
-    w.putU64(nonmem_pc_);
-    w.putBool(burst_is_stream_);
-    w.putU32(burst_left_);
-    w.putU64(burst_addr_);
-    w.putU64(burst_pc_);
-    w.putU64(burst_page_);
-    w.putU32(burst_bit_);
-    w.putU64(stream_cursor_);
-    w.putU64(mem_ops_);
-    w.putU64(phase_countdown_);
-    w.putU64(phase_changes_);
-    w.putU64(instr_count_);
-}
-
-void
-SyntheticGenerator::restore(BlobReader &r)
-{
-    std::array<uint64_t, 4> s;
-    for (auto &word : s)
-        word = r.getU64();
+    std::array<uint64_t, 4> s = rng_.state();
+    for (uint64_t &word : s)
+        b.u64(word);
     rng_.setState(s);
-    const uint64_t perm = r.getU64();
-    if (perm != hot_perm_.size())
-        fatal("trace restore: hot set has %llu pages, generator %zu "
-              "(profile mismatch)", static_cast<unsigned long long>(perm),
-              hot_perm_.size());
-    for (auto &p : hot_perm_)
-        p = r.getU32();
-    nonmem_pc_ = r.getU64();
-    burst_is_stream_ = r.getBool();
-    burst_left_ = r.getU32();
-    burst_addr_ = r.getU64();
-    burst_pc_ = r.getU64();
-    burst_page_ = r.getU64();
-    burst_bit_ = r.getU32();
-    stream_cursor_ = r.getU64();
-    mem_ops_ = r.getU64();
-    phase_countdown_ = r.getU64();
-    phase_changes_ = r.getU64();
-    instr_count_ = r.getU64();
+    b.items(hot_perm_, "trace hot set size");
+    b.u64(nonmem_pc_);
+    b.flag(burst_is_stream_);
+    b.u32(burst_left_);
+    b.u64(burst_addr_);
+    b.u64(burst_pc_);
+    b.u64(burst_page_);
+    b.u32(burst_bit_);
+    b.u64(stream_cursor_);
+    b.u64(mem_ops_);
+    b.u64(phase_countdown_);
+    b.u64(phase_changes_);
+    b.u64(instr_count_);
 }
 
 } // namespace trace

@@ -27,8 +27,7 @@
 
 namespace silc {
 
-class BlobWriter;
-class BlobReader;
+class Blob;
 
 namespace trace {
 
@@ -51,13 +50,12 @@ class TraceSource
     virtual TraceInstruction next() = 0;
 
     /**
-     * Serialize / restore the stream position for checkpointing.  The
-     * defaults fatal(): sources that cannot round-trip their state must
+     * Checkpoint the stream position (common/serialize.hh).  The
+     * default fatal()s: sources that cannot round-trip their state must
      * not be sampled (SamplingController checks policy support, and all
-     * shipped sources implement these).
+     * shipped sources implement this).
      */
-    virtual void snapshot(BlobWriter &w) const;
-    virtual void restore(BlobReader &r);
+    virtual void checkpoint(Blob &b);
 };
 
 /** MPKI class from Table III. */
@@ -144,13 +142,13 @@ class SyntheticGenerator : public TraceSource
     TraceInstruction next() override;
 
     /**
-     * Serialize the mutable stream state (RNG, hot permutation, burst
+     * Checkpoint the mutable stream state (RNG, hot permutation, burst
      * machine, counters).  Ctor-pure tables (page_masks_, zipf_,
-     * mem_pcs_) are not captured: restore() requires a generator built
-     * with the same (profile, seed), which the ctor memo makes exact.
+     * mem_pcs_) are not captured: a checkpoint is read into a generator
+     * built with the same (profile, seed), which the ctor memo makes
+     * exact.
      */
-    void snapshot(BlobWriter &w) const override;
-    void restore(BlobReader &r) override;
+    void checkpoint(Blob &b) override;
 
     const WorkloadProfile &profile() const { return profile_; }
 

@@ -147,14 +147,15 @@ TEST(Capacity, NmMetadataSnapshotRoundTripsSparsely)
     meta.meta(400'000).has_signature = true;
     meta.touch(meta.meta(3));
 
-    BlobWriter w;
-    meta.snapshot(w);
+    Blob w;
+    meta.checkpoint(w);
     // Sparse blob: nowhere near 524288 frames' worth of bytes.
-    EXPECT_LT(w.size(), 4096u);
+    EXPECT_LT(w.bytes().size(), 4096u);
 
     core::NmMetadata fresh(524'288, 4);
-    BlobReader r(w.data());
-    fresh.restore(r);
+    Blob r(w.bytes());
+    fresh.checkpoint(r);
+    r.done();
     EXPECT_EQ(fresh.materializedFrames(), 2u);
     const core::NmMetadata &cf = fresh;
     EXPECT_EQ(cf.meta(3).remap, 1000u);
@@ -179,13 +180,14 @@ TEST(Capacity, BitVectorTableSparseSnapshotRoundTrip)
     table.save(0x404, 0x2000, bv2);
     EXPECT_EQ(table.populated(), 2u);
 
-    BlobWriter w;
-    table.snapshot(w);
-    EXPECT_LT(w.size(), 256u);
+    Blob w;
+    table.checkpoint(w);
+    EXPECT_LT(w.bytes().size(), 256u);
 
     core::BitVectorTable fresh(1'048'576);
-    BlobReader r(w.data());
-    fresh.restore(r);
+    Blob r(w.bytes());
+    fresh.checkpoint(r);
+    r.done();
     EXPECT_EQ(fresh.populated(), 2u);
     EXPECT_EQ(fresh.lookup(0x400, 0x1000).raw(), bv.raw());
     EXPECT_EQ(fresh.lookup(0x404, 0x2000).raw(), bv2.raw());

@@ -656,12 +656,13 @@ TEST_F(PolicyFixture, DramCacheSnapshotRestoreRoundTrips)
         drain(now);
         now += 1'000'000;
     }
-    BlobWriter w;
-    p.snapshotState(w);
+    Blob w;
+    p.checkpoint(w);
 
     MemCachePolicy q(env_, DramCacheParams{});
-    BlobReader r(w.data());
-    q.restoreState(r);
+    Blob r(w.bytes());
+    q.checkpoint(r);
+    r.done();
     EXPECT_EQ(q.fills(), p.fills());
     EXPECT_EQ(q.dirtyEvictions(), p.dirtyEvictions());
     for (Addr a = 0; a < p.flatSpaceBytes(); a += kSubblockSize) {

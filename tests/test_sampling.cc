@@ -193,54 +193,99 @@ smokeSamplingConfig()
 
 TEST(Serialize, RoundTrip)
 {
-    BlobWriter w;
-    w.section("TEST");
-    w.putU8(0xAB);
-    w.putU32(0xDEADBEEF);
-    w.putU64(0x0123456789ABCDEFull);
-    w.putI64(-42);
-    w.putBool(true);
-    w.putF64(3.25);
-    w.putStr("hello");
+    uint8_t u8 = 0xAB;
+    uint32_t u32 = 0xDEADBEEF;
+    uint64_t u64 = 0x0123456789ABCDEFull;
+    int64_t i64 = -42;
+    bool flag = true;
+    double f64 = 3.25;
+    std::string str = "hello";
+    std::vector<uint32_t> items = {7, 9};
 
-    BlobReader r(w.data());
-    r.expect("TEST");
-    EXPECT_EQ(r.getU8(), 0xAB);
-    EXPECT_EQ(r.getU32(), 0xDEADBEEFu);
-    EXPECT_EQ(r.getU64(), 0x0123456789ABCDEFull);
-    EXPECT_EQ(r.getI64(), -42);
-    EXPECT_TRUE(r.getBool());
-    EXPECT_EQ(r.getF64(), 3.25);
-    EXPECT_EQ(r.getStr(), "hello");
+    Blob w;
+    w.section("TEST");
+    w.u8(u8);
+    w.u32(u32);
+    w.u64(u64);
+    w.i64(i64);
+    w.flag(flag);
+    w.f64(f64);
+    w.str(str);
+    w.items(items, "items");
+    w.done();
+    // Tag, fixed-width fields, length-prefixed string, counted items.
+    EXPECT_EQ(w.bytes().size(), 4u + 1 + 4 + 8 + 8 + 1 + 8 + (8 + 5) +
+                                    (8 + 2 * 4));
+
+    // Reading assigns every field back through the same calls.
+    uint8_t r8 = 0;
+    uint32_t r32 = 0;
+    uint64_t r64 = 0;
+    int64_t ri64 = 0;
+    bool rflag = false;
+    double rf64 = 0.0;
+    std::string rstr;
+    std::vector<uint32_t> ritems(2);
+    Blob r(w.bytes());
+    EXPECT_TRUE(r.reading());
+    r.section("TEST");
+    r.u8(r8);
+    r.u32(r32);
+    r.u64(r64);
+    r.i64(ri64);
+    r.flag(rflag);
+    r.f64(rf64);
+    r.str(rstr);
+    r.items(ritems, "items");
     r.done();
-    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(r8, 0xAB);
+    EXPECT_EQ(r32, 0xDEADBEEFu);
+    EXPECT_EQ(r64, 0x0123456789ABCDEFull);
+    EXPECT_EQ(ri64, -42);
+    EXPECT_TRUE(rflag);
+    EXPECT_EQ(rf64, 3.25);
+    EXPECT_EQ(rstr, "hello");
+    EXPECT_EQ(ritems, items);
 }
 
 TEST(SerializeDeath, TruncationDies)
 {
-    BlobWriter w;
-    w.putU32(7);
-    BlobReader r(w.data());
-    (void)r.getU32();
-    EXPECT_DEATH((void)r.getU64(), "truncated");
+    uint32_t v32 = 7;
+    Blob w;
+    w.u32(v32);
+    Blob r(w.bytes());
+    r.u32(v32);
+    uint64_t v64 = 0;
+    EXPECT_DEATH(r.u64(v64), "truncated");
 }
 
 TEST(SerializeDeath, SectionMismatchDies)
 {
-    BlobWriter w;
+    Blob w;
     w.section("AAAA");
-    BlobReader r(w.data());
-    EXPECT_DEATH(r.expect("BBBB"), "section");
+    Blob r(w.bytes());
+    EXPECT_DEATH(r.section("BBBB"), "section");
 }
 
 TEST(SerializeDeath, TrailingBytesDie)
 {
-    BlobWriter w;
-    w.putU32(7);
-    w.putU32(9);
-    BlobReader r(w.data());
-    (void)r.getU32();
+    uint32_t v = 7;
+    Blob w;
+    w.u32(v);
+    w.u32(v);
+    Blob r(w.bytes());
+    r.u32(v);
     EXPECT_DEATH(r.done(), "trailing");
+}
+
+TEST(SerializeDeath, SizeMismatchDies)
+{
+    std::vector<uint8_t> three(3), four(4);
+    Blob w;
+    w.items(three, "widget table size");
+    Blob r(w.bytes());
+    EXPECT_DEATH(r.items(four, "widget table size"),
+                 "widget table size mismatch");
 }
 
 // ---- SamplingConfig ----------------------------------------------------
@@ -361,6 +406,22 @@ TEST(CheckpointDeath, PolicyMismatchDies)
                                       100'000);
     System victim(other);
     EXPECT_DEATH(restore(victim, ckpt), "does not match");
+}
+
+TEST(CheckpointDeath, GeometryMismatchDies)
+{
+    const SystemConfig cfg = sampleConfig("mcf", "silcfm", 2,
+                                          100'000);
+    System warm(cfg);
+    warm.setFunctionalMode(true);
+    warm.setPerCoreBudget(10'000);
+    ASSERT_TRUE(warm.runToBudget());
+    const Checkpoint ckpt = capture(warm, 10'000);
+
+    SystemConfig other = cfg;
+    other.l2.size_bytes /= 2;
+    System victim(other);
+    EXPECT_DEATH(restore(victim, ckpt), "l2 geometry mismatch");
 }
 
 TEST(CheckpointDeath, RestoreUnderOracleDies)

@@ -23,7 +23,7 @@ using namespace silc::sim;
 
 TEST(Translation, FirstTouchAllocatesOnce)
 {
-    Translation t(1_MiB, 1);
+    Translation t(1_MiB, 1, 1);
     const Addr p1 = t.translate(0, 0x1000'0000);
     const Addr p2 = t.translate(0, 0x1000'0000);
     EXPECT_EQ(p1, p2);
@@ -32,7 +32,7 @@ TEST(Translation, FirstTouchAllocatesOnce)
 
 TEST(Translation, OffsetsPreservedWithinPage)
 {
-    Translation t(1_MiB, 1);
+    Translation t(1_MiB, 1, 1);
     const Addr base = t.translate(0, 0x1000'0000);
     const Addr off = t.translate(0, 0x1000'0000 + 100);
     EXPECT_EQ(off, base + 100);
@@ -41,7 +41,7 @@ TEST(Translation, OffsetsPreservedWithinPage)
 
 TEST(Translation, DistinctPagesDistinctFrames)
 {
-    Translation t(4_MiB, 1);
+    Translation t(4_MiB, 1, 1);
     std::set<uint64_t> frames;
     for (int i = 0; i < 512; ++i) {
         const Addr paddr =
@@ -52,7 +52,7 @@ TEST(Translation, DistinctPagesDistinctFrames)
 
 TEST(Translation, CoresAreIsolated)
 {
-    Translation t(1_MiB, 1);
+    Translation t(1_MiB, 2, 1);
     const Addr a = t.translate(0, 0x1000'0000);
     const Addr b = t.translate(1, 0x1000'0000);
     EXPECT_NE(a >> kLargeBlockBits, b >> kLargeBlockBits);
@@ -64,7 +64,7 @@ TEST(Translation, PlacementIsRandomised)
 {
     // With a shuffled free list the first few allocations should not be
     // the first few frames in order.
-    Translation t(16_MiB, 123);
+    Translation t(16_MiB, 1, 123);
     bool nonsequential = false;
     Addr prev = t.translate(0, 0);
     for (int i = 1; i < 16; ++i) {
@@ -81,13 +81,13 @@ TEST(Translation, PlacementIsRandomised)
 
 TEST(Translation, DeterministicPerSeed)
 {
-    Translation a(4_MiB, 9), b(4_MiB, 9), c(4_MiB, 10);
+    Translation a(4_MiB, 1, 9), b(4_MiB, 1, 9), c(4_MiB, 1, 10);
     EXPECT_EQ(a.translate(0, 0x5000), b.translate(0, 0x5000));
     // A different seed gives a different shuffle (overwhelmingly).
     bool differs = false;
     for (int i = 0; i < 32; ++i) {
         const Addr va = 0x5000 + i * kLargeBlockSize;
-        Translation c2(4_MiB, 10);
+        Translation c2(4_MiB, 1, 10);
         (void)c2;
         if (a.translate(0, va) != c.translate(0, va))
             differs = true;
@@ -97,7 +97,7 @@ TEST(Translation, DeterministicPerSeed)
 
 TEST(Translation, ExhaustionIsFatal)
 {
-    Translation t(4 * kLargeBlockSize, 1);
+    Translation t(4 * kLargeBlockSize, 1, 1);
     for (int i = 0; i < 4; ++i)
         t.translate(0, static_cast<Addr>(i) * kLargeBlockSize);
     EXPECT_DEATH(t.translate(0, 100 * kLargeBlockSize),

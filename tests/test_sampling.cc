@@ -348,22 +348,36 @@ TEST(StatsAggregatorTest, SingleWindowHasZeroCi)
 
 TEST(CheckpointTest, RoundTripIsByteExact)
 {
-    const SystemConfig cfg = sampleConfig("mcf", "silcfm", 2,
-                                          100'000);
+    // Every checkpointable scheme, and SILC-FM on a recorded trace (the
+    // file reader's stream position).
+    const policy::SchemeRegistry &reg = policy::SchemeRegistry::instance();
+    std::vector<SystemConfig> cfgs;
+    for (const std::string &scheme : reg.names()) {
+        if (reg.resolve(scheme).traits.checkpointable)
+            cfgs.push_back(sampleConfig("mcf", scheme, 2, 100'000));
+    }
+    SystemConfig traced = sampleConfig("mcf", "silcfm", 2, 100'000);
+    traced.trace_file =
+        std::string(SILC_GOLDEN_DIR) + "/golden_stream.silctrace";
+    cfgs.push_back(traced);
 
-    System warm(cfg);
-    warm.setFunctionalMode(true);
-    warm.setPerCoreBudget(30'000);
-    ASSERT_TRUE(warm.runToBudget());
-    const Checkpoint a = capture(warm, 30'000);
+    for (const SystemConfig &cfg : cfgs) {
+        SCOPED_TRACE(cfg.scheme + " " + cfg.trace_file);
+        System warm(cfg);
+        warm.setFunctionalMode(true);
+        warm.setPerCoreBudget(30'000);
+        ASSERT_TRUE(warm.runToBudget());
+        const Checkpoint a = capture(warm, 30'000);
 
-    // Restoring into a fresh system and re-capturing must reproduce the
-    // blob byte for byte: nothing outside the checkpoint affects it.
-    System fresh(cfg);
-    restore(fresh, a);
-    const Checkpoint b = capture(fresh, 30'000);
-    EXPECT_EQ(a.blob, b.blob);
-    EXPECT_GT(a.blob.size(), 0u);
+        // Restoring into a fresh system and re-capturing must reproduce
+        // the blob byte for byte: nothing outside the checkpoint
+        // affects it.
+        System fresh(cfg);
+        restore(fresh, a);
+        const Checkpoint b = capture(fresh, 30'000);
+        EXPECT_EQ(a.blob, b.blob);
+        EXPECT_GT(a.blob.size(), 0u);
+    }
 }
 
 TEST(CheckpointTest, ReplayFromCheckpointIsDeterministic)

@@ -21,10 +21,10 @@
  * --json <path> (or SILC_JSON) writes a silc.results.v1 document whose
  * runs array is [full, sampled]; the sampled run carries the "sampling"
  * section.  --paper-channels uses the full paper channel counts (8 HBM2
- * pseudo-channels vs 4 DDR3 channels, as fig8 --perf) instead of the
- * scaled-down table machine — the BENCH_sampling.json fixture, since
- * detailed-mode cost there reflects a bandwidth-stressed memory system.
- * Stderr footer for CI parsing:
+ * pseudo-channels vs 4 DDR3 channels, as perfbench's detail-bw)
+ * instead of the scaled-down table machine — the BENCH_sampling.json
+ * fixture, since detailed-mode cost there reflects a bandwidth-stressed
+ * memory system.  The stderr footer reports the sampled run's speed:
  *   [sampling] W windows in S s (Fx speedup, C checkpoints)
  */
 
@@ -35,7 +35,6 @@
 
 #include "dram/timing.hh"
 #include "sample/sampling.hh"
-#include "sim/parallel.hh"
 #include "sim/result_writer.hh"
 
 using namespace silc;
@@ -145,11 +144,10 @@ main(int argc, char **argv)
 
     const double speedup = samp_s > 0.0 ? full_s / samp_s : 0.0;
     std::fprintf(stderr,
-                 "[sampling] %u windows in %ss (%sx speedup, %u "
+                 "[sampling] %u windows in %.2fs (%.2fx speedup, %u "
                  "checkpoints)\n",
                  sampled.sampling ? sampled.sampling->windows : 0,
-                 fixedDecimal(samp_s, 2).c_str(),
-                 fixedDecimal(speedup, 2).c_str(),
+                 samp_s, speedup,
                  sampled.sampling ? sampled.sampling->checkpoints : 0);
     return 0;
 }

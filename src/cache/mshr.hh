@@ -10,9 +10,11 @@
  * used to cost a hash-node allocation plus a waiters-vector allocation,
  * making the MSHR one of the simulator's hottest malloc sites.  The
  * first waiter lives inline in the slot — coalesced secondaries are the
- * rare case — and callbacks are SmallFunctions so the hierarchy's fill
- * closure (which overflows std::function's inline buffer) does not
- * heap-allocate either.
+ * rare case — and callbacks are the event queue's EventCallback (a
+ * SmallFunction) so the hierarchy's fill closure, which overflows
+ * std::function's inline buffer, does not heap-allocate either.  That
+ * closure holds the core's completion, a std::function because
+ * cpu::MemoryPort::access keeps that type (DESIGN.md).
  */
 
 #ifndef SILC_CACHE_MSHR_HH
@@ -21,14 +23,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/small_function.hh"
+#include "common/event_queue.hh"
 #include "common/types.hh"
 
 namespace silc {
 namespace cache {
 
 /** Callback fired when a miss completes. */
-using MissCallback = SmallFunction<void(Tick), 64>;
+using MissCallback = EventCallback;
 
 /** Result of attempting to allocate an MSHR. */
 enum class MshrAllocation

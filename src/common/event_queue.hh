@@ -22,10 +22,15 @@ namespace silc {
 /**
  * Callback invoked when an event fires; receives the firing tick.
  *
- * A SmallFunction rather than std::function: completion lambdas capture
- * a DemandCallback plus a few words of context, which overflows
- * std::function's tiny inline buffer and would heap-allocate on every
- * schedule() — the hottest allocation site in the simulator.
+ * The one callback type below the core port: MSHR waiters
+ * (cache::MissCallback), demand completions (policy::DemandCallback)
+ * and DRAM completions (dram::DramRequest::on_complete) are all this
+ * type, so a completion is scheduled as it is, never re-wrapped.  A
+ * SmallFunction rather than std::function: completion lambdas carry a
+ * few words of context, which overflows std::function's 16-byte inline
+ * buffer and would heap-allocate on every LLC miss and every migrated
+ * subblock.  cpu::MemoryPort::access keeps std::function (see
+ * DESIGN.md).
  */
 using EventCallback = SmallFunction<void(Tick), 64>;
 

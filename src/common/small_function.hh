@@ -6,9 +6,11 @@
  * wrapping each one in std::function heap-allocates as soon as the
  * capture exceeds the library's tiny SBO (16 bytes on libstdc++).
  * SmallFunction keeps captures up to its Capacity inline — sized so the
- * simulator's completion lambdas (a captured DemandCallback plus a few
- * words of context) never touch the allocator — and falls back to the
- * heap only for oversized callables.
+ * simulator's completion lambdas (a few words of context, or the
+ * hierarchy's fill closure around a core's std::function) never touch
+ * the allocator — and falls back to the heap only for oversized or
+ * over-aligned callables, such as a lambda that chains a captured
+ * SmallFunction.
  *
  * Unlike std::function it is move-only, so it can also hold callables
  * with move-only captures.
@@ -96,8 +98,7 @@ class SmallFunction<R(Args...), Capacity>
     static constexpr bool
     fitsInline()
     {
-        return sizeof(Fn) <= Capacity &&
-            alignof(Fn) <= alignof(std::max_align_t) &&
+        return sizeof(Fn) <= Capacity && alignof(Fn) <= alignof(void *) &&
             std::is_nothrow_move_constructible_v<Fn>;
     }
 
@@ -149,7 +150,12 @@ class SmallFunction<R(Args...), Capacity>
         }
     }
 
-    alignas(std::max_align_t) unsigned char buf_[Capacity];
+    // Pointer-aligned, not max_align_t-aligned: a SmallFunction<.., 64>
+    // is then 72 bytes instead of 80, which matters where thousands sit
+    // in queues (a DRAM request carries one; HMA's epoch migrations
+    // queue thousands of requests at once).  A callable that needs more
+    // alignment, which no simulator lambda does, goes to the heap.
+    alignas(void *) unsigned char buf_[Capacity];
     const Ops *ops_ = nullptr;
 };
 

@@ -267,11 +267,8 @@ ChannelController::issue(DecodedRequest &dec, Tick now)
             read_delay_hist_->sample(delay);
     }
 
-    if (dec.req.on_complete) {
-        events_.schedule(svc.data_done,
-                         [cb = std::move(dec.req.on_complete)](
-                             Tick t) mutable { cb(t); });
-    }
+    if (dec.req.on_complete)
+        events_.schedule(svc.data_done, std::move(dec.req.on_complete));
 }
 
 void

@@ -10,8 +10,8 @@
 #define SILC_DRAM_REQUEST_HH
 
 #include <cstdint>
-#include <functional>
 
+#include "common/event_queue.hh"
 #include "common/types.hh"
 
 namespace silc {
@@ -47,8 +47,9 @@ struct DramRequest
      * SILC-FM's dedicated metadata channel (Section III-D).
      */
     int32_t force_channel = -1;
-    /** Invoked once the data transfer completes (may be empty). */
-    std::function<void(Tick)> on_complete;
+    /** Scheduled at the tick the data transfer completes (may be
+     *  empty). */
+    EventCallback on_complete;
 };
 
 } // namespace dram

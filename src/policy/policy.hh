@@ -18,7 +18,6 @@
 #define SILC_POLICY_POLICY_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -36,8 +35,9 @@ class Sampler;
 
 namespace policy {
 
-/** Completion callback for a demand access. */
-using DemandCallback = std::function<void(Tick)>;
+/** Completion callback for a demand access: the event queue's type, so
+ *  the DRAM controller schedules it as it is. */
+using DemandCallback = EventCallback;
 
 /** Where a flat physical 64B block currently resides. */
 struct Location

@@ -142,48 +142,20 @@ ParallelRunner::elapsedSeconds() const
     return std::chrono::duration<double>(now - start_).count();
 }
 
-std::string
-fixedDecimal(double v, int places)
-{
-    // CI perf gates parse this output with a fixed regex, so the
-    // rendering must not follow the process locale the way printf("%f")
-    // does (a decimal comma would break the parser).  Integer
-    // formatting via to_string is locale-independent.
-    if (!(v >= 0.0))
-        v = 0.0;
-    uint64_t scale = 1;
-    for (int i = 0; i < places; ++i)
-        scale *= 10;
-    const double scaled = v * static_cast<double>(scale) + 0.5;
-    const double limit = 9.0e18;
-    const uint64_t n = scaled >= limit
-        ? static_cast<uint64_t>(limit)
-        : static_cast<uint64_t>(scaled);
-    std::string s = std::to_string(n / scale);
-    if (places > 0) {
-        std::string frac = std::to_string(n % scale);
-        s += '.';
-        s.append(static_cast<size_t>(places) - frac.size(), '0');
-        s += frac;
-    }
-    return s;
-}
-
 void
 ParallelRunner::printFooter(std::FILE *out) const
 {
     // Rate from the monotonic clock (start_ is steady_clock): wall
     // clock adjustments must never produce a negative or inflated
-    // jobs/sec in the CI perf-smoke logs.
+    // jobs/sec.
     const double secs = elapsedSeconds();
     const uint64_t jobs = jobsCompleted();
     const double rate =
         secs > 0.0 ? static_cast<double>(jobs) / secs : 0.0;
     std::fprintf(out,
-                 "[parallel] %" PRIu64 " jobs in %ss (%s jobs/sec, "
+                 "[parallel] %" PRIu64 " jobs in %.2fs (%.1f jobs/sec, "
                  "%u threads)\n",
-                 jobs, fixedDecimal(secs, 2).c_str(),
-                 fixedDecimal(rate, 1).c_str(), threads());
+                 jobs, secs, rate, threads());
 }
 
 } // namespace sim

@@ -42,14 +42,6 @@ namespace sim {
 unsigned parallelThreadsFromEnv();
 
 /**
- * Locale-stable fixed-point rendering of @p v with @p places decimals
- * (always a '.' separator).  For the stderr perf footers, which CI
- * parses with a fixed regex regardless of the runner's locale.
- * Negative and NaN inputs render as 0.
- */
-std::string fixedDecimal(double v, int places);
-
-/**
  * A fixed-width thread pool over one FIFO queue.
  *
  * Idle workers take tasks from the front of a single mutex-guarded

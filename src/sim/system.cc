@@ -84,7 +84,6 @@ MemoryHierarchy::MemoryHierarchy(const SystemConfig &cfg,
         pd.name = "l1d" + std::to_string(c);
         private_.emplace_back(pd);
     }
-    llc_misses_.assign(cfg.cores, 0);
 }
 
 bool
@@ -92,19 +91,6 @@ MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
                         std::function<void(Tick)> done, Tick now)
 {
     const Addr paddr = translation_.translate(core, vaddr);
-    if (warming_) {
-        Addr victim = kAddrInvalid;
-        Tick latency = l1HitTicks();
-        if (!warmL1(core, paddr, is_write, victim)) {
-            latency = warmShared(core, paddr, pc, is_write, victim, now)
-                ? l2HitTicks()
-                : 1;
-        }
-        if (done)
-            done(now + latency);
-        return true;
-    }
-
     cache::Cache &l1 = private_[core].l1d;
 
     // L1 hit path.
@@ -141,7 +127,6 @@ MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
         if (alloc == cache::MshrAllocation::NoCapacity)
             return false;
 
-        ++llc_misses_[core];
         ++llc_misses_total_;
 
         if (alloc == cache::MshrAllocation::Primary) {
@@ -187,7 +172,6 @@ MemoryHierarchy::warmShared(CoreId core, Addr paddr, Addr pc, bool is_write,
     // up-to-date cache and metadata state.
     const bool l2_hit = l2_.accessIfHit(paddr, false);
     if (!l2_hit) {
-        ++llc_misses_[core];
         ++llc_misses_total_;
         l2_.noteMiss();
         policy_.demandAccess(subblockAddr(paddr), is_write, core, pc,
@@ -218,8 +202,6 @@ MemoryHierarchy::checkpoint(Blob &b)
     for (CorePrivate &p : private_)
         p.l1d.checkpoint(b);
     l2_.checkpoint(b);
-    for (uint64_t &m : llc_misses_)
-        b.u64(m);
     b.u64(llc_misses_total_);
     b.f64(miss_latency_sum_);
     b.u64(misses_completed_);
@@ -412,7 +394,6 @@ void
 System::setFunctionalMode(bool on)
 {
     policy_->setFunctionalMode(on);
-    hierarchy_->setWarming(on);
     functional_ = on;
 }
 
@@ -454,12 +435,14 @@ System::checkpoint(Blob &b)
     }
 
     b.section("SILC");
-    // Version 5: SILC-FM's bandwidth balancer carries no bypassed-window
-    // count.  Version 4: caches carry no random-replacement cursor.
-    // Version 3 dropped the L1i (it is not modeled).  Version 2
-    // serialized NM frame metadata sparsely (materialized frames only);
-    // version-1 blobs carried the dense per-frame dump.
-    constexpr uint32_t kFormatVersion = 5;
+    // Version 6: no per-core LLC miss or page counts (nothing read
+    // them).  Version 5: SILC-FM's bandwidth balancer carries no
+    // bypassed-window count.  Version 4: caches carry no
+    // random-replacement cursor.  Version 3 dropped the L1i (it is not
+    // modeled).  Version 2 serialized NM frame metadata sparsely
+    // (materialized frames only); version-1 blobs carried the dense
+    // per-frame dump.
+    constexpr uint32_t kFormatVersion = 6;
     uint32_t version = kFormatVersion;
     b.u32(version);
     if (version != kFormatVersion)

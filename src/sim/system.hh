@@ -166,10 +166,11 @@ class System
     SimResult collectResult(bool all_done);
 
     /**
-     * Switch the policy and hierarchy into functional-warming mode:
-     * caches, translation, and policy metadata update as usual, but LLC
-     * misses complete synchronously (no MSHR, no DRAM traffic) — the
-     * fast-forward phase between detailed sampling windows.
+     * Switch the policy into functional mode and runToBudget() to the
+     * warming engine: caches, translation, and policy metadata update
+     * as usual, but LLC misses complete synchronously (no MSHR, no DRAM
+     * traffic) — the fast-forward phase between detailed sampling
+     * windows.
      */
     void setFunctionalMode(bool on);
 
@@ -272,21 +273,15 @@ class MemoryHierarchy : public cpu::MemoryPort
     double missLatencySum() const { return miss_latency_sum_; }
     uint64_t missesCompleted() const { return misses_completed_; }
 
-    /**
-     * Functional-warming mode: LLC misses bypass the MSHR file and the
-     * policy's timing skeleton; fills happen synchronously and the
-     * completion fires at now + 1.  Keeps cache contents, miss counts,
-     * and policy metadata warm at a fraction of the detailed-mode cost.
-     */
-    void setWarming(bool on) { warming_ = on; }
-
-    // ---- Warming-mode access, split in halves ----------------------
+    // ---- Functional-warming access, split in halves ----------------
     //
     // A warming access is translation, warmL1() and, on an L1d miss,
-    // warmShared().  access() runs them back to back; the warming
-    // engine (System::runToBudget) runs the per-core ones for many
-    // cores concurrently and only warmShared() serially.  That is exact
-    // because the L1d update never depends on the L2 outcome.
+    // warmShared(): LLC misses bypass the MSHR file and the policy's
+    // timing skeleton, and fills happen synchronously.  The warming
+    // engine (System::runToBudget in functional mode) runs the per-core
+    // halves for many cores concurrently and only warmShared()
+    // serially.  That is exact because the L1d update never depends on
+    // the L2 outcome.  access() is the detailed path only.
 
     /**
      * The L1d half: a hit, or on a miss the fill and its victim.
@@ -352,11 +347,9 @@ class MemoryHierarchy : public cpu::MemoryPort
     alignas(64) cache::Cache l2_;
     cache::MshrFile mshr_;
 
-    std::vector<uint64_t> llc_misses_;
     uint64_t llc_misses_total_ = 0;
     double miss_latency_sum_ = 0.0;
     uint64_t misses_completed_ = 0;
-    bool warming_ = false;
 };
 
 } // namespace sim

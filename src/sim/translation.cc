@@ -28,14 +28,13 @@ Translation::Translation(uint64_t phys_bytes, uint32_t cores,
 }
 
 uint64_t
-Translation::allocate(CoreId core, uint64_t key)
+Translation::allocate(uint64_t key)
 {
     if (next_free_ >= frames_.size())
         fatal("translation: out of physical memory after %llu pages",
               static_cast<unsigned long long>(next_free_));
     const uint64_t frame = frames_[next_free_++];
     page_table_.emplace(key, frame);
-    ++per_core_pages_[core];
     return frame;
 }
 
@@ -48,7 +47,7 @@ Translation::translate(CoreId core, Addr vaddr)
         const uint64_t k = key(core, vpage);
         const auto it = page_table_.find(k);
         e.vpage = vpage;
-        e.frame = it != page_table_.end() ? it->second : allocate(core, k);
+        e.frame = it != page_table_.end() ? it->second : allocate(k);
     }
     return e.frame * kLargeBlockSize + (vaddr & (kLargeBlockSize - 1));
 }
@@ -75,7 +74,7 @@ Translation::allocatePage(CoreId core, uint64_t vpage)
 {
     const uint64_t k = key(core, vpage);
     if (page_table_.find(k) == page_table_.end())
-        allocate(core, k);
+        allocate(k);
 }
 
 Addr
@@ -92,40 +91,6 @@ Translation::translateMapped(CoreId core, Addr vaddr)
     return e.frame * kLargeBlockSize + (vaddr & (kLargeBlockSize - 1));
 }
 
-uint64_t
-Translation::pagesAllocatedFor(CoreId core) const
-{
-    auto it = per_core_pages_.find(core);
-    return it == per_core_pages_.end() ? 0 : it->second;
-}
-
-namespace {
-
-/**
- * Checkpoint @p map as a count and its (key, value) pairs in ascending
- * key order, the key listed by @p key_field.
- */
-template <typename K>
-void
-checkpointMap(Blob &b, std::unordered_map<K, uint64_t> &map,
-              void (Blob::*key_field)(K &))
-{
-    std::vector<std::pair<K, uint64_t>> sorted(map.begin(), map.end());
-    std::sort(sorted.begin(), sorted.end());
-    uint64_t n = sorted.size();
-    b.u64(n);
-    for (uint64_t i = 0; i < n; ++i) {
-        auto [key, value] =
-            b.reading() ? std::pair<K, uint64_t>{} : sorted[i];
-        (b.*key_field)(key);
-        b.u64(value);
-        if (b.reading())
-            map[key] = value;
-    }
-}
-
-} // namespace
-
 void
 Translation::checkpoint(Blob &b)
 {
@@ -134,8 +99,22 @@ Translation::checkpoint(Blob &b)
         fatal("translation restore: %llu pages allocated but only %zu "
               "frames (phys size mismatch)",
               static_cast<unsigned long long>(next_free_), frames_.size());
-    checkpointMap(b, page_table_, &Blob::u64);
-    checkpointMap(b, per_core_pages_, &Blob::u32);
+    // The page table as a count and its (key, frame) pairs in ascending
+    // key order.
+    std::vector<std::pair<uint64_t, uint64_t>> sorted(page_table_.begin(),
+                                                      page_table_.end());
+    std::sort(sorted.begin(), sorted.end());
+    uint64_t n = sorted.size();
+    b.u64(n);
+    for (uint64_t i = 0; i < n; ++i) {
+        auto [k, frame] = b.reading()
+            ? std::pair<uint64_t, uint64_t>{}
+            : sorted[i];
+        b.u64(k);
+        b.u64(frame);
+        if (b.reading())
+            page_table_[k] = frame;
+    }
     if (b.reading())
         std::fill(tlb_.begin(), tlb_.end(), TlbSlice{});
 }

@@ -73,15 +73,12 @@ class Translation
     /** Pages allocated so far (the measured footprint). */
     uint64_t pagesAllocated() const { return next_free_; }
 
-    /** Pages allocated for one core. */
-    uint64_t pagesAllocatedFor(CoreId core) const;
-
     /**
      * Checkpoint the page table and allocation cursor.  The shuffled
      * frame list is ctor-pure (a pure function of phys_bytes and seed)
      * and is not captured, so a checkpoint is read into a Translation
      * constructed with the same parameters.  Entries go in sorted-key
-     * order so the blob is byte-deterministic despite the hash maps.
+     * order so the blob is byte-deterministic despite the hash map.
      * Reading invalidates the translation cache.
      */
     void checkpoint(Blob &b);
@@ -94,10 +91,9 @@ class Translation
     }
 
     /** Hand @p key the next frame of the shuffled free list. */
-    uint64_t allocate(CoreId core, uint64_t key);
+    uint64_t allocate(uint64_t key);
 
     std::unordered_map<uint64_t, uint64_t> page_table_;
-    std::unordered_map<CoreId, uint64_t> per_core_pages_;
     std::vector<uint64_t> frames_;
     uint64_t next_free_ = 0;
 

@@ -185,6 +185,19 @@ TEST(SmallFunction, OversizedCaptureFallsBackToHeap)
     EXPECT_FALSE(fn.storedInline());
     fn(0);
     EXPECT_EQ(seen, 42u);
+
+    // Small but more aligned than the pointer-aligned buffer.
+    struct alignas(16) Wide
+    {
+        uint64_t words[2];
+    };
+    const Wide wide{{7, 8}};
+    SmallFunction<void(Tick), 64> aligned = [wide, &seen](Tick) {
+        seen = wide.words[1];
+    };
+    EXPECT_FALSE(aligned.storedInline());
+    aligned(0);
+    EXPECT_EQ(seen, 8u);
 }
 
 TEST(SmallFunction, MoveTransfersOwnership)

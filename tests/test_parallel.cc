@@ -134,19 +134,6 @@ TEST(ParallelThreadsTest, EnvKnobParsing)
     EXPECT_GE(parallelThreadsFromEnv(), 1u);
 }
 
-TEST(ParallelFooterTest, FormattingIsLocaleStableFixedPoint)
-{
-    // fixedDecimal() formats the [parallel] and [perf] footers that CI
-    // parses with a fixed regex.
-    EXPECT_EQ(fixedDecimal(0.0, 2), "0.00");
-    EXPECT_EQ(fixedDecimal(1.234, 2), "1.23");
-    EXPECT_EQ(fixedDecimal(1.235, 2), "1.24");  // ties round up
-    EXPECT_EQ(fixedDecimal(1234.5, 1), "1234.5");
-    EXPECT_EQ(fixedDecimal(0.05, 1), "0.1");
-    EXPECT_EQ(fixedDecimal(12.0, 0), "12");
-    EXPECT_EQ(fixedDecimal(-1.0, 2), "0.00");  // clamped, never "-"
-}
-
 TEST(ParallelRunnerTest, BitIdenticalToSequentialRunner)
 {
     const ExperimentOptions opts = tinyOptions();

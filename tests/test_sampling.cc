@@ -61,9 +61,9 @@ class ScopedEnv
  * written out as its oracle.  Per cycle: events; then each core in
  * index order, unless its budget is retired or the cycle falls in its
  * kWarmBlackoutCycles blackout, takes `width` instructions from its
- * trace source and sends the memory ones through
- * MemoryHierarchy::access in warming mode; then the DRAM and policy
- * ticks.  It drives a System's own trace sources, hierarchy and
+ * trace source and sends the memory ones through translation,
+ * MemoryHierarchy::warmL1 and, on an L1d miss, warmShared; then the
+ * DRAM and policy ticks.  It drives a System's own trace sources, hierarchy and
  * policy, so that System's checkpoints compare byte for byte with the
  * engine's.
  */
@@ -99,11 +99,8 @@ class ReferenceWarmer
                      ++k) {
                     const trace::TraceInstruction ins =
                         sys_.traceSource(c).next();
-                    if (ins.is_mem) {
-                        sys_.hierarchy().access(c, ins.vaddr, ins.pc,
-                                                ins.is_write, nullptr,
-                                                cycle);
-                    }
+                    if (ins.is_mem)
+                        warmAccess(c, ins, cycle);
                     ++retired_[c];
                 }
                 all_done &= retired_[c] >= budget;
@@ -123,6 +120,17 @@ class ReferenceWarmer
     uint64_t retired(uint32_t c) const { return retired_[c]; }
 
   private:
+    /** One access through both halves of the hierarchy back to back. */
+    void
+    warmAccess(uint32_t c, const trace::TraceInstruction &ins, Tick cycle)
+    {
+        MemoryHierarchy &h = sys_.hierarchy();
+        const Addr paddr = sys_.translation().translate(c, ins.vaddr);
+        Addr victim = kAddrInvalid;
+        if (!h.warmL1(c, paddr, ins.is_write, victim))
+            h.warmShared(c, paddr, ins.pc, ins.is_write, victim, cycle);
+    }
+
     System &sys_;
     Tick cycle_ = 0;
     std::vector<uint64_t> retired_;

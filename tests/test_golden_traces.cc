@@ -27,6 +27,11 @@
  * writer and reader make together still round-trips within one build;
  * only this golden sees it move across commits.
  *
+ * Telemetry series are pinned by the result JSON of two full-detail mcf
+ * runs that record them (golden_telemetry_<scheme>.json): SILC-FM, whose
+ * probes extend the policy's, and PoM, which registers only the base
+ * policy probes.
+ *
  * Regenerating after an intentional behaviour change:
  *
  *     GOLDEN_REGEN=1 ./tests/test_golden_traces
@@ -250,6 +255,24 @@ TEST(GoldenCheckpoint, BlobBytesAreStable)
         json += entries[i] + (i + 1 < entries.size() ? ",\n" : "\n");
     json += "}\n";
     expectMatchesGolden(json, "golden_checkpoints.json");
+}
+
+TEST(GoldenTelemetry, SeriesBytesAreStable)
+{
+    sim::ExperimentOptions opts;
+    opts.cores = 2;
+    opts.instructions_per_core = 20'000;
+    opts.telemetry = true;
+    opts.epoch_ticks = 5'000;
+    for (const std::string scheme : {"silcfm", "pom"}) {
+        sim::System system(sim::makeConfig("mcf", scheme, opts));
+        const sim::SimResult r = system.run();
+        // The run must still record several epochs to pin.
+        ASSERT_NE(r.telemetry, nullptr) << scheme;
+        EXPECT_GE(r.telemetry->epochs.size(), 3u) << scheme;
+        expectMatchesGolden(toJson(r),
+                            "golden_telemetry_" + scheme + ".json");
+    }
 }
 
 class GoldenTrace : public ::testing::TestWithParam<GoldenCase>

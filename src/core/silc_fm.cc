@@ -2,7 +2,7 @@
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
-#include "telemetry/sampler.hh"
+#include "telemetry/recorder.hh"
 
 namespace silc {
 namespace core {
@@ -459,26 +459,26 @@ SilcFmPolicy::demandAccess(Addr paddr, bool is_write, CoreId core,
 }
 
 void
-SilcFmPolicy::registerTelemetry(telemetry::Sampler &sampler) const
+SilcFmPolicy::registerTelemetry(telemetry::Recorder &recorder) const
 {
-    FlatMemoryPolicy::registerTelemetry(sampler);
-    sampler.addCounter("silcfm.swaps",
-                       [this] { return double(swaps_); });
-    sampler.addCounter("silcfm.restores",
-                       [this] { return double(restores_); });
-    sampler.addCounter("silcfm.locks",
-                       [this] { return double(locks_); });
-    sampler.addCounter("silcfm.unlocks",
-                       [this] { return double(unlocks_); });
-    sampler.addCounter("silcfm.historyFetched",
-                       [this] { return double(history_fetched_); });
-    sampler.addCounter("silcfm.bypassed",
-                       [this] { return double(bypassed_); });
+    FlatMemoryPolicy::registerTelemetry(recorder);
+    recorder.addCounter("silcfm.swaps",
+                        [this] { return double(swaps_); });
+    recorder.addCounter("silcfm.restores",
+                        [this] { return double(restores_); });
+    recorder.addCounter("silcfm.locks",
+                        [this] { return double(locks_); });
+    recorder.addCounter("silcfm.unlocks",
+                        [this] { return double(unlocks_); });
+    recorder.addCounter("silcfm.historyFetched",
+                        [this] { return double(history_fetched_); });
+    recorder.addCounter("silcfm.bypassed",
+                        [this] { return double(bypassed_); });
     // Share of the epoch's demand misses the balancer steered to FM —
     // the phase view of Section III-E's reaction to bandwidth shifts.
-    sampler.addRatio("silcfm.bypassRate",
-                     [this] { return double(bypassed_); },
-                     [this] { return double(demandRequests()); });
+    recorder.addRatio("silcfm.bypassRate",
+                      [this] { return double(bypassed_); },
+                      [this] { return double(demandRequests()); });
 }
 
 bool

@@ -109,7 +109,7 @@ class SilcFmPolicy : public policy::FlatMemoryPolicy
     void demandAccess(Addr paddr, bool is_write, CoreId core, Addr pc,
                       policy::DemandCallback done, Tick now) override;
     policy::Location locate(Addr paddr) const override;
-    void registerTelemetry(telemetry::Sampler &sampler) const override;
+    void registerTelemetry(telemetry::Recorder &recorder) const override;
 
     void checkpoint(Blob &b) override;
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "telemetry/sampler.hh"
+#include "telemetry/recorder.hh"
 
 namespace silc {
 namespace dram {
@@ -227,35 +227,35 @@ DramSystem::queuedRequests() const
 }
 
 void
-DramSystem::registerTelemetry(telemetry::Sampler &sampler,
+DramSystem::registerTelemetry(telemetry::Recorder &recorder,
                               const std::string &prefix) const
 {
-    sampler.addCounter(prefix + ".bytes",
-                       [this] { return double(traffic_.total()); });
-    sampler.addCounter(prefix + ".demandBytes",
-                       [this] { return double(demandBytes()); });
-    sampler.addRatio(prefix + ".rowHitRate",
-                     [this] { return double(rowHits()); },
-                     [this] { return double(rowHits() + rowMisses()); });
-    sampler.addDistribution(prefix + ".readDelay", read_delay_hist_);
+    recorder.addCounter(prefix + ".bytes",
+                        [this] { return double(traffic_.total()); });
+    recorder.addCounter(prefix + ".demandBytes",
+                        [this] { return double(demandBytes()); });
+    recorder.addRatio(prefix + ".rowHitRate",
+                      [this] { return double(rowHits()); },
+                      [this] { return double(rowHits() + rowMisses()); });
+    recorder.addDistribution(prefix + ".readDelay", read_delay_hist_);
 
     for (size_t c = 0; c < channels_.size(); ++c) {
         const ChannelController *ch = channels_[c].get();
         const std::string p =
             prefix + ".ch" + std::to_string(c);
-        sampler.addGauge(p + ".readQ",
-                         [ch] { return double(ch->readQueueDepth()); });
-        sampler.addGauge(p + ".writeQ",
-                         [ch] { return double(ch->writeQueueDepth()); });
-        sampler.addRatio(p + ".rowHitRate",
-                         [ch] { return double(ch->rowHits()); },
-                         [ch] {
-                             return double(ch->rowHits() +
-                                           ch->rowMisses());
-                         });
+        recorder.addGauge(p + ".readQ",
+                          [ch] { return double(ch->readQueueDepth()); });
+        recorder.addGauge(p + ".writeQ",
+                          [ch] { return double(ch->writeQueueDepth()); });
+        recorder.addRatio(p + ".rowHitRate",
+                          [ch] { return double(ch->rowHits()); },
+                          [ch] {
+                              return double(ch->rowHits() +
+                                            ch->rowMisses());
+                          });
         // Per-channel data-bus duty cycle within the epoch.
-        sampler.addRate(p + ".busUtil",
-                        [ch] { return double(ch->busBusyTicks()); });
+        recorder.addRate(p + ".busUtil",
+                         [ch] { return double(ch->busBusyTicks()); });
     }
 }
 

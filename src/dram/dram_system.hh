@@ -25,7 +25,7 @@
 namespace silc {
 
 namespace telemetry {
-class Sampler;
+class Recorder;
 } // namespace telemetry
 
 namespace dram {
@@ -169,9 +169,9 @@ class DramSystem
      * Register per-epoch probes under @p prefix ("nm", "fm"): device
      * bytes/demand-bytes per epoch, read-delay percentiles, plus
      * per-channel read/write queue depth, row-hit rate and bus
-     * utilization.  The device must outlive @p sampler.
+     * utilization.  The device must outlive @p recorder.
      */
-    void registerTelemetry(telemetry::Sampler &sampler,
+    void registerTelemetry(telemetry::Recorder &recorder,
                            const std::string &prefix) const;
 
     /** Per-channel access for tests (wakeup-oracle introspection). */

@@ -4,7 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
-#include "telemetry/sampler.hh"
+#include "telemetry/recorder.hh"
 
 namespace silc {
 namespace policy {
@@ -152,19 +152,19 @@ FlatMemoryPolicy::swapSubblocks(const Location &a, const Location &b,
 }
 
 void
-FlatMemoryPolicy::registerTelemetry(telemetry::Sampler &sampler) const
+FlatMemoryPolicy::registerTelemetry(telemetry::Recorder &recorder) const
 {
-    sampler.addCounter("policy.nmServiced",
-                       [this] { return double(nmServiced()); });
-    sampler.addCounter("policy.fmServiced",
-                       [this] { return double(fmServiced()); });
-    sampler.addCounter("policy.migrationOps",
-                       [this] { return double(migrationOps()); });
+    recorder.addCounter("policy.nmServiced",
+                        [this] { return double(nmServiced()); });
+    recorder.addCounter("policy.fmServiced",
+                        [this] { return double(fmServiced()); });
+    recorder.addCounter("policy.migrationOps",
+                        [this] { return double(migrationOps()); });
     // Equation 1, per epoch rather than end-of-run: the NM-serviced
     // share of the demand misses that arrived within the epoch.
-    sampler.addRatio("policy.hitRate",
-                     [this] { return double(nmServiced()); },
-                     [this] { return double(demandRequests()); });
+    recorder.addRatio("policy.hitRate",
+                      [this] { return double(nmServiced()); },
+                      [this] { return double(demandRequests()); });
 }
 
 void

@@ -30,7 +30,7 @@ namespace silc {
 class Blob;
 
 namespace telemetry {
-class Sampler;
+class Recorder;
 } // namespace telemetry
 
 namespace policy {
@@ -168,9 +168,9 @@ class FlatMemoryPolicy
      * Register per-epoch telemetry probes over this policy's counters.
      * The base registers the service counters and the Equation 1 hit
      * rate; schemes override (and chain up) to add their own series.
-     * The policy must outlive @p sampler.
+     * The policy must outlive @p recorder.
      */
-    virtual void registerTelemetry(telemetry::Sampler &sampler) const;
+    virtual void registerTelemetry(telemetry::Recorder &recorder) const;
 
     // ---- Access-rate statistics (paper Equation 1). ----
 

@@ -175,7 +175,7 @@ WindowSample
 SamplingController::replayCheckpoint(Checkpoint ckpt, uint64_t index)
 {
     sim::SystemConfig rcfg = cfg_;
-    rcfg.telemetry.enabled = false;
+    rcfg.telemetry_epoch_ticks = 0;
     rcfg.check = false;  // the oracle checked warming; restores refuse it
     // Core retire counters restart at zero after a restore (they are
     // not checkpointed — at a pause point the ROB is empty), so budgets
@@ -270,7 +270,7 @@ SamplingController::run()
     peak_blob_bytes_ = 0;
 
     sim::SystemConfig wcfg = cfg_;
-    wcfg.telemetry.enabled = false;
+    wcfg.telemetry_epoch_ticks = 0;
 
     const policy::SchemeInfo &scheme =
         policy::SchemeRegistry::instance().resolve(cfg_.scheme);

@@ -58,7 +58,6 @@ ExperimentOptions::fromEnv()
                   s, joined(reg.names()).c_str());
         o.scheme = s;
     }
-    o.telemetry = envFlag("SILC_TELEMETRY", o.telemetry);
     o.epoch_ticks = envPositiveCount("SILC_EPOCH_TICKS", o.epoch_ticks);
     o.check = envFlag("SILC_CHECK", o.check);
     // Knobs of deleted subsystems fail loudly for any value rather than
@@ -74,6 +73,10 @@ ExperimentOptions::fromEnv()
         "confidence-interval early stopping, which measured only a "
         "prefix of the run; every checkpoint is replayed now, so unset "
         "it and set fewer windows with SILC_SAMPLE_PERIOD instead";
+    const char *const telemetry_switch =
+        "the stand-alone telemetry switch; series are read only from a "
+        "results document, so unset it and pass --json to a figure "
+        "bench, whose full-detail runs record their series";
     const std::pair<const char *, const char *> removed[] = {
         {"SILC_SIM_THREADS", windowed_loop},
         {"SILC_CORE_LANES", windowed_loop},
@@ -82,6 +85,7 @@ ExperimentOptions::fromEnv()
         {"SILC_TENANT_CHURN", tenant_layer},
         {"SILC_SAMPLE_MIN_WINDOWS", early_stopping},
         {"SILC_SAMPLE_CI_TARGET", early_stopping},
+        {"SILC_TELEMETRY", telemetry_switch},
     };
     for (const auto &[knob, removed_with] : removed) {
         if (std::getenv(knob) != nullptr)
@@ -117,8 +121,7 @@ makeConfig(const std::string &workload, const std::string &scheme,
     cfg.hma.max_migrations_per_epoch = 256;
     // PoM's competing-counter threshold, scaled like the others.
     cfg.pom.migration_threshold = 48;
-    cfg.telemetry.enabled = opts.telemetry;
-    cfg.telemetry.epoch_ticks = opts.epoch_ticks;
+    cfg.telemetry_epoch_ticks = opts.telemetry ? opts.epoch_ticks : 0;
     // Every scheme has at least the shadow-data tier of the oracle, so
     // SILC_CHECK=1 applies across whole multi-scheme bench matrices.
     cfg.check = opts.check;

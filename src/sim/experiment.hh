@@ -46,14 +46,11 @@
  *                      JSON document; the benches also accept
  *                      --json <path>, which wins.  The full-detail
  *                      Grid benches (sim/grid.hh) then record each
- *                      run's epoch time series too; capacity_smoke,
- *                      sampling_sweep and --sample grids record series
- *                      only under SILC_TELEMETRY=1, and only on
- *                      full-detail runs.
+ *                      run's epoch time series too, the one way a run
+ *                      records one; capacity_smoke, sampling_sweep and
+ *                      --sample grids never do.
  *   SILC_EPOCH_TICKS - ticks per telemetry epoch (default 100000;
  *                      a positive count, validated like SILC_CORES)
- *   SILC_TELEMETRY   - set to 1 to record per-run time series even
- *                      without SILC_JSON (only 0 and 1 are accepted)
  *
  * Correctness knobs (see src/check/ and TESTING.md):
  *   SILC_CHECK       - set to 1 to run the untimed two-tier oracle in
@@ -102,7 +99,7 @@ struct ExperimentOptions
     /** Scheme of single-scheme binaries (SILC_SCHEME, registry name). */
     std::string scheme = "silcfm";
 
-    /** Record per-run epoch time series (SILC_TELEMETRY / SILC_JSON). */
+    /** Record per-run epoch time series (a full-detail Grid's --json). */
     bool telemetry = false;
     /** Lockstep two-tier oracle on every run (SILC_CHECK). */
     bool check = false;

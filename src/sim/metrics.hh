@@ -71,9 +71,9 @@ struct SimResult
     double edp = 0.0;
 
     /**
-     * Epoch time series recorded during the run; null unless
-     * SystemConfig::telemetry was enabled.  Shared and immutable, so
-     * SimResult stays cheap to copy through the parallel harness.
+     * Epoch time series recorded during the run; null when
+     * SystemConfig::telemetry_epoch_ticks is 0.  Shared and immutable,
+     * so SimResult stays cheap to copy through the parallel harness.
      */
     std::shared_ptr<const telemetry::TimeSeries> telemetry;
 

@@ -253,7 +253,7 @@ System::System(SystemConfig cfg)
             c, core_params, *traces_.back(), *hierarchy_));
     }
 
-    if (cfg_.telemetry.enabled)
+    if (cfg_.telemetry_epoch_ticks != 0)
         attachTelemetry();
 
     if (cfg_.check) {
@@ -280,38 +280,38 @@ void
 System::attachTelemetry()
 {
     recorder_ = std::make_unique<telemetry::Recorder>(
-        cfg_.telemetry, cfg_.workload + "/" + cfg_.scheme);
-    telemetry::Sampler &s = recorder_->sampler();
+        cfg_.telemetry_epoch_ticks, cfg_.workload + "/" + cfg_.scheme);
+    telemetry::Recorder &rec = *recorder_;
 
-    policy_->registerTelemetry(s);
+    policy_->registerTelemetry(rec);
     if (nm_)
-        nm_->registerTelemetry(s, "nm");
-    fm_->registerTelemetry(s, "fm");
+        nm_->registerTelemetry(rec, "nm");
+    fm_->registerTelemetry(rec, "fm");
 
     // Cores aggregate: the figures of interest (warm-up, phase shifts)
     // show up identically on every core of a rate-mode run, so one
     // averaged series keeps the probe list readable.
     const double inv_cores = 1.0 / static_cast<double>(cfg_.cores);
-    s.addRate("cpu.ipc", [this, inv_cores] {
+    rec.addRate("cpu.ipc", [this, inv_cores] {
         double retired = 0.0;
         for (const auto &core : cores_)
             retired += static_cast<double>(core->retired());
         return retired * inv_cores;
     });
-    s.addGauge("cpu.robOccupancy", [this, inv_cores] {
+    rec.addGauge("cpu.robOccupancy", [this, inv_cores] {
         double occ = 0.0;
         for (const auto &core : cores_)
             occ += static_cast<double>(core->robOccupancy());
         return occ * inv_cores;
     });
-    s.addRate("cpu.stallFraction", [this, inv_cores] {
+    rec.addRate("cpu.stallFraction", [this, inv_cores] {
         double stalls = 0.0;
         for (const auto &core : cores_)
             stalls += static_cast<double>(core->stallCycles());
         return stalls * inv_cores;
     });
 
-    recorder_->start(events_);
+    rec.start(events_);
 }
 
 System::~System() = default;

@@ -80,11 +80,12 @@ struct SystemConfig : policy::SchemeConfig
     dram::DramTimingParams fm_timing;
 
     /**
-     * Epoch time-series instrumentation (src/telemetry/).  Disabled by
-     * default: no epoch events are scheduled and run() leaves
-     * SimResult::telemetry null, so simulation timing is unaffected.
+     * Ticks per epoch of the run's time series (src/telemetry/).  0,
+     * the default, records nothing: no epoch events are scheduled and
+     * run() leaves SimResult::telemetry null, so simulation timing is
+     * unaffected.
      */
-    telemetry::TelemetryConfig telemetry;
+    Tick telemetry_epoch_ticks = 0;
 
     /**
      * Run the untimed two-tier oracle (src/check/) in lockstep with the

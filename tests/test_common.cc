@@ -562,29 +562,35 @@ TEST(EnvDeath, RemovedKnobsFatal)
     for (const char *knob :
          {"SILC_SIM_THREADS", "SILC_CORE_LANES", "SILC_SPEC_HORIZON",
           "SILC_TENANTS", "SILC_TENANT_CHURN", "SILC_SAMPLE_MIN_WINDOWS",
-          "SILC_SAMPLE_CI_TARGET"}) {
-        for (const char *value : {"1", ""}) {
+          "SILC_SAMPLE_CI_TARGET", "SILC_TELEMETRY"}) {
+        for (const char *value : {"1", "0", ""}) {
             ScopedEnv e(knob, value);
-            EXPECT_DEATH(sim::ExperimentOptions::fromEnv(),
-                         std::string(knob) + " was removed");
+            EXPECT_EXIT(sim::ExperimentOptions::fromEnv(),
+                        ::testing::ExitedWithCode(1),
+                        std::string(knob) + " was removed")
+                << knob << "=" << value;
         }
     }
     // The early-stopping knobs point at the one that sets the window
-    // count.
-    ScopedEnv e("SILC_SAMPLE_CI_TARGET", "0.05");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "SILC_SAMPLE_PERIOD");
+    // count, and the telemetry switch at the export that records series.
+    {
+        ScopedEnv e("SILC_SAMPLE_CI_TARGET", "0.05");
+        EXPECT_DEATH(sim::ExperimentOptions::fromEnv(),
+                     "SILC_SAMPLE_PERIOD");
+    }
+    ScopedEnv e("SILC_TELEMETRY", "1");
+    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "--json");
 }
 
 // The seed and epoch knobs are positive decimal counts and the flag
-// knobs are exactly 0 or 1: size suffixes, hex, signs and any other
-// flag value are fatal and name the variable.
+// knob (SILC_CHECK) is exactly 0 or 1: size suffixes, hex, signs and any
+// other flag value are fatal and name the variable.
 
 TEST(EnvDeath, SeedEpochAndFlagKnobsRejectBadValues)
 {
     const std::pair<const char *, std::vector<const char *>> cases[] = {
         {"SILC_SEED", {"0", "-1", "1k", "0x10"}},
         {"SILC_EPOCH_TICKS", {"0", "abc"}},
-        {"SILC_TELEMETRY", {"2", "yes", ""}},
         {"SILC_CHECK", {"2", "-1", ""}},
     };
     for (const auto &[knob, values] : cases) {

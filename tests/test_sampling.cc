@@ -763,7 +763,7 @@ TEST(WarmingEngine, FinishTicksMatchTheRetireSchedule)
 TEST(WarmingEngineDeath, TelemetryMustBeOff)
 {
     SystemConfig cfg = sampleConfig("mcf", "silcfm", 2, 10'000);
-    cfg.telemetry.enabled = true;
+    cfg.telemetry_epoch_ticks = 100'000;
     System sys(cfg);
     sys.setFunctionalMode(true);
     EXPECT_DEATH(sys.runToBudget(), "telemetry off");

@@ -1,16 +1,19 @@
 /**
  * @file
- * Tests for the silc::telemetry subsystem: epoch delta/rate/ratio math
- * in the Sampler, Distribution percentile extraction, Recorder
- * lifecycle on a real EventQueue, and the structured JSON result export
- * (sim/result_writer.hh) end to end on a mini run.
+ * Tests for the silc::telemetry subsystem: the Recorder's epoch
+ * delta/rate/ratio math and lifecycle, each driven through a real
+ * EventQueue, Distribution percentile extraction, and the structured
+ * JSON result export (sim/result_writer.hh) end to end on a mini run.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/event_queue.hh"
 #include "common/stats.hh"
@@ -19,7 +22,6 @@
 #include "sim/system.hh"
 #include "telemetry/json.hh"
 #include "telemetry/recorder.hh"
-#include "telemetry/sampler.hh"
 
 using namespace silc;
 using namespace silc::telemetry;
@@ -51,92 +53,162 @@ TEST(TelemetryJson, DoubleFormattingIsShortRoundTrip)
     EXPECT_EQ(std::stod(jsonDouble(v)), v);
 }
 
-// ------------------------------------------------------------- Sampler
+// ------------------------------------------------------------ Recorder
 
-TEST(Sampler, GaugeReadsRawValueEachEpoch)
+namespace {
+
+/** A probe change applied at a tick. */
+using Step = std::pair<Tick, std::function<void()>>;
+
+/**
+ * Start @p rec on a fresh EventQueue, apply each of @p steps at its
+ * tick, run the queue tick by tick through @p end, as the simulator's
+ * main loop does (a single runDue(end) would forbid the Recorder's
+ * self-rescheduling at the boundaries before @p end), then finish() at
+ * @p end, which samples a tail epoch when @p end is past the last
+ * boundary.  The steps land mid-epoch, so each boundary samples the
+ * values set before it.
+ */
+const TimeSeries &
+drive(Recorder &rec, const std::vector<Step> &steps, Tick end)
+{
+    EventQueue events;
+    rec.start(events);
+    for (const auto &[at, apply] : steps)
+        events.schedule(at, [apply](Tick) { apply(); });
+    for (Tick t = 0; t <= end; ++t)
+        events.runDue(t);
+    rec.finish(end);
+    return *rec.series();
+}
+
+} // namespace
+
+TEST(Recorder, GaugeReadsRawValueEachEpoch)
 {
     double live = 3.0;
-    Sampler s(100);
-    s.addGauge("g", [&] { return live; });
+    Recorder rec(100, "unit/test");
+    rec.addGauge("g", [&] { return live; });
 
-    EXPECT_EQ(s.sample(100).values[0], 3.0);
-    live = 7.5;
-    EXPECT_EQ(s.sample(200).values[0], 7.5);
+    const TimeSeries &ts = drive(rec, {{150, [&] { live = 7.5; }}}, 200);
+    ASSERT_EQ(ts.epochs.size(), 2u);
+    EXPECT_EQ(ts.epochs[0].values[0], 3.0);
+    EXPECT_EQ(ts.epochs[1].values[0], 7.5);
 }
 
-TEST(Sampler, CounterDerivesPerEpochDeltas)
+TEST(Recorder, CounterDerivesPerEpochDeltas)
 {
     uint64_t count = 0;
-    Sampler s(100);
-    s.addCounter("c", [&] { return static_cast<double>(count); });
+    Recorder rec(100, "unit/test");
+    rec.addCounter("c", [&] { return static_cast<double>(count); });
 
-    count = 10;
-    EXPECT_EQ(s.sample(100).values[0], 10.0);
-    count = 25;
-    EXPECT_EQ(s.sample(200).values[0], 15.0);
+    const TimeSeries &ts = drive(rec,
+                                 {{50, [&] { count = 10; }},
+                                  {150, [&] { count = 25; }}},
+                                 300);
+    ASSERT_EQ(ts.epochs.size(), 3u);
+    EXPECT_EQ(ts.epochs[0].values[0], 10.0);
+    EXPECT_EQ(ts.epochs[1].values[0], 15.0);
     // No movement: delta is zero, not the cumulative value.
-    EXPECT_EQ(s.sample(300).values[0], 0.0);
+    EXPECT_EQ(ts.epochs[2].values[0], 0.0);
 }
 
-TEST(Sampler, RateDividesDeltaByElapsedTicks)
+TEST(Recorder, RateDividesDeltaByElapsedTicks)
 {
     uint64_t retired = 0;
-    Sampler s(100);
-    s.addRate("ipc", [&] { return static_cast<double>(retired); });
+    Recorder rec(100, "unit/test");
+    rec.addRate("ipc", [&] { return static_cast<double>(retired); });
 
-    retired = 50;
-    EpochRecord r0 = s.sample(100);
-    EXPECT_EQ(r0.elapsed, 100u);
-    EXPECT_DOUBLE_EQ(r0.values[0], 0.5);
+    const TimeSeries &ts = drive(rec,
+                                 {{50, [&] { retired = 50; }},
+                                  {125, [&] { retired = 80; }}},
+                                 150);
+    ASSERT_EQ(ts.epochs.size(), 2u);
+    EXPECT_EQ(ts.epochs[0].elapsed, 100u);
+    EXPECT_DOUBLE_EQ(ts.epochs[0].values[0], 0.5);
 
     // A short tail epoch uses its actual elapsed ticks.
-    retired = 80;
-    EpochRecord r1 = s.sample(150);
-    EXPECT_EQ(r1.elapsed, 50u);
-    EXPECT_DOUBLE_EQ(r1.values[0], 30.0 / 50.0);
+    EXPECT_EQ(ts.epochs[1].elapsed, 50u);
+    EXPECT_DOUBLE_EQ(ts.epochs[1].values[0], 30.0 / 50.0);
 }
 
-TEST(Sampler, RatioUsesDeltasOfBothCounters)
+TEST(Recorder, RatioUsesDeltasOfBothCounters)
 {
     uint64_t hits = 0, total = 0;
-    Sampler s(100);
-    s.addRatio("hitRate", [&] { return static_cast<double>(hits); },
-               [&] { return static_cast<double>(total); });
+    Recorder rec(100, "unit/test");
+    rec.addRatio("hitRate", [&] { return static_cast<double>(hits); },
+                 [&] { return static_cast<double>(total); });
 
-    hits = 8;
-    total = 10;
-    EXPECT_DOUBLE_EQ(s.sample(100).values[0], 0.8);
-
+    const TimeSeries &ts = drive(rec,
+                                 {{50,
+                                   [&] {
+                                       hits = 8;
+                                       total = 10;
+                                   }},
+                                  {150,
+                                   [&] {
+                                       hits = 10;
+                                       total = 20;
+                                   }}},
+                                 300);
+    ASSERT_EQ(ts.epochs.size(), 3u);
+    EXPECT_DOUBLE_EQ(ts.epochs[0].values[0], 0.8);
     // Second epoch: 2 more hits out of 10 more requests — the per-epoch
     // ratio, not the cumulative 10/20.
-    hits = 10;
-    total = 20;
-    EXPECT_DOUBLE_EQ(s.sample(200).values[0], 0.2);
-
+    EXPECT_DOUBLE_EQ(ts.epochs[1].values[0], 0.2);
     // Idle epoch: denominator unmoved reads 0, not NaN.
-    EXPECT_EQ(s.sample(300).values[0], 0.0);
+    EXPECT_EQ(ts.epochs[2].values[0], 0.0);
 }
 
-TEST(Sampler, EpochRecordsCarryIndexTickAndElapsed)
+TEST(Recorder, EpochRecordsCarryIndexTickAndElapsed)
 {
-    Sampler s(100);
-    s.addGauge("g", [] { return 0.0; });
+    Recorder rec(100, "unit/test");
+    rec.addGauge("g", [] { return 0.0; });
 
-    EpochRecord r0 = s.sample(100);
-    EpochRecord r1 = s.sample(200);
+    const TimeSeries &ts = drive(rec, {}, 200);
+    ASSERT_EQ(ts.epochs.size(), 2u);
+    const EpochRecord &r0 = ts.epochs[0];
+    const EpochRecord &r1 = ts.epochs[1];
     EXPECT_EQ(r0.index, 0u);
     EXPECT_EQ(r1.index, 1u);
     EXPECT_EQ(r1.tick, 200u);
     EXPECT_EQ(r1.elapsed, 100u);
-    EXPECT_EQ(s.epochsSampled(), 2u);
-    EXPECT_EQ(s.lastSampleTick(), 200u);
+    EXPECT_EQ(ts.header.epoch_ticks, 100u);
+    EXPECT_EQ(ts.header.run_id, "unit/test");
 }
 
-TEST(SamplerDeath, DuplicateProbeNamePanics)
+TEST(Recorder, SamplesOnEpochBoundariesAndCapturesTail)
 {
-    Sampler s(100);
-    s.addGauge("dup", [] { return 0.0; });
-    EXPECT_DEATH(s.addGauge("dup", [] { return 0.0; }), "dup");
+    uint64_t count = 0;
+    Recorder rec(100, "unit/test");
+    rec.addCounter("c", [&] { return static_cast<double>(count); });
+
+    // Past two full epochs into a partial third.
+    const TimeSeries &ts = drive(rec,
+                                 {{50, [&] { count = 5; }},
+                                  {150, [&] { count = 12; }},
+                                  {225, [&] { count = 20; }}},
+                                 230);
+    ASSERT_EQ(ts.epochs.size(), 3u);
+    EXPECT_EQ(ts.epochs[0].tick, 100u);
+    EXPECT_EQ(ts.epochs[0].values[0], 5.0);
+    EXPECT_EQ(ts.epochs[1].tick, 200u);
+    EXPECT_EQ(ts.epochs[1].values[0], 7.0);
+    // The tail epoch covers 200..230 only.
+    EXPECT_EQ(ts.epochs[2].tick, 230u);
+    EXPECT_EQ(ts.epochs[2].elapsed, 30u);
+    EXPECT_EQ(ts.epochs[2].values[0], 8.0);
+
+    // finish() is idempotent.
+    rec.finish(500);
+    EXPECT_EQ(ts.epochs.size(), 3u);
+}
+
+TEST(RecorderDeath, DuplicateProbeNamePanics)
+{
+    Recorder rec(100, "unit/test");
+    rec.addGauge("dup", [] { return 0.0; });
+    EXPECT_DEATH(rec.addGauge("dup", [] { return 0.0; }), "dup");
 }
 
 // --------------------------------------------------- Distribution p50/p95
@@ -169,65 +241,29 @@ TEST(DistributionPercentile, EdgeCases)
     EXPECT_EQ(d.percentile(2.0), d.percentile(1.0));
 }
 
-TEST(Sampler, DistributionRegistersPercentileGauges)
+TEST(Recorder, DistributionRegistersPercentileGauges)
 {
     stats::Distribution d(0.0, 100.0, 100);
-    Sampler s(100);
-    s.addDistribution("lat", d);
-    ASSERT_EQ(s.names().size(), 3u);
-    EXPECT_EQ(s.names()[0], "lat.p50");
-    EXPECT_EQ(s.names()[1], "lat.p95");
-    EXPECT_EQ(s.names()[2], "lat.p99");
+    Recorder rec(100, "unit/test");
+    rec.addDistribution("lat", d);
+    const std::vector<std::string> &names = rec.series()->header.probes;
+    ASSERT_EQ(names.size(), 3u);
+    EXPECT_EQ(names[0], "lat.p50");
+    EXPECT_EQ(names[1], "lat.p95");
+    EXPECT_EQ(names[2], "lat.p99");
 
-    for (int i = 0; i < 100; ++i)
-        d.sample(i + 0.5);
-    EpochRecord rec = s.sample(100);
-    EXPECT_NEAR(rec.values[0], 50.0, 1.0);
-    EXPECT_NEAR(rec.values[1], 95.0, 1.0);
-    EXPECT_NEAR(rec.values[2], 99.0, 1.0);
-}
-
-// ------------------------------------------------------------ Recorder
-
-TEST(Recorder, SamplesOnEpochBoundariesAndCapturesTail)
-{
-    TelemetryConfig cfg;
-    cfg.enabled = true;
-    cfg.epoch_ticks = 100;
-
-    uint64_t count = 0;
-    Recorder rec(cfg, "unit/test");
-    rec.sampler().addCounter("c",
-                             [&] { return static_cast<double>(count); });
-
-    EventQueue events;
-    rec.start(events);
-
-    // Drive the queue past two full epochs into a partial third.
-    events.schedule(50, [&](Tick) { count = 5; });
-    events.schedule(150, [&](Tick) { count = 12; });
-    events.schedule(225, [&](Tick) { count = 20; });
-    // Tick-by-tick like the simulator's main loop (a single runDue(230)
-    // would forbid the Recorder's self-rescheduling at 200).
-    for (Tick t = 0; t <= 230; ++t)
-        events.runDue(t);
-    rec.finish(230);
-
-    auto ts = rec.series();
-    ASSERT_TRUE(ts != nullptr);
-    ASSERT_EQ(ts->epochs.size(), 3u);
-    EXPECT_EQ(ts->epochs[0].tick, 100u);
-    EXPECT_EQ(ts->epochs[0].values[0], 5.0);
-    EXPECT_EQ(ts->epochs[1].tick, 200u);
-    EXPECT_EQ(ts->epochs[1].values[0], 7.0);
-    // The tail epoch covers 200..230 only.
-    EXPECT_EQ(ts->epochs[2].tick, 230u);
-    EXPECT_EQ(ts->epochs[2].elapsed, 30u);
-    EXPECT_EQ(ts->epochs[2].values[0], 8.0);
-
-    // finish() is idempotent.
-    rec.finish(500);
-    EXPECT_EQ(ts->epochs.size(), 3u);
+    const TimeSeries &ts = drive(rec,
+                                 {{50,
+                                   [&] {
+                                       for (int i = 0; i < 100; ++i)
+                                           d.sample(i + 0.5);
+                                   }}},
+                                 100);
+    ASSERT_EQ(ts.epochs.size(), 1u);
+    const std::vector<double> &values = ts.epochs[0].values;
+    EXPECT_NEAR(values[0], 50.0, 1.0);
+    EXPECT_NEAR(values[1], 95.0, 1.0);
+    EXPECT_NEAR(values[2], 99.0, 1.0);
 }
 
 // --------------------------------------------- End-to-end on a System
@@ -295,7 +331,7 @@ TEST(TelemetryEndToEnd, DisabledRunCarriesNoSeries)
 {
     sim::SystemConfig cfg =
         telemetryConfig("mcf", "silcfm");
-    cfg.telemetry.enabled = false;
+    cfg.telemetry_epoch_ticks = 0;
     sim::System system(cfg);
     sim::SimResult r = system.run();
     EXPECT_TRUE(r.telemetry == nullptr);

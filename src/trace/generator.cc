@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
-#include <mutex>
-#include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/serialize.hh"
@@ -31,44 +28,6 @@ runLength(Rng &rng, uint32_t mean)
     const double u = rng.uniform();
     const double len = -std::log(1.0 - u) * static_cast<double>(mean);
     return std::max<uint32_t>(1, static_cast<uint32_t>(std::lround(len)));
-}
-
-/**
- * Constructor memo: the footprint tables (hot-page permutation and
- * per-page subblock masks) are a pure function of (profile, seed), and
- * comparison harnesses build the same (workload, core) generator once
- * per *scheme* — sevenfold in fig7_comparison.  Caching the post-init
- * RNG state alongside the tables makes repeats a pair of vector copies
- * while leaving the generated stream bit-identical.
- */
-struct CtorSnapshot
-{
-    Rng rng;
-    std::vector<uint32_t> hot_perm;
-    std::vector<uint32_t> page_masks;
-};
-
-std::mutex g_ctor_mu;
-std::unordered_map<std::string, std::shared_ptr<const CtorSnapshot>>
-    g_ctor_cache;
-
-/** Cache key covering every field the constructor's RNG draw depends on. */
-std::string
-ctorKey(const WorkloadProfile &p, uint64_t seed)
-{
-    char buf[320];
-    std::snprintf(
-        buf, sizeof buf,
-        "|%llu|%llu|%.17g|%.17g|%.17g|%llu|%.17g|%.17g|%u|%u|%.17g|%llu|%u",
-        static_cast<unsigned long long>(seed),
-        static_cast<unsigned long long>(p.footprint_bytes),
-        p.mem_fraction, p.write_fraction, p.cache_friendly_fraction,
-        static_cast<unsigned long long>(p.friendly_bytes),
-        p.stream_fraction, p.zipf_alpha, p.stream_run_subblocks,
-        p.hot_run_subblocks, p.page_density,
-        static_cast<unsigned long long>(p.phase_interval),
-        p.mem_pc_count);
-    return p.name + buf;
 }
 
 } // namespace
@@ -104,52 +63,31 @@ SyntheticGenerator::SyntheticGenerator(WorkloadProfile profile,
 
     zipf_ = std::make_unique<ZipfSampler>(pages, profile_.zipf_alpha);
 
-    const std::string key = ctorKey(profile_, seed);
-    std::shared_ptr<const CtorSnapshot> snap;
-    {
-        std::lock_guard<std::mutex> lock(g_ctor_mu);
-        auto it = g_ctor_cache.find(key);
-        if (it != g_ctor_cache.end())
-            snap = it->second;
-    }
-    if (snap) {
-        rng_ = snap->rng;
-        hot_perm_ = snap->hot_perm;
-        page_masks_ = snap->page_masks;
-    } else {
-        hot_perm_.resize(pages);
-        for (uint64_t i = 0; i < pages; ++i)
-            hot_perm_[i] = static_cast<uint32_t>(i);
-        reshuffleHotSet();
+    hot_perm_.resize(pages);
+    for (uint64_t i = 0; i < pages; ++i)
+        hot_perm_[i] = static_cast<uint32_t>(i);
+    reshuffleHotSet();
 
-        // Spatial density: each page exposes a fixed subset of its
-        // subblocks to hot-page accesses (a property of the
-        // data-structure layout).
-        page_masks_.resize(pages);
-        const uint32_t used = std::max<uint32_t>(
-            1,
-            static_cast<uint32_t>(std::lround(
-                profile_.page_density * kSubblocksPerBlock)));
-        for (uint64_t p = 0; p < pages; ++p) {
-            uint32_t mask = 0;
-            uint32_t set_bits = 0;
-            while (set_bits < used) {
-                const uint32_t bit =
-                    static_cast<uint32_t>(rng_.below(kSubblocksPerBlock));
-                if (!(mask & (1u << bit))) {
-                    mask |= (1u << bit);
-                    ++set_bits;
-                }
+    // Spatial density: each page exposes a fixed subset of its
+    // subblocks to hot-page accesses (a property of the data-structure
+    // layout).
+    page_masks_.resize(pages);
+    const uint32_t used = std::max<uint32_t>(
+        1,
+        static_cast<uint32_t>(std::lround(
+            profile_.page_density * kSubblocksPerBlock)));
+    for (uint64_t p = 0; p < pages; ++p) {
+        uint32_t mask = 0;
+        uint32_t set_bits = 0;
+        while (set_bits < used) {
+            const uint32_t bit =
+                static_cast<uint32_t>(rng_.below(kSubblocksPerBlock));
+            if (!(mask & (1u << bit))) {
+                mask |= (1u << bit);
+                ++set_bits;
             }
-            page_masks_[p] = mask;
         }
-
-        auto built = std::make_shared<CtorSnapshot>();
-        built->rng = rng_;
-        built->hot_perm = hot_perm_;
-        built->page_masks = page_masks_;
-        std::lock_guard<std::mutex> lock(g_ctor_mu);
-        g_ctor_cache.emplace(key, std::move(built));
+        page_masks_[p] = mask;
     }
     phase_changes_ = 0;   // the constructor shuffle is not a phase change
     phase_countdown_ = profile_.phase_interval;

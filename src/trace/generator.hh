@@ -145,8 +145,8 @@ class SyntheticGenerator : public TraceSource
      * Checkpoint the mutable stream state (RNG, hot permutation, burst
      * machine, counters).  Ctor-pure tables (page_masks_, zipf_,
      * mem_pcs_) are not captured: a checkpoint is read into a generator
-     * built with the same (profile, seed), which the ctor memo makes
-     * exact.
+     * built with the same (profile, seed), and construction is
+     * deterministic, so the reader rebuilds them exactly.
      */
     void checkpoint(Blob &b) override;
 

@@ -9,6 +9,7 @@
 #include <cstdarg>
 #include <cstdio>
 
+#include "core/silc_fm.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 
@@ -112,7 +113,7 @@ main(int argc, char **argv)
         "50 (aging every 1M accesses; scaled together)");
     row("bypass target", fmt("%.2f", cfg.silc.bypass_target),
         "0.8 access rate");
-    row("predictor", fmt("%" PRIu64 " entries", cfg.silc.predictor_entries),
+    row("predictor", fmt("%" PRIu64 " entries", core::kPredictorEntries),
         "4K entries, 1 cycle");
     row("history table",
         fmt("%" PRIu64 " entries", cfg.silc.history_entries),

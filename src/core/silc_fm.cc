@@ -9,6 +9,13 @@ namespace core {
 
 using policy::Location;
 
+namespace {
+
+/** Bytes per remap-entry fetch. */
+constexpr uint32_t kMetadataBytes = 8;
+
+} // namespace
+
 SilcFmPolicy::SilcFmPolicy(policy::PolicyEnv env, SilcFmParams params)
     : FlatMemoryPolicy(env),
       params_(params),
@@ -17,7 +24,7 @@ SilcFmPolicy::SilcFmPolicy(policy::PolicyEnv env, SilcFmParams params)
                    env.fm->capacity() / kLargeBlockSize),
       meta_(nm_pages_, params.associativity),
       history_(params.history_entries),
-      predictor_(params.predictor_entries),
+      predictor_(kPredictorEntries),
       balancer_(params.enable_bypass, params.bypass_target,
                 params.bypass_window),
       counter_ops_(params.counter_bits),
@@ -387,8 +394,8 @@ SilcFmPolicy::issueDemandTimed(const Resolution &res, uint64_t set,
     // A mispredicted (or unpredicted) way serialises the fetch of every
     // remap entry in the set: model it as a longer metadata burst.
     const uint32_t meta_bytes = way_correct
-        ? params_.metadata_bytes
-        : params_.metadata_bytes * params_.associativity;
+        ? kMetadataBytes
+        : kMetadataBytes * params_.associativity;
 
     dram::DramSystem &data_dev = deviceFor(res.loc);
     const Addr data_addr = res.loc.device_addr;
@@ -424,7 +431,7 @@ SilcFmPolicy::issueDemandTimed(const Resolution &res, uint64_t set,
     }
 
     if (res.metadata_dirty) {
-        issueWrite(*env_.nm, meta_addr, params_.metadata_bytes,
+        issueWrite(*env_.nm, meta_addr, kMetadataBytes,
                    dram::TrafficClass::Metadata, core, now, meta_ch);
     }
 }

@@ -32,6 +32,9 @@
 namespace silc {
 namespace core {
 
+/** Way + location predictor entries (paper: 4K). */
+constexpr uint64_t kPredictorEntries = 4096;
+
 /** SILC-FM configuration; defaults follow the paper. */
 struct SilcFmParams
 {
@@ -84,8 +87,6 @@ struct SilcFmParams
      * fetch — locking's protection without PoM-like fetch waste.
      */
     uint32_t lock_full_fetch_min_used = 8;
-    /** Predictor entries (paper: 4K). */
-    uint64_t predictor_entries = 4096;
 
     /** Remap metadata lives in a dedicated NM channel (Section III-D). */
     bool dedicated_metadata_channel = true;
@@ -94,8 +95,6 @@ struct SilcFmParams
      * hook; false idealises metadata as free on-chip state).
      */
     bool model_metadata_traffic = true;
-    /** Bytes per remap-entry fetch. */
-    uint32_t metadata_bytes = 8;
 };
 
 /** The SILC-FM flat-memory policy. */

@@ -6,6 +6,13 @@
 namespace silc {
 namespace policy {
 
+namespace {
+
+/** Extra bytes fetched per NM access for the in-row LLT entry. */
+constexpr uint32_t kLltBytes = 8;
+
+} // namespace
+
 CameoPolicy::CameoPolicy(PolicyEnv env, CameoParams params)
     : FlatMemoryPolicy(env), params_(params)
 {
@@ -114,7 +121,7 @@ CameoPolicy::swapIntoNm(uint64_t block, CoreId core, Tick now)
     // swap writes it into the NM slot (extended burst carries the
     // updated LLT) and moves the old NM occupant to the vacated FM slot.
     issueWrite(*env_.nm, nm_loc.device_addr,
-               static_cast<uint32_t>(kSubblockSize) + params_.llt_bytes,
+               static_cast<uint32_t>(kSubblockSize) + kLltBytes,
                dram::TrafficClass::Migration, core, now);
     issueWrite(*env_.fm, fm_loc.device_addr,
                static_cast<uint32_t>(kSubblockSize),
@@ -139,7 +146,7 @@ CameoPolicy::demandAccess(Addr paddr, bool is_write, CoreId core, Addr pc,
     const Location serviced = slotLocation(g, slot);
 
     const uint32_t nm_burst =
-        static_cast<uint32_t>(kSubblockSize) + params_.llt_bytes;
+        static_cast<uint32_t>(kSubblockSize) + kLltBytes;
 
     // Line Location Predictor: a correct "in FM" speculation lets the
     // FM request bypass the LLT serialization.

@@ -26,8 +26,6 @@ namespace policy {
 /** CAMEO configuration. */
 struct CameoParams
 {
-    /** Extra bytes fetched per NM access for the in-row LLT entry. */
-    uint32_t llt_bytes = 8;
     /** Next-line prefetch degree (0 = plain CAMEO, 3 = CAMEOP). */
     uint32_t prefetch_degree = 0;
     /**

@@ -8,6 +8,9 @@ namespace policy {
 
 namespace {
 
+/** Tag bytes fetched/written alongside each 64B cache line. */
+constexpr uint32_t kTagBytes = 8;
+
 uint64_t
 staticBytesFor(const PolicyEnv &env, const MemCacheParams &p)
 {
@@ -30,7 +33,6 @@ pureCacheParams(const DramCacheParams &p)
     MemCacheParams m;
     m.mem_percent = 0;
     m.ways = p.ways;
-    m.tag_bytes = p.tag_bytes;
     m.fill_on_write = p.fill_on_write;
     return m;
 }
@@ -90,7 +92,7 @@ MemCachePolicy::fillBlock(uint64_t block, const Location &from,
     // install write (data + tag) is the only extra traffic.
     ++migration_ops_;
     issueWrite(*env_.nm, slot_loc.device_addr,
-               static_cast<uint32_t>(kSubblockSize) + params_.tag_bytes,
+               static_cast<uint32_t>(kSubblockSize) + kTagBytes,
                dram::TrafficClass::Migration, core, now);
     notifyCopy(from, slot_loc);
     if (is_write)
@@ -116,7 +118,7 @@ MemCachePolicy::demandAccess(Addr paddr, bool is_write, CoreId core,
 
     const uint64_t block = (sub - static_bytes_) >> kSubblockBits;
     const uint32_t burst =
-        static_cast<uint32_t>(kSubblockSize) + params_.tag_bytes;
+        static_cast<uint32_t>(kSubblockSize) + kTagBytes;
     const uint64_t slot = dir_.lookup(block);
 
     if (slot != BlockCacheDir::kNoSlot) {

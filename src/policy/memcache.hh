@@ -33,8 +33,6 @@ struct DramCacheParams
 {
     /** Ways per set (Alloy adopts 1: direct-mapped TAD). */
     uint32_t ways = 1;
-    /** Tag bytes fetched/written alongside each 64B line. */
-    uint32_t tag_bytes = 8;
     /** Allocate on write misses too (false: write-around). */
     bool fill_on_write = true;
 };
@@ -47,8 +45,6 @@ struct MemCacheParams
     uint32_t mem_percent = 50;
     /** Ways per set of the cache region. */
     uint32_t ways = 2;
-    /** Tag bytes fetched/written alongside each 64B cache line. */
-    uint32_t tag_bytes = 8;
     /** Allocate on write misses too (false: write-around). */
     bool fill_on_write = true;
 };

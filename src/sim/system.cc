@@ -15,6 +15,13 @@
 namespace silc {
 namespace sim {
 
+namespace {
+
+/** Extra ticks between LLC fill and dependent wakeup. */
+constexpr Tick kFillLatency = 2;
+
+} // namespace
+
 SystemConfig
 SystemConfig::defaults()
 {
@@ -120,7 +127,7 @@ MemoryHierarchy::access(CoreId core, Addr vaddr, Addr pc, bool is_write,
                     policy_.writeback(ol2.writeback_addr, core, t);
             }
             if (done)
-                done(t + cfg_.fill_latency);
+                done(t + kFillLatency);
         };
 
         const auto alloc = mshr_.allocate(block, core, std::move(fill_cb));

@@ -67,8 +67,6 @@ struct SystemConfig : policy::SchemeConfig
     uint64_t fm_bytes = 16 * 1024 * 1024;
 
     cpu::CoreParams core_params;
-    /** Extra ticks between LLC fill and dependent wakeup. */
-    uint32_t fill_latency = 2;
 
     cache::CacheParams l1d;
     cache::CacheParams l2;

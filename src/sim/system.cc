@@ -199,6 +199,29 @@ MemoryHierarchy::warmShared(CoreId core, Addr paddr, Addr pc, bool is_write,
 }
 
 void
+MemoryHierarchy::warmL2(CoreId core, Addr paddr, Addr pc, bool is_write,
+                        Addr victim, uint32_t cycle,
+                        std::vector<WarmCall> &calls)
+{
+    if (!l2_.accessIfHit(paddr, false)) {
+        ++llc_misses_total_;
+        l2_.noteMiss();
+        calls.push_back(
+            {subblockAddr(paddr), pc, cycle, core, true, is_write});
+        const auto o2 = l2_.fill(paddr, false);
+        if (o2.writeback)
+            calls.push_back({o2.writeback_addr, 0, cycle, core, false,
+                             false});
+    }
+    if (victim != kAddrInvalid) {
+        const auto ol2 = l2_.fill(victim, true);
+        if (ol2.writeback)
+            calls.push_back({ol2.writeback_addr, 0, cycle, core, false,
+                             false});
+    }
+}
+
+void
 MemoryHierarchy::checkpoint(Blob &b)
 {
     uint32_t cores = static_cast<uint32_t>(private_.size());

@@ -107,6 +107,7 @@ struct SystemConfig : policy::SchemeConfig
 
 class MemoryHierarchy;
 class WarmEngine;
+struct WarmCall;
 
 /**
  * Functional-warming phase stagger (see DESIGN.md "known biases"):
@@ -278,9 +279,12 @@ class MemoryHierarchy : public cpu::MemoryPort
     // warmShared(): LLC misses bypass the MSHR file and the policy's
     // timing skeleton, and fills happen synchronously.  The warming
     // engine (System::runToBudget in functional mode) runs the per-core
-    // halves for many cores concurrently and only warmShared()
-    // serially.  That is exact because the L1d update never depends on
-    // the L2 outcome.  access() is the detailed path only.
+    // halves for many cores concurrently and the shared half serially,
+    // split once more: warmL2() on the calling thread, the policy calls
+    // it records later on another.  That is exact because the L1d
+    // update never depends on the L2 outcome, and the L2 and the policy
+    // never read each other's state.  access() is the detailed path
+    // only.
 
     /**
      * The L1d half: a hit, or on a miss the fill and its victim.
@@ -303,6 +307,14 @@ class MemoryHierarchy : public cpu::MemoryPort
      */
     bool warmShared(CoreId core, Addr paddr, Addr pc, bool is_write,
                     Addr victim, Tick now);
+
+    /**
+     * warmShared() without the policy: the same L2 lookup, fills and
+     * LLC-miss count, with the policy calls warmShared() makes appended
+     * to @p calls in its order, stamped with chunk offset @p cycle.
+     */
+    void warmL2(CoreId core, Addr paddr, Addr pc, bool is_write,
+                Addr victim, uint32_t cycle, std::vector<WarmCall> &calls);
 
     /** Checkpoint the cache contents and miss counters. */
     void checkpoint(Blob &b);
@@ -341,7 +353,7 @@ class MemoryHierarchy : public cpu::MemoryPort
     EventQueue &events_;
 
     std::vector<CorePrivate> private_;
-    /** On its own lines: the warming engine's serial phase updates it
+    /** On its own lines: the warming engine's L2 half updates it
      *  while the per-core phases read private_. */
     alignas(64) cache::Cache l2_;
     cache::MshrFile mshr_;

@@ -15,10 +15,10 @@ namespace {
 
 /**
  * Instructions per chunk, summed over cores.  Bounds the per-chunk
- * buffers (24 bytes per memory instruction, 32 per L1d miss, two miss
- * buffers) to a few hundred KiB on the Table III workloads, and sets
- * how often the phases hand over: about a thousand times for a 4-core,
- * 10M-instruction warming pass.
+ * buffers (24 bytes per memory instruction, 32 per L1d miss and per
+ * policy call, two miss and two call buffers) to a few hundred KiB on
+ * the Table III workloads, and sets how often the phases hand over:
+ * about a thousand times for a 4-core, 10M-instruction warming pass.
  */
 constexpr uint64_t kChunkInstructions = 32 * 1024;
 
@@ -40,16 +40,19 @@ WarmEngine::WarmEngine(uint32_t lanes, unsigned width)
 WarmEngine::~WarmEngine() = default;
 
 void
-WarmEngine::setStages(LaneFn p1, std::function<void()> s1, LaneFn p2)
+WarmEngine::setStages(LaneFn p1, std::function<void()> s1, LaneFn p2,
+                      std::function<void()> tail)
 {
     p1_ = std::move(p1);
     s1_ = std::move(s1);
     p2_ = std::move(p2);
+    tail_ = std::move(tail);
 }
 
 void
-WarmEngine::start()
+WarmEngine::start(bool tail)
 {
+    tail_lanes_ = tail ? 1 : 0;
     claim_.store(kStageP1 << 32, std::memory_order_relaxed);
     finished_.store(0, std::memory_order_relaxed);
     if (!pool_)
@@ -83,15 +86,23 @@ WarmEngine::work()
         const uint32_t lane = static_cast<uint32_t>(c);
         if (stage == kStageDone)
             return;
-        if (lane >= n) {
+        const uint32_t lanes = stage == kStageP1 ? n : n + tail_lanes_;
+        if (lane >= lanes) {
             // Every lane of the stage is claimed: wait for the thread
             // that finishes the last one to open the next stage.
             while (claim_.load(std::memory_order_acquire) >> 32 == stage)
                 std::this_thread::yield();
             continue;
         }
-        (stage == kStageP1 ? p1_ : p2_)(lane);
-        if (finished_.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
+        // The tail is the longest P2 lane, so it is claimed first.
+        if (stage == kStageP1)
+            p1_(lane);
+        else if (lane < tail_lanes_)
+            tail_();
+        else
+            p2_(lane - tail_lanes_);
+        if (finished_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            lanes) {
             finished_.store(0, std::memory_order_relaxed);
             if (stage == kStageP1)
                 s1_();
@@ -226,14 +237,50 @@ System::runFunctional()
             }
         }
     };
-    warm_->setStages(p1, s1, p2);
 
-    // ---- S2: the shared tail, in the per-cycle loop's order ---------
+    // ---- S2: the L2 half, in the per-cycle loop's order -------------
+    //
+    // The misses, merged by (cycle, core), run their L2 lookups and
+    // fills here and leave the policy calls warmShared() would make in
+    // the chunk's call buffer.  The merge reads each lane's misses
+    // through these copies, never the lane itself: P2 of the next chunk
+    // is writing the lane's other buffer right next to it.
+    std::vector<const WarmMiss *> head(n);
+    std::vector<const WarmMiss *> stop(n);
+    auto record = [&](Tick base, unsigned buf) {
+        WarmCalls &rec = warm_->calls(buf);
+        rec.base = base;
+        rec.calls.clear();
+        for (uint32_t c = 0; c < n; ++c) {
+            const std::vector<WarmMiss> &ms = lanes[c].misses[buf];
+            head[c] = ms.data();
+            stop[c] = ms.data() + ms.size();
+        }
+        while (true) {
+            uint32_t off = std::numeric_limits<uint32_t>::max();
+            for (uint32_t c = 0; c < n; ++c) {
+                if (head[c] != stop[c])
+                    off = std::min(off, head[c]->cycle);
+            }
+            if (off == std::numeric_limits<uint32_t>::max())
+                return;
+            for (uint32_t c = 0; c < n; ++c) {
+                for (; head[c] != stop[c] && head[c]->cycle == off;
+                     ++head[c]) {
+                    const WarmMiss &m = *head[c];
+                    hierarchy_->warmL2(c, m.paddr, m.pc, m.is_write,
+                                       m.victim, off, rec.calls);
+                }
+            }
+        }
+    };
+
+    // ---- T: the policy tail, one chunk behind -----------------------
     //
     // Per cycle the loop ran events, then the cores, then the DRAM and
-    // policy ticks.  Only the shared halves of the L1d misses remain to
-    // run here; on cycles without one, only the events and ticks that
-    // are due (the others are no-ops) need to run.
+    // policy ticks.  Only the recorded policy calls remain to run here;
+    // on cycles without one, only the events and ticks that are due
+    // (the others are no-ops) need to run.
     Tick pos = start; // first cycle whose events and ticks have not run
     auto tick_wake = [&] {
         Tick w = std::min(fm_->nextWakeTick(), policy_->nextWakeTick());
@@ -256,35 +303,23 @@ System::runFunctional()
             pos = w + 1;
         }
     };
-    // The merge reads each lane's misses through these copies, never the
-    // lane itself: P2 of the next chunk is writing the lane's other
-    // buffer right next to it.
-    std::vector<const WarmMiss *> head(n);
-    std::vector<const WarmMiss *> tail(n);
-    auto commit = [&](Tick base, unsigned buf) {
-        for (uint32_t c = 0; c < n; ++c) {
-            const std::vector<WarmMiss> &ms = lanes[c].misses[buf];
-            head[c] = ms.data();
-            tail[c] = ms.data() + ms.size();
-        }
-        while (true) {
-            uint32_t off = std::numeric_limits<uint32_t>::max();
-            for (uint32_t c = 0; c < n; ++c) {
-                if (head[c] != tail[c])
-                    off = std::min(off, head[c]->cycle);
-            }
-            if (off == std::numeric_limits<uint32_t>::max())
-                return;
-            const Tick t = base + off;
+    auto replay = [&](unsigned buf) {
+        const WarmCalls &rec = warm_->calls(buf);
+        const WarmCall *call = rec.calls.data();
+        const WarmCall *const last_call = call + rec.calls.size();
+        while (call != last_call) {
+            const uint32_t off = call->cycle;
+            const Tick t = rec.base + off;
             idle_until(t);
             if (events_.nextEventTick() <= t)
                 events_.runDue(t);
-            for (uint32_t c = 0; c < n; ++c) {
-                for (; head[c] != tail[c] && head[c]->cycle == off;
-                     ++head[c]) {
-                    const WarmMiss &m = *head[c];
-                    hierarchy_->warmShared(c, m.paddr, m.pc, m.is_write,
-                                           m.victim, t);
+            for (; call != last_call && call->cycle == off; ++call) {
+                if (call->demand) {
+                    policy_->demandAccess(call->addr, call->is_write,
+                                          call->core, call->pc, nullptr,
+                                          t);
+                } else {
+                    policy_->writeback(call->addr, call->core, t);
                 }
             }
             if (tick_wake() <= t)
@@ -292,18 +327,23 @@ System::runFunctional()
             pos = t + 1;
         }
     };
+    // The tail of chunk k runs while chunk k+2 is prepared, which fills
+    // the buffers of k's parity: the tail replays calls(p_buf).
+    warm_->setStages(p1, s1, p2, [&] { replay(p_buf); });
 
     // ---- the pipeline -----------------------------------------------
     //
-    // The P phases of the next chunk run on the helpers while this
-    // thread commits the current one: they touch only the lanes, the
-    // traces, the private L1s and the translation, and S2 touches none
-    // of those.  Segment boundaries (checkpoints) drain the pipeline.
-    auto prepare = [&](unsigned buf) {
+    // While this thread runs S2 of chunk k, the helpers run the P
+    // phases of chunk k+1, which touch only the lanes, the traces, the
+    // private L1s and the translation, and T of chunk k-1, which
+    // touches only the policy, its oracles, the event queue and the
+    // DRAM systems.  Segment boundaries (checkpoints) drain the
+    // pipeline: the last two tails run here.
+    auto prepare = [&](unsigned buf, bool tail) {
         p_begin = p_end;
         p_end = std::min(p_begin + span, last + 1);
         p_buf = buf;
-        warm_->start();
+        warm_->start(tail);
     };
     auto retire = [&] {
         for (uint32_t c = 0; c < n; ++c) {
@@ -313,22 +353,29 @@ System::runFunctional()
         }
     };
 
-    prepare(0);
+    prepare(0, false);
     warm_->finish();
     retire();
+    bool behind = false; // the previous chunk's tail has not run
+    unsigned buf = 0;
     while (true) {
         const Tick base = p_begin;
-        const unsigned buf = p_buf;
+        buf = p_buf;
         const bool more = p_end <= last;
         if (more)
-            prepare(buf ^ 1);
-        commit(base, buf);
+            prepare(buf ^ 1, behind);
+        record(base, buf);
         if (!more)
             break;
         warm_->finish();
         retire();
+        behind = true;
     }
-    warm_->setStages(nullptr, nullptr, nullptr); // they capture locals
+    // The stages capture locals.
+    warm_->setStages(nullptr, nullptr, nullptr, nullptr);
+    if (behind)
+        replay(buf ^ 1);
+    replay(buf);
     idle_until(last + 1);
     if (pos <= last) {
         // Nothing was due on the last cycle; stamp it as the loop did.

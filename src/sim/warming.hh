@@ -7,7 +7,7 @@
  * is static.  Core c retires `width` instructions in every cycle it is
  * not blacked out (kWarmBlackoutCycles), cores in index order, so each
  * access's global position (cycle, core, slot) follows from that core's
- * stream alone.  The engine walks the segment in chunks of cycles, four
+ * stream alone.  The engine walks the segment in chunks of cycles, five
  * phases each:
  *
  *   P1 (per core)  generate the chunk's instructions from the core's
@@ -16,12 +16,16 @@
  *   P2 (per core)  translation through the core's TLB slice, the L1d
  *                  hit or fill with its victim, and a record of every
  *                  L1d miss;
- *   S2 (serial)    merge the misses by position and run the shared
- *                  tail (L2, demandAccess, the writeback cascade) and
- *                  the per-cycle event, DRAM and policy hooks.
+ *   S2 (serial)    the L2 half: merge the misses by position, run their
+ *                  L2 lookups and fills, and record the policy calls
+ *                  (demandAccess, writebacks) they make;
+ *   T  (serial)    the policy tail: replay those calls at their cycles
+ *                  with the per-cycle event, DRAM and policy hooks.
  *
  * P1, S1 and P2 of chunk k+1 run on the pool while the calling thread
- * runs S2 of chunk k: they touch disjoint state.  DESIGN.md
+ * runs S2 of chunk k, and T of chunk k-1 runs as one more lane of that
+ * P2 stage: the policy reads no L2 state and the L2 none of the
+ * policy's, so all of them touch disjoint state.  DESIGN.md
  * "Functional warming" has the state split.
  */
 
@@ -67,6 +71,28 @@ struct WarmMiss
     bool is_write;
 };
 
+/** A policy call of an L2 miss or an L2 victim (S2 -> T). */
+struct WarmCall
+{
+    Addr addr; ///< the demand's subblock, or the written-back line
+    Addr pc;   ///< demands only
+    uint32_t cycle; ///< offset from the chunk's first cycle
+    CoreId core;
+    bool demand;   ///< demandAccess, else writeback
+    bool is_write; ///< demands only
+};
+
+/**
+ * One chunk's policy calls in global order.  Double-buffered like
+ * WarmLane::misses: S2 fills one while T replays the other, and each
+ * sits on cache lines of its own.
+ */
+struct alignas(64) WarmCalls
+{
+    std::vector<WarmCall> calls;
+    Tick base = 0; ///< the chunk's first cycle
+};
+
 /**
  * One core's buffers and schedule.  Only the thread running the core's
  * P phases writes it, and it sits on cache lines of its own: lanes
@@ -96,10 +122,10 @@ struct alignas(64) WarmLane
 /**
  * The lanes plus a two-stage fork-join over them: P1 on every lane,
  * then the serial S1 (run by whichever thread finishes the last P1
- * lane), then P2 on every lane.  start() hands the stages to the pool's
- * helpers; finish() makes the caller work lanes too and returns once
- * P2 is done — so the caller can run S2 of the previous chunk between
- * the two.
+ * lane), then P2 on every lane and, if asked, the tail as one more P2
+ * lane.  start() hands the stages to the pool's helpers; finish() makes
+ * the caller work lanes too and returns once P2 is done — so the caller
+ * can run S2 of the previous chunk between the two.
  */
 class WarmEngine
 {
@@ -116,11 +142,16 @@ class WarmEngine
 
     std::vector<WarmLane> &lanes() { return lanes_; }
 
-    /** The work of the stages, for the following start()s. */
-    void setStages(LaneFn p1, std::function<void()> s1, LaneFn p2);
+    /** The policy calls recorded in buffer @p buf (0 or 1). */
+    WarmCalls &calls(unsigned buf) { return calls_[buf]; }
 
-    /** Begin one chunk's P1, S1, P2 on the helpers. */
-    void start();
+    /** The work of the stages, for the following start()s. */
+    void setStages(LaneFn p1, std::function<void()> s1, LaneFn p2,
+                   std::function<void()> tail);
+
+    /** Begin one chunk's P1, S1, P2 on the helpers; with @p tail, P2
+     *  runs the tail too, as a lane claimed before the cores'. */
+    void start(bool tail);
 
     /** Work lanes until P2 is done and every helper has left. */
     void finish();
@@ -130,9 +161,13 @@ class WarmEngine
     void work();
 
     std::vector<WarmLane> lanes_;
+    WarmCalls calls_[2];
     LaneFn p1_;
     std::function<void()> s1_;
     LaneFn p2_;
+    std::function<void()> tail_;
+    /** 1 when the current P2 stage runs the tail, else 0. */
+    uint32_t tail_lanes_ = 0;
 
     /** (stage << 32) | next unclaimed lane of that stage. */
     std::atomic<uint64_t> claim_{0};

@@ -737,9 +737,10 @@ TEST(EventDriven, MatchesPolledControllerAcrossRandomTimings)
                 next_arrival = t + 1 + traffic.below(12);
             }
             // Liveness: pending work always has a pending wakeup.
-            if (event_driven.ctrl.queuedRequests() != 0)
+            if (event_driven.ctrl.queuedRequests() != 0) {
                 ASSERT_NE(event_driven.ctrl.nextScanAt(), kTickNever)
                     << "trial " << trial << " tick " << t;
+            }
         }
         // Drain what is still queued.
         for (Tick t = horizon; t < horizon + 100000 &&

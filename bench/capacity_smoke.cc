@@ -22,18 +22,18 @@ using namespace silc::sim;
 int
 main(int argc, char **argv)
 {
-    checkArguments(argc, argv, true);
+    const Arguments args = checkArguments(argc, argv, true);
     ExperimentOptions opts = ExperimentOptions::fromEnv();
-    ResultWriter writer(jsonOutputPath(argc, argv), opts);
+    ResultWriter writer(args.json, opts);
     const std::string workload = opts.workload.value_or("mcf");
 
     SystemConfig cfg = makeConfig(workload, opts.scheme, opts);
     std::printf("capacity_smoke: %s/%s NM=%s MiB FM=%s MiB cores=%u "
                 "instr/core=%s check=%d\n",
                 workload.c_str(), opts.scheme.c_str(),
-                u64str(opts.nm_bytes >> 20).c_str(),
-                u64str(opts.fm_bytes >> 20).c_str(), opts.cores,
-                u64str(opts.instructions_per_core).c_str(),
+                std::to_string(opts.nm_bytes >> 20).c_str(),
+                std::to_string(opts.fm_bytes >> 20).c_str(), opts.cores,
+                std::to_string(opts.instructions_per_core).c_str(),
                 opts.check ? 1 : 0);
     std::fflush(stdout);
 
@@ -44,8 +44,8 @@ main(int argc, char **argv)
 
     std::printf("done: ticks=%s ipc=%.3f nm_demand_fraction=%.3f "
                 "accesses_checked=%s\n",
-                u64str(r.ticks).c_str(), r.ipc, r.nmDemandFraction(),
-                u64str(checked).c_str());
+                std::to_string(r.ticks).c_str(), r.ipc,
+                r.nmDemandFraction(), std::to_string(checked).c_str());
     if (r.hit_tick_limit) {
         std::fprintf(stderr, "capacity_smoke: run hit the tick limit\n");
         return 1;

@@ -44,9 +44,10 @@ main(int argc, char **argv)
 
     std::printf("=== Figure 7: speedup over no-NM baseline ===\n");
     std::printf("(cores=%u, instr/core=%s, NM=%sMiB, FM=%sMiB)\n\n",
-                opts.cores, u64str(opts.instructions_per_core).c_str(),
-                u64str(opts.nm_bytes >> 20).c_str(),
-                u64str(opts.fm_bytes >> 20).c_str());
+                opts.cores,
+                std::to_string(opts.instructions_per_core).c_str(),
+                std::to_string(opts.nm_bytes >> 20).c_str(),
+                std::to_string(opts.fm_bytes >> 20).c_str());
 
     // Fan everything out first: each workload's baseline denominator,
     // then every (workload, scheme) pair.

@@ -39,7 +39,7 @@ main(int argc, char **argv)
 
     std::printf("=== Figure 9: speedup vs NM:FM capacity ratio "
                 "(FM fixed at %s MiB) ===\n\n",
-                u64str(opts.fm_bytes >> 20).c_str());
+                std::to_string(opts.fm_bytes >> 20).c_str());
 
     // The whole (scheme, workload, ratio) grid is submitted up front;
     // the baselines are per-workload, independent of scheme and NM size.

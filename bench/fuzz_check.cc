@@ -13,12 +13,13 @@
  *   fuzz_check [--scheme NAME|all] [--campaigns N] [--accesses M]
  *              [--seed S] [--replay FILE]
  *
- * The base seed defaults to the SILC_FUZZ_SEED environment variable
- * (then 1); campaign c uses seed S + c.  A seed's trace is the same
- * under every scheme, so --scheme only selects which policy replays
- * it.  --replay re-runs one recorded trace under the campaign derived
- * from --seed and --scheme (print-outs of failures name the exact
- * command).  Exit status: 0 clean, 1 divergence.
+ * The base seed S is --seed's value (default 1); campaign c uses seed
+ * S + c.  SILC_FUZZ_SEED, its former environment spelling, is fatal
+ * when set.  A seed's trace is the same under every scheme, so --scheme
+ * only selects which policy replays it.  --replay re-runs one recorded
+ * trace under the campaign derived from --seed and --scheme (print-outs
+ * of failures name the exact command).  Exit status: 0 clean, 1
+ * divergence.
  *
  * Counts and seeds are positive decimal integers (common/env.hh):
  * "1k", "0x10", 0 and negative values are fatal.
@@ -36,6 +37,7 @@
 
 #include "check/campaign.hh"
 #include "common/env.hh"
+#include "common/logging.hh"
 #include "policy/registry.hh"
 #include "trace/fuzz.hh"
 
@@ -116,7 +118,10 @@ main(int argc, char **argv)
 {
     uint64_t campaigns = 25;
     uint64_t accesses = 4000;
-    uint64_t base_seed = envPositiveCount("SILC_FUZZ_SEED", 1);
+    if (std::getenv("SILC_FUZZ_SEED") != nullptr)
+        fatal("SILC_FUZZ_SEED was removed with the environment spelling "
+              "of the base seed; unset it and pass --seed S instead");
+    uint64_t base_seed = 1;
     std::string scheme = "silcfm";
     std::string replay_path;
 

@@ -4,9 +4,9 @@
  * full detail, once through the statistical sampling subsystem
  * (src/sample/) — and prints every sampled metric next to the full-run
  * value and its 95% confidence interval.  This is the differential
- * harness behind the sampling-smoke CI job and BENCH_sampling.json: a
- * healthy sampler keeps each full-run value inside the sampled CI while
- * finishing several times faster.
+ * harness behind the CI smoke job's sampling gate and
+ * BENCH_sampling.json: a healthy sampler keeps each full-run value
+ * inside the sampled CI while finishing several times faster.
  *
  * Scale with SILC_CORES / SILC_INSTR / SILC_SEED; tune the sampler with
  * SILC_SAMPLE_PERIOD / SILC_SAMPLE_WINDOW / SILC_SAMPLE_WARMUP (every
@@ -18,7 +18,7 @@
  * SILC_SCHEME the scheme (default silcfm; HMA cannot checkpoint, so its
  * "sampled" run falls back to full detail with a warning).
  *
- * --json <path> (or SILC_JSON) writes a silc.results.v1 document whose
+ * --json <path> writes a silc.results.v1 document whose
  * runs array is [full, sampled]; the sampled run carries the "sampling"
  * section.  --paper-channels uses the full paper channel counts (8 HBM2
  * pseudo-channels vs 4 DDR3 channels, as perfbench's detail-bw)
@@ -55,13 +55,13 @@ seconds_since(std::chrono::steady_clock::time_point t0)
 int
 main(int argc, char **argv)
 {
-    const bool paper_channels =
+    const Arguments args =
         checkArguments(argc, argv, true, "--paper-channels");
     ExperimentOptions opts = ExperimentOptions::fromEnv();
     sample::SamplingConfig scfg = sample::SamplingConfig::fromEnv();
     const std::string workload = opts.workload.value_or("mcf");
     SystemConfig cfg = makeConfig(workload, opts.scheme, opts);
-    if (paper_channels) {
+    if (args.flag) {
         cfg.nm_timing = dram::hbm2Params();
         cfg.fm_timing = dram::ddr3Params();
         cfg.fm_timing.channels = 4;
@@ -71,9 +71,11 @@ main(int argc, char **argv)
                 workload.c_str(), opts.scheme.c_str());
     std::printf("(cores=%u, instr/core=%s, period=%s, window=%s, "
                 "warmup=%s)\n\n",
-                opts.cores, u64str(opts.instructions_per_core).c_str(),
-                u64str(scfg.period).c_str(), u64str(scfg.window).c_str(),
-                u64str(scfg.warmup).c_str());
+                opts.cores,
+                std::to_string(opts.instructions_per_core).c_str(),
+                std::to_string(scfg.period).c_str(),
+                std::to_string(scfg.window).c_str(),
+                std::to_string(scfg.warmup).c_str());
 
     const auto t_full = std::chrono::steady_clock::now();
     SimResult full;
@@ -133,13 +135,12 @@ main(int argc, char **argv)
     std::printf("full %.2fs, sampled %.2fs, metrics outside CI: %d\n",
                 full_s, samp_s, outside);
 
-    const std::string json = jsonOutputPath(argc, argv);
-    if (!json.empty()) {
-        ResultWriter writer(json, opts);
+    if (!args.json.empty()) {
+        ResultWriter writer(args.json, opts);
         writer.add(full);
         writer.add(sampled);
         writer.write();
-        std::printf("wrote %s\n", json.c_str());
+        std::printf("wrote %s\n", args.json.c_str());
     }
 
     const double speedup = samp_s > 0.0 ? full_s / samp_s : 0.0;

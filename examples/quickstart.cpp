@@ -29,7 +29,8 @@ using namespace silc;
 int
 main(int argc, char **argv)
 {
-    const bool stats = sim::checkArguments(argc, argv, false, "--stats");
+    const bool stats =
+        sim::checkArguments(argc, argv, false, "--stats").flag;
     const sim::ExperimentOptions opts = sim::ExperimentOptions::fromEnv();
 
     const std::string workload = opts.workload.value_or("mcf");

@@ -49,17 +49,6 @@ Cache::lineAddr(Addr tag, uint64_t set) const
     return ((tag << set_bits_) | set) << line_shift_;
 }
 
-Cache::Line *
-Cache::findLine(Addr tag, uint64_t set)
-{
-    Line *base = &lines_[set * params_.associativity];
-    for (uint32_t w = 0; w < params_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
-    }
-    return nullptr;
-}
-
 const Cache::Line *
 Cache::findLine(Addr tag, uint64_t set) const
 {
@@ -72,8 +61,14 @@ Cache::findLine(Addr tag, uint64_t set) const
 }
 
 Cache::Line *
-Cache::scanSet(Addr tag, uint64_t set, Line **invalid_out,
-               Line **lru_out)
+Cache::findLine(Addr tag, uint64_t set)
+{
+    return const_cast<Line *>(
+        static_cast<const Cache *>(this)->findLine(tag, set));
+}
+
+Cache::Line *
+Cache::scanSet(Addr tag, uint64_t set, Line **victim_out)
 {
     // One pass per lookup: the matching line if present, plus the first
     // invalid way (the preferred victim) and the LRU-minimum way for the
@@ -94,63 +89,14 @@ Cache::scanSet(Addr tag, uint64_t set, Line **invalid_out,
         if (base[w].lru < lru_min->lru)
             lru_min = &base[w];
     }
-    *invalid_out = invalid;
-    *lru_out = lru_min;
+    *victim_out = invalid != nullptr ? invalid : lru_min;
     return nullptr;
 }
 
 AccessOutcome
-Cache::access(Addr addr, bool is_write)
+Cache::install(Line &victim, Addr tag, uint64_t set, bool dirty)
 {
-    const uint64_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
     AccessOutcome out;
-
-    Line *invalid = nullptr;
-    Line *lru_min = nullptr;
-    if (Line *line = scanSet(tag, set, &invalid, &lru_min)) {
-        ++hits_;
-        out.hit = true;
-        line->lru = ++lru_clock_;
-        if (is_write)
-            line->dirty = true;
-        return out;
-    }
-
-    ++misses_;
-    Line &victim = invalid ? *invalid : *lru_min;
-    if (victim.valid) {
-        ++evictions_;
-        if (victim.dirty) {
-            ++writebacks_;
-            out.writeback = true;
-            out.writeback_addr = lineAddr(victim.tag, set);
-        }
-    }
-    victim.tag = tag;
-    victim.valid = true;
-    victim.dirty = is_write;
-    victim.lru = ++lru_clock_;
-    return out;
-}
-
-AccessOutcome
-Cache::fill(Addr addr, bool dirty)
-{
-    const uint64_t set = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    AccessOutcome out;
-
-    Line *invalid = nullptr;
-    Line *lru_min = nullptr;
-    if (Line *line = scanSet(tag, set, &invalid, &lru_min)) {
-        out.hit = true;
-        if (dirty)
-            line->dirty = true;
-        return out;
-    }
-
-    Line &victim = invalid ? *invalid : *lru_min;
     if (victim.valid) {
         ++evictions_;
         if (victim.dirty) {
@@ -164,6 +110,37 @@ Cache::fill(Addr addr, bool dirty)
     victim.dirty = dirty;
     victim.lru = ++lru_clock_;
     return out;
+}
+
+AccessOutcome
+Cache::access(Addr addr, bool is_write)
+{
+    const uint64_t set = setIndex(addr);
+    const Addr tag = tagOf(addr);
+    Line *victim = nullptr;
+    if (Line *line = scanSet(tag, set, &victim)) {
+        ++hits_;
+        line->lru = ++lru_clock_;
+        if (is_write)
+            line->dirty = true;
+        return {.hit = true};
+    }
+    ++misses_;
+    return install(*victim, tag, set, is_write);
+}
+
+AccessOutcome
+Cache::fill(Addr addr, bool dirty)
+{
+    const uint64_t set = setIndex(addr);
+    const Addr tag = tagOf(addr);
+    Line *victim = nullptr;
+    if (Line *line = scanSet(tag, set, &victim)) {
+        if (dirty)
+            line->dirty = true;
+        return {.hit = true};
+    }
+    return install(*victim, tag, set, dirty);
 }
 
 bool

@@ -128,13 +128,15 @@ class Cache
         uint64_t lru = 0;
     };
 
-    Line *findLine(Addr tag, uint64_t set);
     const Line *findLine(Addr tag, uint64_t set) const;
-    /** Find @p tag in @p set; on miss, also report the first invalid way
-     *  and the least-recently-used way (the LRU victim when every way is
-     *  valid). */
-    Line *scanSet(Addr tag, uint64_t set, Line **invalid_out,
-                  Line **lru_out);
+    Line *findLine(Addr tag, uint64_t set);
+    /** Find @p tag in @p set; on miss, also report the way a fill
+     *  replaces: the first invalid way, else the least-recently-used. */
+    Line *scanSet(Addr tag, uint64_t set, Line **victim_out);
+    /** The miss half of access() and fill(): evict @p victim (reporting
+     *  a dirty one) and install @p tag of @p set in its place. */
+    AccessOutcome install(Line &victim, Addr tag, uint64_t set,
+                          bool dirty);
 
     uint64_t setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;

@@ -22,18 +22,6 @@ MshrFile::MshrFile(uint32_t capacity, uint32_t per_core_capacity)
     mask_ = n - 1;
 }
 
-MshrFile::Slot *
-MshrFile::findSlot(Addr addr)
-{
-    size_t i = homeOf(addr);
-    while (slots_[i].addr != kAddrInvalid) {
-        if (slots_[i].addr == addr)
-            return &slots_[i];
-        i = (i + 1) & mask_;
-    }
-    return nullptr;
-}
-
 const MshrFile::Slot *
 MshrFile::findSlot(Addr addr) const
 {
@@ -44,6 +32,13 @@ MshrFile::findSlot(Addr addr) const
         i = (i + 1) & mask_;
     }
     return nullptr;
+}
+
+MshrFile::Slot *
+MshrFile::findSlot(Addr addr)
+{
+    return const_cast<Slot *>(
+        static_cast<const MshrFile *>(this)->findSlot(addr));
 }
 
 void

@@ -112,8 +112,8 @@ class MshrFile
             mask_;
     }
 
-    Slot *findSlot(Addr addr);
     const Slot *findSlot(Addr addr) const;
+    Slot *findSlot(Addr addr);
 
     /** Empty slot @p i, backward-shifting the probe chain it breaks. */
     void removeSlot(size_t i);

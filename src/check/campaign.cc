@@ -135,17 +135,16 @@ runCampaignTrace(const CampaignConfig &cfg,
     env.fm = &fm;
     env.events = &events;
 
-    const policy::SchemeInfo &scheme =
-        policy::SchemeRegistry::instance().resolve(cfg.scheme);
     std::unique_ptr<policy::FlatMemoryPolicy> policy =
-        scheme.factory(cfg.schemes, env);
+        policy::SchemeRegistry::instance().resolve(cfg.scheme).factory(
+            cfg.schemes, env);
 
-    // Tier 2, attached first as in sim::System: metadata lockstep
-    // where the scheme has a reference model.
+    // Tier 2, attached first as in sim::System: metadata lockstep for
+    // the policy that has a reference model.
     std::unique_ptr<DifferentialChecker> checker;
-    if (scheme.traits.has_reference_oracle) {
-        checker = std::make_unique<DifferentialChecker>(
-            static_cast<const core::SilcFmPolicy &>(*policy));
+    if (const auto *silc =
+            dynamic_cast<const core::SilcFmPolicy *>(policy.get())) {
+        checker = std::make_unique<DifferentialChecker>(*silc);
         policy->addAccessObserver(checker.get());
     }
 

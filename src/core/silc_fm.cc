@@ -20,8 +20,6 @@ SilcFmPolicy::SilcFmPolicy(policy::PolicyEnv env, SilcFmParams params)
     : FlatMemoryPolicy(env),
       params_(params),
       nm_pages_(env.nm ? env.nm->capacity() / kLargeBlockSize : 0),
-      total_pages_((env.nm ? env.nm->capacity() : 0) / kLargeBlockSize +
-                   env.fm->capacity() / kLargeBlockSize),
       meta_(nm_pages_, params.associativity),
       history_(params.history_entries),
       predictor_(kPredictorEntries),

@@ -226,7 +226,6 @@ class SilcFmPolicy : public policy::FlatMemoryPolicy
 
     SilcFmParams params_;
     uint64_t nm_pages_;
-    uint64_t total_pages_;
 
     NmMetadata meta_;
     BitVectorTable history_;

@@ -71,7 +71,6 @@ DramSystem::issue(DramRequest req, Tick now)
         traffic_.write[cls] += req.bytes;
     else
         traffic_.read[cls] += req.bytes;
-    ++issued_requests_;
 
     DecodedRequest dec;
     dec.bank = d.bank;

@@ -189,7 +189,6 @@ class DramSystem
     stats::Distribution read_delay_hist_;
     std::vector<std::unique_ptr<ChannelController>> channels_;
     TrafficBytes traffic_;
-    uint64_t issued_requests_ = 0;
     /** Minimum of the channels' wakeup registers (may run stale-early:
      *  scanDue() recomputes it; a too-low value only costs a no-op pass). */
     Tick next_scan_min_ = kTickNever;

@@ -32,10 +32,7 @@ SchemeRegistry::SchemeRegistry()
     // silcfm must stay last (comparison footers read the final column).
     : schemes_{
           {"fmonly",
-           {.description = "no near memory: every access served from FM",
-            .needs_nm = false,
-            .baseline = true,
-            .in_matrix = false,
+           {.baseline = true,
             .fm_multiple_of_nm = false,
             .checkpointable = true},
            [](const SchemeConfig &, PolicyEnv env) -> PolicyPtr {
@@ -46,28 +43,24 @@ SchemeRegistry::SchemeRegistry()
                return std::make_unique<StaticRandomPolicy>(env);
            }},
           {"rand",
-           {.description = "static identity interleave, no migration",
-            .checkpointable = true},
+           {.checkpointable = true},
            [](const SchemeConfig &, PolicyEnv env) -> PolicyPtr {
                return std::make_unique<StaticRandomPolicy>(env);
            }},
           {"hma",
-           {.description = "HMA: OS-assisted epoch page migration"},
+           {},
            [](const SchemeConfig &cfg, PolicyEnv env) -> PolicyPtr {
                return std::make_unique<HmaPolicy>(env, cfg.hma);
            }},
           {"cam",
-           {.description =
-                "CAMEO: line-granularity congruence-group swaps",
-            .checkpointable = true},
+           {.checkpointable = true},
            [](const SchemeConfig &cfg, PolicyEnv env) -> PolicyPtr {
                CameoParams p = cfg.cameo;
                p.prefetch_degree = 0;
                return std::make_unique<CameoPolicy>(env, p);
            }},
           {"camp",
-           {.description = "CAMEO + next-line prefetch into NM",
-            .checkpointable = true},
+           {.checkpointable = true},
            [](const SchemeConfig &cfg, PolicyEnv env) -> PolicyPtr {
                CameoParams p = cfg.cameo;
                if (p.prefetch_degree == 0)
@@ -75,33 +68,24 @@ SchemeRegistry::SchemeRegistry()
                return std::make_unique<CameoPolicy>(env, p);
            }},
           {"pom",
-           {.description = "PoM: counter-triggered 2KB segment swaps",
-            .checkpointable = true},
+           {.checkpointable = true},
            [](const SchemeConfig &cfg, PolicyEnv env) -> PolicyPtr {
                return std::make_unique<PomPolicy>(env, cfg.pom);
            }},
           {"dramcache",
-           {.description = "pure die-stacked DRAM cache (NM not memory)",
-            .fm_multiple_of_nm = false,
-            .checkpointable = true},
+           {.fm_multiple_of_nm = false, .checkpointable = true},
            [](const SchemeConfig &cfg, PolicyEnv env) -> PolicyPtr {
                return std::make_unique<MemCachePolicy>(env,
                                                        cfg.dramcache);
            }},
           {"memcache",
-           {.description =
-                "MemCache hybrid: NM part flat memory, part FM cache",
-            .fm_multiple_of_nm = false,
-            .checkpointable = true},
+           {.fm_multiple_of_nm = false, .checkpointable = true},
            [](const SchemeConfig &cfg, PolicyEnv env) -> PolicyPtr {
                return std::make_unique<MemCachePolicy>(env,
                                                        cfg.memcache);
            }},
           {"silcfm",
-           {.description =
-                "SILC-FM: subblocked interleaved cache-like flat memory",
-            .has_reference_oracle = true,
-            .checkpointable = true},
+           {.checkpointable = true},
            [](const SchemeConfig &cfg, PolicyEnv env) -> PolicyPtr {
                return std::make_unique<core::SilcFmPolicy>(env,
                                                            cfg.silc);
@@ -160,7 +144,7 @@ SchemeRegistry::matrixNames() const
 {
     std::vector<std::string> out;
     for (const SchemeInfo &s : schemes_) {
-        if (s.traits.in_matrix)
+        if (!s.traits.baseline)
             out.push_back(s.name);
     }
     return out;

@@ -56,22 +56,20 @@ struct SchemeConfig
 using SchemeFactory = std::unique_ptr<FlatMemoryPolicy> (*)(
     const SchemeConfig &, PolicyEnv);
 
-/** Static facts about a scheme the harness needs before building it. */
+/**
+ * Static facts about a scheme the harness needs before building it.
+ * Everything else follows from these or from the policy's type: every
+ * scheme but the baseline needs NM and is a bench matrix column, and
+ * tier 2 of the oracle attaches to whichever policy is a
+ * core::SilcFmPolicy.
+ */
 struct SchemeTraits
 {
-    /** One-line description for --help style listings. */
-    const char *description = "";
-    /** Needs a near-memory device (false only for the no-NM baseline). */
-    bool needs_nm = true;
-    /** Is the speedup-normalization baseline (exactly one scheme). */
+    /** Is the speedup-normalization baseline, the no-NM machine
+     *  (exactly one scheme). */
     bool baseline = false;
-    /** Included in registry-driven scheme x workload bench matrices. */
-    bool in_matrix = true;
     /** Requires FM capacity to be a multiple of NM capacity. */
     bool fm_multiple_of_nm = true;
-    /** Has a per-scheme lockstep ReferenceOracle beyond the shadow-data
-     *  invariant checker every scheme gets. */
-    bool has_reference_oracle = false;
     /** Its state round-trips through FlatMemoryPolicy::checkpoint(), so
      *  it can be sampled (sample/sampling.hh).  Schemes whose behaviour
      *  is coupled to detailed-mode tick counts (HMA's epochs) are not,
@@ -104,8 +102,8 @@ class SchemeRegistry
     /** All scheme names, table order. */
     std::vector<std::string> names() const;
 
-    /** Names of matrix schemes (traits.in_matrix), table order;
-     *  "silcfm" is last by construction. */
+    /** Names of the bench matrix schemes, every one but the baseline,
+     *  table order; "silcfm" is last by construction. */
     std::vector<std::string> matrixNames() const;
 
     /** The traits.baseline scheme's name. */

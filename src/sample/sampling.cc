@@ -5,6 +5,7 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/env.hh"
@@ -91,8 +92,9 @@ SamplingConfig::validate() const
     if (warmup + window > period) {
         fatal("sampling: warmup (%s) + window (%s) must fit within the "
               "period (%s) so measurement windows cannot overlap",
-              sim::u64str(warmup).c_str(), sim::u64str(window).c_str(),
-              sim::u64str(period).c_str());
+              std::to_string(warmup).c_str(),
+              std::to_string(window).c_str(),
+              std::to_string(period).c_str());
     }
 }
 

@@ -77,6 +77,9 @@ ExperimentOptions::fromEnv()
         "the stand-alone telemetry switch; series are read only from a "
         "results document, so unset it and pass --json to a figure "
         "bench, whose full-detail runs record their series";
+    const char *const json_twin =
+        "the environment spelling of the results-document path; unset "
+        "it and pass --json <path> instead";
     const std::pair<const char *, const char *> removed[] = {
         {"SILC_SIM_THREADS", windowed_loop},
         {"SILC_CORE_LANES", windowed_loop},
@@ -86,6 +89,7 @@ ExperimentOptions::fromEnv()
         {"SILC_SAMPLE_MIN_WINDOWS", early_stopping},
         {"SILC_SAMPLE_CI_TARGET", early_stopping},
         {"SILC_TELEMETRY", telemetry_switch},
+        {"SILC_JSON", json_twin},
     };
     for (const auto &[knob, removed_with] : removed) {
         if (std::getenv(knob) != nullptr)
@@ -128,31 +132,30 @@ makeConfig(const std::string &workload, const std::string &scheme,
     return cfg;
 }
 
-std::string
-u64str(uint64_t v)
-{
-    return std::to_string(v);
-}
-
-bool
+Arguments
 checkArguments(int argc, char *const argv[], bool takes_json,
                const char *flag)
 {
-    bool given = false;
+    Arguments out;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (flag != nullptr && arg == flag) {
-            given = true;
-        } else if (takes_json && arg == "--json") {
-            if (++i >= argc)
+            out.flag = true;
+        } else if (takes_json && (arg == "--json" ||
+                                  arg.starts_with("--json="))) {
+            if (arg == "--json")
+                out.json = ++i < argc ? argv[i] : "";
+            else
+                out.json = arg.substr(7);
+            if (out.json.empty())
                 fatal("--json requires a path argument");
-        } else if (!(takes_json && arg.rfind("--json=", 0) == 0)) {
+        } else {
             fatal("unknown argument '%s' (runs are picked with the "
                   "SILC_* environment knobs, see sim/experiment.hh)",
                   argv[i]);
         }
     }
-    return given;
+    return out;
 }
 
 } // namespace sim

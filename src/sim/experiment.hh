@@ -39,18 +39,15 @@
  *                  with a fatal error.
  *
  * Each simulation runs on one thread.  The knobs of removed subsystems
- * are a fatal error when set (see fromEnv()).
+ * are a fatal error when set (see fromEnv()), and so is SILC_JSON: the
+ * results document's path is given only as --json (checkArguments()).
  *
- * Telemetry / export knobs (see src/telemetry/ and sim/result_writer.hh):
- *   SILC_JSON        - write every run's SimResult to this path as one
- *                      JSON document; the benches also accept
- *                      --json <path>, which wins.  The full-detail
- *                      Grid benches (sim/grid.hh) then record each
- *                      run's epoch time series too, the one way a run
- *                      records one; capacity_smoke, sampling_sweep and
- *                      --sample grids never do.
- *   SILC_EPOCH_TICKS - ticks per telemetry epoch (default 100000;
- *                      a positive count, validated like SILC_CORES)
+ * Telemetry knob (see src/telemetry/ and sim/result_writer.hh):
+ *   SILC_EPOCH_TICKS - ticks per epoch of the time series that a
+ *                      full-detail Grid bench's --json records
+ *                      (sim/grid.hh), the one way a run records one
+ *                      (default 100000; a positive count, validated
+ *                      like SILC_CORES)
  *
  * Correctness knobs (see src/check/ and TESTING.md):
  *   SILC_CHECK       - set to 1 to run the untimed two-tier oracle in
@@ -115,23 +112,24 @@ SystemConfig makeConfig(const std::string &workload,
                         const std::string &scheme,
                         const ExperimentOptions &opts);
 
-/**
- * Decimal rendering of a 64-bit counter for printf("%s") use.  Replaces
- * the non-portable "%llu" + static_cast<unsigned long long> pattern the
- * benches used to repeat (uint64_t is not unsigned long long on every
- * LP64 platform).
- */
-std::string u64str(uint64_t v);
+/** What a binary's command line asked for (see checkArguments()). */
+struct Arguments
+{
+    /** The binary's own flag was given. */
+    bool flag = false;
+    /** Where to write the silc.results.v1 document
+     *  (sim/result_writer.hh); empty when --json was not given. */
+    std::string json;
+};
 
 /**
- * Check a binary's command line: each argument must be @p flag, or,
- * when @p takes_json, "--json <path>" or "--json=<path>" (read with
- * jsonOutputPath(), sim/result_writer.hh).  Any other argument is
- * fatal and named: the run is picked by the environment knobs above.
- * @return whether @p flag was given.
+ * Read a binary's command line: each argument must be @p flag, or,
+ * when @p takes_json, "--json <path>" or "--json=<path>" with a
+ * non-empty path.  Any other argument is fatal and named: the run is
+ * picked by the environment knobs above.
  */
-bool checkArguments(int argc, char *const argv[], bool takes_json,
-                    const char *flag = nullptr);
+Arguments checkArguments(int argc, char *const argv[], bool takes_json,
+                         const char *flag = nullptr);
 
 } // namespace sim
 } // namespace silc

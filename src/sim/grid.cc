@@ -35,10 +35,11 @@ printRule(size_t columns)
 } // namespace
 
 Grid::Grid(int argc, char **argv, const char *unsampled)
-    : opts_(ExperimentOptions::fromEnv()),
-      json_path_(jsonOutputPath(argc, argv))
+    : opts_(ExperimentOptions::fromEnv())
 {
-    if (checkArguments(argc, argv, true, "--sample")) {
+    const Arguments args = checkArguments(argc, argv, true, "--sample");
+    json_path_ = args.json;
+    if (args.flag) {
         if (unsampled != nullptr)
             fatal("--sample: this bench prints %s, which sampling does "
                   "not estimate", unsampled);

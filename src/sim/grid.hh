@@ -4,9 +4,9 @@
  * read back, in submission order, as tables.
  *
  * A Grid reads ExperimentOptions from the environment and takes two
- * arguments: "--json <path>" (or "--json=<path>", or SILC_JSON) records
- * every submitted run, in submission order, as one silc.results.v1
- * document (sim/result_writer.hh); "--sample" runs each run through the
+ * arguments: "--json <path>" (or "--json=<path>") records every
+ * submitted run, in submission order, as one silc.results.v1 document
+ * (sim/result_writer.hh); "--sample" runs each run through the
  * statistical sampler (sample/sampling.hh).  Any other argument is
  * fatal.
  *

@@ -1,7 +1,5 @@
 #include "sim/result_writer.hh"
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <utility>
 
@@ -15,23 +13,6 @@ namespace sim {
 
 using telemetry::jsonDouble;
 using telemetry::jsonString;
-
-std::string
-jsonOutputPath(int argc, char *const argv[])
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (std::strcmp(a, "--json") == 0) {
-            if (i + 1 >= argc)
-                fatal("--json requires a path argument");
-            return argv[i + 1];
-        }
-        if (std::strncmp(a, "--json=", 7) == 0)
-            return a + 7;
-    }
-    const char *env = std::getenv("SILC_JSON");
-    return env == nullptr ? std::string() : std::string(env);
-}
 
 namespace {
 

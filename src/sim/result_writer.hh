@@ -39,7 +39,8 @@
  * Runs appear in add() order; sim::Grid (sim/grid.hh) adds them in
  * submission order, which makes the file byte-identical across
  * SILC_THREADS values (doubles render via shortest-round-trip
- * formatting, see telemetry/json.hh).
+ * formatting, see telemetry/json.hh).  The benches that write one take
+ * its path as "--json <path>" (sim::checkArguments, sim/experiment.hh).
  */
 
 #ifndef SILC_SIM_RESULT_WRITER_HH
@@ -57,13 +58,6 @@ namespace sim {
 
 /** Schema identifier written into every document. */
 inline constexpr const char *kResultSchemaVersion = "silc.results.v1";
-
-/**
- * Resolve the shared JSON-output knob of the bench binaries: a
- * "--json <path>" / "--json=<path>" argument wins over the SILC_JSON
- * environment variable; empty means disabled.
- */
-std::string jsonOutputPath(int argc, char *const argv[]);
 
 /** One run as a JSON object (no trailing newline). */
 void writeResultJson(std::ostream &os, const SimResult &r);

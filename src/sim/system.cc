@@ -60,7 +60,7 @@ SystemConfig::validate() const
         fatal("system: at least one core required");
     const policy::SchemeTraits &traits =
         policy::SchemeRegistry::instance().resolve(scheme).traits;
-    if (traits.needs_nm && nm_bytes == 0)
+    if (!traits.baseline && nm_bytes == 0)
         fatal("system: scheme '%s' requires near memory",
               scheme.c_str());
     if (traits.fm_multiple_of_nm) {
@@ -246,7 +246,7 @@ System::System(SystemConfig cfg)
 
     const policy::SchemeInfo &scheme =
         policy::SchemeRegistry::instance().resolve(cfg_.scheme);
-    if (scheme.traits.needs_nm) {
+    if (!scheme.traits.baseline) {
         nm_ = std::make_unique<dram::DramSystem>(cfg_.nm_timing,
                                                  cfg_.nm_bytes, events_);
     }
@@ -288,13 +288,14 @@ System::System(SystemConfig cfg)
 
     if (cfg_.check) {
         // Tier 2 first, so it sees each demand before tier 1: the
-        // per-scheme metadata-lockstep oracle, where the scheme has a
-        // reference model.
-        if (scheme.traits.has_reference_oracle) {
+        // metadata-lockstep oracle, for the policy that has a reference
+        // model.
+        if (const auto *silc =
+                dynamic_cast<const core::SilcFmPolicy *>(policy_.get())) {
             check::DifferentialChecker::Options opts;
             opts.panic_on_divergence = true;
-            checker_ = std::make_unique<check::DifferentialChecker>(
-                static_cast<const core::SilcFmPolicy &>(*policy_), opts);
+            checker_ =
+                std::make_unique<check::DifferentialChecker>(*silc, opts);
             policy_->addAccessObserver(checker_.get());
         }
         // Tier 1: the scheme-agnostic shadow-data invariant checker,

@@ -34,7 +34,7 @@ Translation::allocate(uint64_t key)
         fatal("translation: out of physical memory after %llu pages",
               static_cast<unsigned long long>(next_free_));
     const uint64_t frame = frames_[next_free_++];
-    page_table_.emplace(key, frame);
+    page_table_.set(key, frame);
     return frame;
 }
 
@@ -45,9 +45,9 @@ Translation::translate(CoreId core, Addr vaddr)
     TlbEntry &e = tlbEntry(core, vpage);
     if (e.vpage != vpage) {
         const uint64_t k = key(core, vpage);
-        const auto it = page_table_.find(k);
+        const uint64_t *frame = page_table_.find(k);
         e.vpage = vpage;
-        e.frame = it != page_table_.end() ? it->second : allocate(k);
+        e.frame = frame != nullptr ? *frame : allocate(k);
     }
     return e.frame * kLargeBlockSize + (vaddr & (kLargeBlockSize - 1));
 }
@@ -60,9 +60,8 @@ Translation::noteFirstTouch(CoreId core, Addr vaddr)
     if (e.vpage == vpage)
         return false; // mapped, or already noted in this pass
     e.vpage = vpage;
-    const auto it = page_table_.find(key(core, vpage));
-    if (it != page_table_.end()) {
-        e.frame = it->second;
+    if (const uint64_t *frame = page_table_.find(key(core, vpage))) {
+        e.frame = *frame;
         return false;
     }
     e.frame = kPendingFrame;
@@ -73,7 +72,7 @@ void
 Translation::allocatePage(CoreId core, uint64_t vpage)
 {
     const uint64_t k = key(core, vpage);
-    if (page_table_.find(k) == page_table_.end())
+    if (page_table_.find(k) == nullptr)
         allocate(k);
 }
 
@@ -83,10 +82,10 @@ Translation::translateMapped(CoreId core, Addr vaddr)
     const uint64_t vpage = vaddr >> kLargeBlockBits;
     TlbEntry &e = tlbEntry(core, vpage);
     if (e.vpage != vpage || e.frame == kPendingFrame) {
-        const auto it = page_table_.find(key(core, vpage));
-        silc_assert(it != page_table_.end());
+        const uint64_t *frame = page_table_.find(key(core, vpage));
+        silc_assert(frame != nullptr);
         e.vpage = vpage;
-        e.frame = it->second;
+        e.frame = *frame;
     }
     return e.frame * kLargeBlockSize + (vaddr & (kLargeBlockSize - 1));
 }
@@ -99,22 +98,8 @@ Translation::checkpoint(Blob &b)
         fatal("translation restore: %llu pages allocated but only %zu "
               "frames (phys size mismatch)",
               static_cast<unsigned long long>(next_free_), frames_.size());
-    // The page table as a count and its (key, frame) pairs in ascending
-    // key order.
-    std::vector<std::pair<uint64_t, uint64_t>> sorted(page_table_.begin(),
-                                                      page_table_.end());
-    std::sort(sorted.begin(), sorted.end());
-    uint64_t n = sorted.size();
-    b.u64(n);
-    for (uint64_t i = 0; i < n; ++i) {
-        auto [k, frame] = b.reading()
-            ? std::pair<uint64_t, uint64_t>{}
-            : sorted[i];
-        b.u64(k);
-        b.u64(frame);
-        if (b.reading())
-            page_table_[k] = frame;
-    }
+    page_table_.checkpoint(b, ~uint64_t(0), "translation page table",
+                           [&b](uint64_t &frame) { b.u64(frame); });
     if (b.reading())
         std::fill(tlb_.begin(), tlb_.end(), TlbSlice{});
 }

@@ -12,10 +12,10 @@
 #define SILC_SIM_TRANSLATION_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/sparse_array.hh"
 #include "common/types.hh"
 
 namespace silc {
@@ -77,8 +77,8 @@ class Translation
      * Checkpoint the page table and allocation cursor.  The shuffled
      * frame list is ctor-pure (a pure function of phys_bytes and seed)
      * and is not captured, so a checkpoint is read into a Translation
-     * constructed with the same parameters.  Entries go in sorted-key
-     * order so the blob is byte-deterministic despite the hash map.
+     * constructed with the same parameters.  The page table is written
+     * as every other sparse table is (SparseArray::checkpoint).
      * Reading invalidates the translation cache.
      */
     void checkpoint(Blob &b);
@@ -93,7 +93,8 @@ class Translation
     /** Hand @p key the next frame of the shuffled free list. */
     uint64_t allocate(uint64_t key);
 
-    std::unordered_map<uint64_t, uint64_t> page_table_;
+    /** Page key -> frame.  Mappings are first-touch and never erased. */
+    SparseArray<uint64_t> page_table_;
     std::vector<uint64_t> frames_;
     uint64_t next_free_ = 0;
 

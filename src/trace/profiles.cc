@@ -55,7 +55,6 @@ makeProfiles()
         p.stream_fraction = 0.30;
         p.zipf_alpha = 0.95;
         p.page_density = 0.60;
-        p.phase_interval = 300000;
         p.hot_run_subblocks = 2;
         p.phase_interval = 400000;
         v.push_back(p);

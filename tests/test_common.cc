@@ -562,7 +562,7 @@ TEST(EnvDeath, RemovedKnobsFatal)
     for (const char *knob :
          {"SILC_SIM_THREADS", "SILC_CORE_LANES", "SILC_SPEC_HORIZON",
           "SILC_TENANTS", "SILC_TENANT_CHURN", "SILC_SAMPLE_MIN_WINDOWS",
-          "SILC_SAMPLE_CI_TARGET", "SILC_TELEMETRY"}) {
+          "SILC_SAMPLE_CI_TARGET", "SILC_TELEMETRY", "SILC_JSON"}) {
         for (const char *value : {"1", "0", ""}) {
             ScopedEnv e(knob, value);
             EXPECT_EXIT(sim::ExperimentOptions::fromEnv(),
@@ -572,14 +572,18 @@ TEST(EnvDeath, RemovedKnobsFatal)
         }
     }
     // The early-stopping knobs point at the one that sets the window
-    // count, and the telemetry switch at the export that records series.
+    // count, the telemetry switch at the export that records series and
+    // SILC_JSON at the flag that names that export's path.
     {
         ScopedEnv e("SILC_SAMPLE_CI_TARGET", "0.05");
         EXPECT_DEATH(sim::ExperimentOptions::fromEnv(),
                      "SILC_SAMPLE_PERIOD");
     }
-    ScopedEnv e("SILC_TELEMETRY", "1");
-    EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "--json");
+    for (const char *knob : {"SILC_TELEMETRY", "SILC_JSON"}) {
+        ScopedEnv e(knob, "1");
+        EXPECT_DEATH(sim::ExperimentOptions::fromEnv(), "--json")
+            << knob;
+    }
 }
 
 // The seed and epoch knobs are positive decimal counts and the flag

@@ -3,7 +3,8 @@
  * Unit tests for the MemOrganization scheme registry: enumeration
  * order (which the bench matrices and the per-scheme fuzz ctest list
  * in bench/CMakeLists.txt depend on), baseline/matrix trait queries,
- * alias resolution, and the unknown-scheme fatal.
+ * which schemes get tier 2 of the oracle, alias resolution, and the
+ * unknown-scheme fatal.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "policy/registry.hh"
+#include "sim/system.hh"
 
 using namespace silc;
 using policy::SchemeRegistry;
@@ -44,10 +46,9 @@ TEST(SchemeRegistry, BaselineIsFmOnly)
 {
     const SchemeRegistry &reg = SchemeRegistry::instance();
     EXPECT_EQ(reg.baselineName(), "fmonly");
-    const policy::SchemeInfo &info = reg.resolve("fmonly");
-    EXPECT_TRUE(info.traits.baseline);
-    EXPECT_FALSE(info.traits.needs_nm);
-    EXPECT_FALSE(info.traits.in_matrix);
+    for (const std::string &name : reg.names())
+        EXPECT_EQ(reg.resolve(name).traits.baseline, name == "fmonly")
+            << name;
 }
 
 TEST(SchemeRegistry, ResolveReturnsMatchingName)
@@ -69,11 +70,22 @@ TEST(SchemeRegistry, AliasesResolveToCanonicalSchemes)
 TEST(SchemeRegistry, TraitsDistinguishTheRivals)
 {
     const SchemeRegistry &reg = SchemeRegistry::instance();
-    // Only SILC-FM has a lockstep reference oracle; every scheme gets
-    // the shadow-data tier.
+    // Tier 2 of the oracle (the metadata-lockstep reference model)
+    // attaches to SILC-FM alone; tier 1 (shadow data) to every scheme.
+    // Each tier counts every demand it checks, so a checked run counts
+    // each demand twice for SILC-FM and once for every other scheme.
     for (const std::string &name : reg.names()) {
-        EXPECT_EQ(reg.resolve(name).traits.has_reference_oracle,
-                  name == "silcfm")
+        sim::SystemConfig cfg = sim::SystemConfig::defaults();
+        cfg.scheme = name;
+        cfg.cores = 1;
+        cfg.instructions_per_core = 5'000;
+        cfg.check = true;
+        sim::System sys(cfg);
+        sys.run();
+        const uint64_t demands = sys.policyRef().demandRequests();
+        ASSERT_GT(demands, 0u) << name;
+        EXPECT_EQ(sys.accessesChecked(),
+                  (name == "silcfm" ? 2 : 1) * demands)
             << name;
     }
     // The cache-side rivals do not consume FM:NM ratio validation.

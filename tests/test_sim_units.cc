@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
+#include "common/serialize.hh"
 #include "sim/experiment.hh"
 #include "sim/metrics.hh"
 #include "sim/parallel.hh"
@@ -100,6 +103,26 @@ TEST(Translation, ExhaustionIsFatal)
         t.translate(0, static_cast<Addr>(i) * kLargeBlockSize);
     EXPECT_DEATH(t.translate(0, 100 * kLargeBlockSize),
                  "out of physical memory");
+}
+
+TEST(TranslationDeath, PageTableKeysOutOfOrderAreFatalOnRead)
+{
+    Translation t(1_MiB, 1, 1);
+    t.translate(0, 0);
+    t.translate(0, kLargeBlockSize);
+    Blob w;
+    t.checkpoint(w);
+    std::vector<uint8_t> bytes = w.take();
+    // The allocation cursor, the entry count, then (key, frame) pairs
+    // in ascending key order: swap the two pairs.
+    ASSERT_EQ(bytes.size(), 2 * 8 + 2 * 16u);
+    std::swap_ranges(bytes.begin() + 16, bytes.begin() + 32,
+                     bytes.begin() + 32);
+    Translation r(1_MiB, 1, 1);
+    Blob in(bytes);
+    EXPECT_EXIT(r.checkpoint(in), ::testing::ExitedWithCode(1),
+                "checkpoint translation page table: key 0 out of range "
+                "or order");
 }
 
 // ---- metrics ----------------------------------------------------------------

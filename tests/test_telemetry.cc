@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <sstream>
 #include <utility>
@@ -339,25 +338,48 @@ TEST(TelemetryEndToEnd, DisabledRunCarriesNoSeries)
 
 // ------------------------------------------------------- ResultWriter
 
-TEST(ResultWriter, JsonOutputPathPrecedence)
-{
-    const char *argv1[] = {"bench", "--json", "cli.json"};
-    EXPECT_EQ(sim::jsonOutputPath(3, const_cast<char *const *>(argv1)),
-              "cli.json");
-    const char *argv2[] = {"bench", "--json=eq.json"};
-    EXPECT_EQ(sim::jsonOutputPath(2, const_cast<char *const *>(argv2)),
-              "eq.json");
+namespace {
 
-    setenv("SILC_JSON", "env.json", 1);
-    const char *argv3[] = {"bench"};
-    EXPECT_EQ(sim::jsonOutputPath(1, const_cast<char *const *>(argv3)),
-              "env.json");
-    // CLI wins over the environment.
-    EXPECT_EQ(sim::jsonOutputPath(2, const_cast<char *const *>(argv2)),
-              "eq.json");
-    unsetenv("SILC_JSON");
-    EXPECT_EQ(sim::jsonOutputPath(1, const_cast<char *const *>(argv3)),
-              "");
+/** checkArguments() over @p argv, for a bench whose own flag is
+ *  --sample. */
+sim::Arguments
+parseArgs(std::vector<const char *> argv, bool takes_json = true)
+{
+    return sim::checkArguments(static_cast<int>(argv.size()),
+                               const_cast<char *const *>(argv.data()),
+                               takes_json, "--sample");
+}
+
+} // namespace
+
+TEST(ResultWriter, CheckArgumentsReadsTheJsonPath)
+{
+    EXPECT_EQ(parseArgs({"bench", "--json", "cli.json"}).json, "cli.json");
+    EXPECT_EQ(parseArgs({"bench", "--json=eq.json"}).json, "eq.json");
+    const sim::Arguments none = parseArgs({"bench"});
+    EXPECT_EQ(none.json, "");
+    EXPECT_FALSE(none.flag);
+    // The bench's own flag reads alongside either form.
+    const sim::Arguments both =
+        parseArgs({"bench", "--sample", "--json", "a.json"});
+    EXPECT_TRUE(both.flag);
+    EXPECT_EQ(both.json, "a.json");
+    EXPECT_TRUE(parseArgs({"bench", "--json=b.json", "--sample"}).flag);
+}
+
+TEST(ResultWriterDeath, CheckArgumentsRejectsAMissingJsonPath)
+{
+    for (const std::vector<const char *> &argv :
+         {std::vector<const char *>{"bench", "--json"},
+          std::vector<const char *>{"bench", "--json="},
+          std::vector<const char *>{"bench", "--json", ""}}) {
+        EXPECT_EXIT(parseArgs(argv), ::testing::ExitedWithCode(1),
+                    "--json requires a path argument")
+            << argv[1];
+    }
+    // A binary that writes no document rejects the flag itself.
+    EXPECT_EXIT(parseArgs({"example", "--json", "x.json"}, false),
+                ::testing::ExitedWithCode(1), "unknown argument '--json'");
 }
 
 TEST(ResultWriter, SerializesSchemaAndRuns)

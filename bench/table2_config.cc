@@ -49,9 +49,9 @@ main(int argc, char **argv)
 
     std::printf("Processor\n");
     row("cores", fmt("%u", cfg.cores), "16 (scaled: 1/2)");
-    row("width", fmt("%u-wide OoO (ROB model)",
-                     cfg.core_params.width), "4-wide out-of-order");
-    row("ROB entries", fmt("%u", cfg.core_params.rob_entries), "128");
+    row("width", fmt("%u-wide OoO (ROB model)", cpu::kWidth),
+        "4-wide out-of-order");
+    row("ROB entries", fmt("%u", cpu::kRobEntries), "128");
 
     std::printf("\nCaches\n");
     // The trace-driven core fetches instructions for free.

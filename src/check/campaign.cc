@@ -86,7 +86,7 @@ makeCampaign(uint64_t seed, size_t accesses, const std::string &scheme)
     cm.llp_entries = llp_choices[rng.below(3)];
     cm.prefetch_degree = rng.chance(0.5) ? 3 : 0;
 
-    policy::DramCacheParams &dc = cfg.schemes.dramcache;
+    policy::MemCacheParams &dc = cfg.schemes.dramcache;
     const uint32_t dc_way_choices[] = {1, 2, 4};
     dc.ways = dc_way_choices[rng.below(3)];
     dc.fill_on_write = rng.chance(0.7);

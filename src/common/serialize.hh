@@ -102,8 +102,11 @@ class Blob
     items(std::vector<T> &v, const char *what)
     {
         size(v.size(), what);
-        for (T &x : v)
-            le(x);
+        // Indexed, not range-for: gcc 12 with LTO reads a range-for
+        // inlined over a small vector as writing past its end
+        // (-Wstringop-overflow).
+        for (size_t i = 0; i < v.size(); ++i)
+            le(v[i]);
     }
 
     /** On reading, fatal() unless every byte of the blob was consumed

@@ -8,14 +8,19 @@
  * per-frame / per-block vectors unaffordable: a 16 GB flat space has
  * 268M 64B blocks, and even one uint64 per block is 2 GiB.  Actual
  * runs only ever touch the working set, so every structure indexed by
- * frame/block/slot number stores just the materialized entries and
- * treats absent keys as a shared default-constructed T.
+ * frame/block/slot/page number stores just the materialized entries
+ * and reads an absent key as that entry's home or empty state: a
+ * default-constructed T (find() returns nullptr), or the value the
+ * caller passes to get().
  *
- * Same flat-table idiom as the MSHR file (PR 4): power-of-two capacity,
+ * Same flat-table idiom as the MSHR file: power-of-two capacity,
  * Fibonacci-hashed keys, linear probing, amortized growth at 70% load.
- * There is no per-key erase — the users (NM frame metadata, shadow
- * stores, history tables) only ever materialize and clear() — which
- * keeps probing free of deletion markers.
+ * There is no per-key erase — the users (SILC-FM's NM frame metadata
+ * and history table, the translation page table, the rival policies'
+ * tables: the DRAM-cache directory, CAMEO's permutation, PoM's
+ * residency and counters, HMA's page/frame maps and epoch counts, and
+ * the oracle's shadow stores) only ever materialize and clear() —
+ * which keeps probing free of deletion markers.
  *
  * Iteration order of the backing table is hash order; forEachSorted()
  * visits entries in ascending key order so checkpoints and sweep
@@ -62,6 +67,15 @@ class SparseArray
     {
         return const_cast<T *>(
             static_cast<const SparseArray *>(this)->find(key));
+    }
+
+    /** Entry for @p key by value, or @p absent when not materialized:
+     *  the read for small values, whose absent state the caller names. */
+    T
+    get(uint64_t key, T absent) const
+    {
+        const Slot &s = slots_[probe(key)];
+        return s.used ? s.value : absent;
     }
 
     /**

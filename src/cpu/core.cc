@@ -9,11 +9,6 @@ Core::Core(CoreId id, CoreParams params, trace::TraceSource &trace,
            MemoryPort &port)
     : id_(id), params_(params), trace_(trace), port_(port)
 {
-    silc_assert(params_.rob_entries > 0);
-    silc_assert(params_.width > 0);
-    rob_.resize(params_.rob_entries);
-    if (isPowerOf2(params_.rob_entries))
-        rob_mask_ = params_.rob_entries - 1;
 }
 
 void
@@ -55,9 +50,9 @@ Core::tick(Tick now)
         return;
     }
 
-    // ---- Retire: up to `width` ready instructions, in order. ----
+    // ---- Retire: up to kWidth ready instructions, in order. ----
     uint32_t retired_now = 0;
-    while (retired_now < params_.width && head_seq_ < tail_seq_) {
+    while (retired_now < kWidth && head_seq_ < tail_seq_) {
         RobEntry &head = slot(head_seq_);
         if (head.ready_tick > now)
             break;
@@ -71,10 +66,10 @@ Core::tick(Tick now)
         }
     }
 
-    // ---- Dispatch: up to `width` instructions into the ROB. ----
+    // ---- Dispatch: up to kWidth instructions into the ROB. ----
     uint32_t dispatched_now = 0;
-    while (dispatched_now < params_.width) {
-        if (tail_seq_ - head_seq_ >= params_.rob_entries) {
+    while (dispatched_now < kWidth) {
+        if (tail_seq_ - head_seq_ >= kRobEntries) {
             ++rob_full_cycles_;
             break;
         }
@@ -132,7 +127,7 @@ Core::tick(Tick now)
     // Detect the fully-stalled state for the fast path above.  A
     // kTickNever head (load still in flight) is fine: onLoadComplete
     // resets stall_until_ the moment the head's data returns.
-    if (tail_seq_ - head_seq_ >= params_.rob_entries &&
+    if (tail_seq_ - head_seq_ >= kRobEntries &&
         slot(head_seq_).ready_tick > now) {
         stall_until_ = slot(head_seq_).ready_tick;
     }

@@ -13,10 +13,10 @@
 #ifndef SILC_CPU_CORE_HH
 #define SILC_CPU_CORE_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <vector>
 
 #include "common/types.hh"
 #include "trace/generator.hh"
@@ -24,11 +24,17 @@
 namespace silc {
 namespace cpu {
 
-/** Core configuration (defaults per Table II). */
+/** Reorder-buffer entries (Table II). */
+constexpr uint32_t kRobEntries = 128;
+static_assert((kRobEntries & (kRobEntries - 1)) == 0,
+              "ROB slots are indexed by mask");
+
+/** Instructions dispatched and retired per cycle (Table II). */
+constexpr uint32_t kWidth = 4;
+
+/** Core configuration. */
 struct CoreParams
 {
-    uint32_t rob_entries = 128;
-    uint32_t width = 4;
     /** Instructions to retire before the core reports done. */
     uint64_t instruction_budget = 1'000'000;
 };
@@ -75,7 +81,7 @@ class Core
      * Functional-warming retire accounting.  In functional mode every
      * access is accepted and completes synchronously, so the warming
      * engine (System::runToBudget) reads the core's trace source and
-     * issues its accesses itself, `width` instructions per active
+     * issues its accesses itself, kWidth instructions per active
      * cycle, and only reports here what retired: @p instructions, of
      * which @p loads and @p stores accessed memory, the last of them in
      * cycle @p last.  Counts exactly what tick() would have for the same
@@ -157,13 +163,7 @@ class Core
         Tick ready_tick = kTickNever;
     };
 
-    RobEntry &slot(uint64_t seq)
-    {
-        // ROB sizes are powers of two in practice; masking avoids a
-        // 64-bit divide on the hottest accessor in the simulator.
-        return rob_[rob_mask_ != 0 ? (seq & rob_mask_)
-                                   : (seq % params_.rob_entries)];
-    }
+    RobEntry &slot(uint64_t seq) { return rob_[seq & (kRobEntries - 1)]; }
 
     void onLoadComplete(uint64_t seq, Tick when);
 
@@ -172,8 +172,7 @@ class Core
     trace::TraceSource &trace_;
     MemoryPort &port_;
 
-    std::vector<RobEntry> rob_;
-    uint64_t rob_mask_ = 0;
+    std::array<RobEntry, kRobEntries> rob_{};
     uint64_t head_seq_ = 0;
     uint64_t tail_seq_ = 0;
 

@@ -7,7 +7,7 @@ namespace silc {
 namespace policy {
 
 BlockCacheDir::BlockCacheDir(uint64_t slots, uint32_t ways)
-    : ways_(ways)
+    : slots_(slots), ways_(ways)
 {
     if (ways == 0)
         fatal("block cache: at least one way required");
@@ -15,16 +15,22 @@ BlockCacheDir::BlockCacheDir(uint64_t slots, uint32_t ways)
         fatal("block cache: slot count must be a non-zero multiple of "
               "the way count");
     sets_ = slots / ways;
-    owner_.assign(slots, kNoBlock);
-    dirty_.assign(slots, 0);
-    rr_.assign(sets_, 0);
 }
 
 uint64_t
 BlockCacheDir::lookup(uint64_t block) const
 {
-    auto it = slot_of_.find(block);
-    return it == slot_of_.end() ? kNoSlot : it->second;
+    if (!faults_.empty()) {
+        auto it = faults_.find(block);
+        if (it != faults_.end())
+            return it->second;
+    }
+    const uint64_t base = setOf(block) * ways_;
+    for (uint32_t w = 0; w < ways_; ++w) {
+        if (occupant(base + w).block == block)
+            return base + w;
+    }
+    return kNoSlot;
 }
 
 uint64_t
@@ -33,10 +39,10 @@ BlockCacheDir::victimSlot(uint64_t block) const
     const uint64_t set = setOf(block);
     const uint64_t base = set * ways_;
     for (uint32_t w = 0; w < ways_; ++w) {
-        if (owner_[base + w] == kNoBlock)
+        if (occupant(base + w).block == kNoBlock)
             return base + w;
     }
-    return base + rr_[set];
+    return base + rr_.get(set, 0);
 }
 
 BlockCacheDir::Fill
@@ -46,37 +52,33 @@ BlockCacheDir::install(uint64_t block)
     const uint64_t set = setOf(block);
     const uint64_t slot = victimSlot(block);
 
+    Occupant &o = occupants_.getOrCreate(slot);
     Fill fill;
     fill.slot = slot;
-    fill.evicted = owner_[slot];
-    fill.evicted_dirty = dirty_[slot] != 0;
-    if (fill.evicted != kNoBlock)
-        slot_of_.erase(fill.evicted);
-    else
-        fill.evicted_dirty = false;
-
-    owner_[slot] = block;
-    dirty_[slot] = 0;
-    slot_of_[block] = slot;
+    fill.evicted = o.block;
+    fill.evicted_dirty = o.block != kNoBlock && o.dirty;
+    o = Occupant{block, false};
     // Advance the cursor past the slot just filled so consecutive
     // conflict fills spread over the set deterministically.
-    rr_[set] = static_cast<uint32_t>((slot - set * ways_ + 1) % ways_);
+    if (ways_ > 1) {
+        rr_.set(set,
+                static_cast<uint32_t>((slot - set * ways_ + 1) % ways_));
+    }
     return fill;
 }
 
 void
 BlockCacheDir::checkpoint(Blob &b)
 {
-    b.items(owner_, "block cache slot count");
-    for (uint8_t &d : dirty_)
-        b.u8(d);
-    b.items(rr_, "block cache set count");
-    if (b.reading()) {
-        for (uint64_t s = 0; s < owner_.size(); ++s) {
-            if (owner_[s] != kNoBlock)
-                slot_of_[owner_[s]] = s;
-        }
-    }
+    b.size(slots_, "block cache slot count");
+    occupants_.checkpoint(b, slots_, "block cache slot",
+                          [&b](Occupant &o) {
+        b.u64(o.block);
+        b.flag(o.dirty);
+    });
+    b.size(sets_, "block cache set count");
+    rr_.checkpoint(b, sets_, "block cache set",
+                   [&b](uint32_t &cursor) { b.u32(cursor); });
 }
 
 void
@@ -84,7 +86,7 @@ BlockCacheDir::faultClearDirty(uint64_t block)
 {
     const uint64_t slot = lookup(block);
     silc_assert(slot != kNoSlot);
-    dirty_[slot] = 0;
+    occupants_.getOrCreate(slot).dirty = false;
 }
 
 void
@@ -92,13 +94,13 @@ BlockCacheDir::faultAliasInto(uint64_t block, uint64_t other)
 {
     const uint64_t slot = lookup(other);
     silc_assert(slot != kNoSlot);
-    slot_of_[block] = slot;
+    faults_[block] = slot;
 }
 
 void
 BlockCacheDir::faultMapToSlot(uint64_t block, uint64_t slot)
 {
-    slot_of_[block] = slot;
+    faults_[block] = slot;
 }
 
 } // namespace policy

@@ -4,7 +4,11 @@
  * organization schemes (MemCachePolicy, which serves both the pure
  * die-stacked DRAM cache and the MemCache hybrid).  Tracks which 64B
  * flat block occupies each NM slot, per-slot dirty bits, and a
- * deterministic per-set round-robin replacement cursor.
+ * deterministic per-set round-robin replacement cursor.  All three are
+ * sparse (SparseArray): an absent slot is empty and clean, an absent
+ * cursor 0, so the directory and its checkpoint follow the filled
+ * slots, not the NM capacity.  A block can only sit in its own set, so
+ * a lookup compares that set's ways, as a tag check does.
  *
  * The directory is purely functional bookkeeping — the owning policy
  * issues all DRAM traffic.  It also carries the fault-injection hooks
@@ -18,8 +22,8 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
+#include "common/sparse_array.hh"
 #include "common/types.hh"
 
 namespace silc {
@@ -39,11 +43,11 @@ class BlockCacheDir
      *  @p slots). */
     BlockCacheDir(uint64_t slots, uint32_t ways);
 
-    uint64_t slots() const { return owner_.size(); }
+    uint64_t slots() const { return slots_; }
     uint32_t ways() const { return ways_; }
     uint64_t sets() const { return sets_; }
 
-    /** Slot caching @p block, or kNoSlot. */
+    /** Slot caching @p block (one of its set's ways), or kNoSlot. */
     uint64_t lookup(uint64_t block) const;
 
     /** Slot a fill of @p block would land in (empty way first, else the
@@ -62,8 +66,11 @@ class BlockCacheDir
     /** Install @p block (must not be resident), evicting the victim. */
     Fill install(uint64_t block);
 
-    bool dirty(uint64_t slot) const { return dirty_[slot] != 0; }
-    void markDirty(uint64_t slot) { dirty_[slot] = 1; }
+    void
+    markDirty(uint64_t slot)
+    {
+        occupants_.getOrCreate(slot).dirty = true;
+    }
 
     void checkpoint(Blob &b);
 
@@ -73,26 +80,41 @@ class BlockCacheDir
      *  silently discards the cached (written) data — a lost write. */
     void faultClearDirty(uint64_t block);
 
-    /** Point @p block's directory entry at @p other's slot: two flat
-     *  blocks now claim one device location — a duplicate block. */
+    /** Make lookup(@p block) answer @p other's slot: two flat blocks
+     *  now claim one device location — a duplicate block. */
     void faultAliasInto(uint64_t block, uint64_t other);
 
-    /** Point resident @p block's entry at raw @p slot (may be out of
-     *  range): locate() escapes the device — a capacity overflow. */
+    /** Make lookup(@p block) answer raw @p slot (may be out of range):
+     *  locate() escapes the device — a capacity overflow. */
     void faultMapToSlot(uint64_t block, uint64_t slot);
 
   private:
+    /** What one NM slot holds (the default: empty and clean). */
+    struct Occupant
+    {
+        uint64_t block = kNoBlock;
+        bool dirty = false;
+    };
+
     uint64_t setOf(uint64_t block) const { return block % sets_; }
 
+    Occupant
+    occupant(uint64_t slot) const
+    {
+        return occupants_.get(slot, Occupant{});
+    }
+
+    uint64_t slots_;
     uint32_t ways_;
     uint64_t sets_;
-    /** slot -> resident block (kNoBlock: empty). */
-    std::vector<uint64_t> owner_;
-    std::vector<uint8_t> dirty_;
-    /** Per-set round-robin replacement cursor. */
-    std::vector<uint32_t> rr_;
-    /** block -> slot (the inverse of owner_). */
-    std::unordered_map<uint64_t, uint64_t> slot_of_;
+    /** slot -> resident block and dirty bit (absent: empty). */
+    SparseArray<Occupant> occupants_;
+    /** Per-set round-robin replacement cursor (absent: 0).  Never
+     *  materialized direct-mapped, where it is always 0. */
+    SparseArray<uint32_t> rr_;
+    /** Injected block -> slot answers that lookup() gives ahead of
+     *  the ways (empty outside the fault-injection self-tests). */
+    std::unordered_map<uint64_t, uint64_t> faults_;
 };
 
 } // namespace policy

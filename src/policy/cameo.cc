@@ -24,7 +24,7 @@ CameoPolicy::CameoPolicy(PolicyEnv env, CameoParams params)
 
     nm_blocks_ = nm_cap / kSubblockSize;
     // perm_ stores slot indices in uint8_t: members_ - 1 must fit, or
-    // the cast below would silently alias congruence-group members.
+    // the casts would silently alias congruence-group members.
     const uint64_t ratio = fm_cap / nm_cap;
     if (ratio + 1 > 256)
         fatal("cameo: FM:NM ratio %llu exceeds the 8-bit slot index "
@@ -36,29 +36,12 @@ CameoPolicy::CameoPolicy(PolicyEnv env, CameoParams params)
             fatal("cameo: LLP entries must be a power of two");
         llp_.assign(params_.llp_entries, 1);   // cold lines are in FM
     }
-    perm_.resize(nm_blocks_ * members_);
-    for (uint64_t g = 0; g < nm_blocks_; ++g) {
-        for (uint32_t m = 0; m < members_; ++m)
-            perm_[g * members_ + m] = static_cast<uint8_t>(m);
-    }
 }
 
 uint64_t
 CameoPolicy::flatSpaceBytes() const
 {
     return env_.nm->capacity() + env_.fm->capacity();
-}
-
-uint8_t &
-CameoPolicy::slotOf(uint64_t g, uint32_t m)
-{
-    return perm_[g * members_ + m];
-}
-
-uint8_t
-CameoPolicy::slotOf(uint64_t g, uint32_t m) const
-{
-    return perm_[g * members_ + m];
 }
 
 Location
@@ -105,7 +88,7 @@ CameoPolicy::locate(Addr paddr) const
     return slotLocation(g, slotOf(g, m));
 }
 
-void
+uint32_t
 CameoPolicy::swapIntoNm(uint64_t block, CoreId core, Tick now)
 {
     const uint64_t g = groupOf(block);
@@ -128,9 +111,10 @@ CameoPolicy::swapIntoNm(uint64_t block, CoreId core, Tick now)
                dram::TrafficClass::Migration, core, now);
 
     notifySwap(nm_loc, fm_loc);
-    slotOf(g, m) = 0;
-    slotOf(g, evicted) = slot;
+    setSlot(g, m, 0);
+    setSlot(g, evicted, slot);
     ++swaps_;
+    return evicted;
 }
 
 void
@@ -170,9 +154,8 @@ CameoPolicy::demandAccess(Addr paddr, bool is_write, CoreId core, Addr pc,
         // parallel when the LLP predicted FM, serially otherwise.
         recordService(false);
         const Location fm_loc = slotLocation(g, slot);
-        const uint32_t evicted = memberAtSlot(g, 0);
         // Functional swap happens immediately; timing follows.
-        swapIntoNm(block, core, now);
+        const uint32_t evicted = swapIntoNm(block, core, now);
         if (params_.llp_entries != 0)
             llp_[llpIndex(g + uint64_t(evicted) * nm_blocks_)] = 1;
 
@@ -230,7 +213,9 @@ void
 CameoPolicy::checkpoint(Blob &b)
 {
     FlatMemoryPolicy::checkpoint(b);
-    b.items(perm_, "cameo permutation size");
+    b.size(nm_blocks_ * members_, "cameo permutation size");
+    perm_.checkpoint(b, nm_blocks_ * members_, "cameo permutation",
+                     [&b](uint8_t &slot) { b.u8(slot); });
     b.items(llp_, "cameo LLP size");
     b.u64(swaps_);
     b.u64(prefetches_);

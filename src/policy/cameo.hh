@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/sparse_array.hh"
 #include "policy/policy.hh"
 
 namespace silc {
@@ -71,8 +72,17 @@ class CameoPolicy : public FlatMemoryPolicy
     }
 
     /** Current slot (0 = NM) of member @p m in group @p g. */
-    uint8_t &slotOf(uint64_t g, uint32_t m);
-    uint8_t slotOf(uint64_t g, uint32_t m) const;
+    uint8_t
+    slotOf(uint64_t g, uint32_t m) const
+    {
+        return perm_.get(g * members_ + m, static_cast<uint8_t>(m));
+    }
+
+    void
+    setSlot(uint64_t g, uint32_t m, uint8_t slot)
+    {
+        perm_.set(g * members_ + m, slot);
+    }
 
     /** Device location of slot @p slot in group @p g. */
     Location slotLocation(uint64_t g, uint8_t slot) const;
@@ -84,9 +94,9 @@ class CameoPolicy : public FlatMemoryPolicy
      * Swap flat block @p block (currently in FM) into its group's NM
      * slot, evicting the present occupant to the vacated FM slot.
      * Issues migration traffic at @p now; metadata is already read by
-     * the caller.
+     * the caller.  Returns the evicted member.
      */
-    void swapIntoNm(uint64_t block, CoreId core, Tick now);
+    uint32_t swapIntoNm(uint64_t block, CoreId core, Tick now);
 
     /** LLP index for a flat 64B block. */
     uint64_t llpIndex(uint64_t block) const;
@@ -94,7 +104,9 @@ class CameoPolicy : public FlatMemoryPolicy
     CameoParams params_;
     uint64_t nm_blocks_;
     uint32_t members_;   ///< K + 1
-    std::vector<uint8_t> perm_;
+    /** (group, member) -> slot, keyed g * members_ + m; an absent
+     *  member sits in its home slot, slot m. */
+    SparseArray<uint8_t> perm_;
     /** Line Location Predictor: 1 = predicted in FM. */
     std::vector<uint8_t> llp_;
     uint64_t swaps_ = 0;

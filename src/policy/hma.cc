@@ -1,6 +1,8 @@
 #include "policy/hma.hh"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -11,22 +13,17 @@ HmaPolicy::HmaPolicy(PolicyEnv env, HmaParams params)
     : FlatMemoryPolicy(env), params_(params)
 {
     silc_assert(env_.nm != nullptr);
-    total_pages_ = flatSpaceBytes() / kLargeBlockSize;
     nm_pages_ = env_.nm->capacity() / kLargeBlockSize;
-    // The page<->frame maps hold 32-bit indices (half the footprint of
-    // the dense tables at paper scale); guard the cast rather than
-    // silently truncating page numbers past 8 TiB of flat space.
-    if (total_pages_ > ~uint32_t(0))
+    // The page<->frame maps hold 32-bit indices; guard the casts rather
+    // than silently truncating page numbers past 8 TiB of flat space.
+    const uint64_t total_pages = flatSpaceBytes() / kLargeBlockSize;
+    if (total_pages > ~uint32_t(0))
         fatal("hma: %llu pages exceed the 32-bit page/frame indices "
               "(flat space above 8 TiB)",
-              static_cast<unsigned long long>(total_pages_));
-    frame_of_.resize(total_pages_);
-    page_at_.resize(total_pages_);
-    for (uint64_t p = 0; p < total_pages_; ++p) {
-        frame_of_[p] = static_cast<uint32_t>(p);
-        page_at_[p] = static_cast<uint32_t>(p);
-    }
-    counts_.assign(total_pages_, 0);
+              static_cast<unsigned long long>(total_pages));
+    // The epoch finds hot pages among the counted ones only.
+    if (params_.hot_threshold == 0)
+        fatal("hma: hot_threshold must be at least 1");
     next_epoch_ = params_.epoch_ticks;
 }
 
@@ -44,7 +41,7 @@ HmaPolicy::locate(Addr paddr) const
     const uint64_t page = sub >> kLargeBlockBits;
     const Addr offset = sub & (kLargeBlockSize - 1);
     const Addr frame_addr =
-        static_cast<Addr>(frame_of_[page]) * kLargeBlockSize + offset;
+        static_cast<Addr>(frameOf(page)) * kLargeBlockSize + offset;
     return identityLocation(frame_addr);
 }
 
@@ -53,8 +50,9 @@ HmaPolicy::demandAccess(Addr paddr, bool is_write, CoreId core, Addr pc,
                         DemandCallback done, Tick now)
 {
     const uint64_t page = paddr >> kLargeBlockBits;
-    if (counts_[page] < ~uint32_t(0))
-        ++counts_[page];
+    uint32_t &c = counts_.getOrCreate(page);
+    if (c < ~uint32_t(0))
+        ++c;
 
     const Location loc = locate(paddr);
     recordService(loc.in_nm);
@@ -84,8 +82,8 @@ HmaPolicy::demandAccess(Addr paddr, bool is_write, CoreId core, Addr pc,
 void
 HmaPolicy::swapPages(uint64_t page_a, uint64_t page_b, Tick now)
 {
-    const uint32_t fa = frame_of_[page_a];
-    const uint32_t fb = frame_of_[page_b];
+    const uint32_t fa = frameOf(page_a);
+    const uint32_t fb = frameOf(page_b);
 
     // 2KB in each direction.
     for (uint32_t s = 0; s < kSubblocksPerBlock; ++s) {
@@ -97,10 +95,10 @@ HmaPolicy::swapPages(uint64_t page_a, uint64_t page_b, Tick now)
         swapSubblocks(la, lb, 0, now);
     }
 
-    frame_of_[page_a] = fb;
-    frame_of_[page_b] = fa;
-    page_at_[fa] = static_cast<uint32_t>(page_b);
-    page_at_[fb] = static_cast<uint32_t>(page_a);
+    frame_of_.set(page_a, fb);
+    frame_of_.set(page_b, fa);
+    page_at_.set(fa, static_cast<uint32_t>(page_b));
+    page_at_.set(fb, static_cast<uint32_t>(page_a));
 }
 
 void
@@ -108,41 +106,49 @@ HmaPolicy::runEpoch(Tick now)
 {
     ++epochs_;
 
-    // Hot FM-resident pages, hottest first.
-    std::vector<uint32_t> hot;
-    for (uint64_t p = 0; p < total_pages_; ++p) {
-        if (counts_[p] >= params_.hot_threshold &&
-            frame_of_[p] >= nm_pages_) {
-            hot.push_back(static_cast<uint32_t>(p));
-        }
-    }
+    // Pages travel with their counts as (count, page): each sort
+    // compares counts only, so it makes exactly the moves that comparing
+    // the pages' counts would, without a table lookup per comparison.
+    using Counted = std::pair<uint32_t, uint32_t>;
+
+    // Hot FM-resident pages, hottest first.  Every hot page was
+    // counted (hot_threshold >= 1), and the sort is unstable, so its
+    // input keeps ascending page order.
+    std::vector<Counted> hot;
+    counts_.forEachSorted([&](uint64_t p, uint32_t c) {
+        if (c >= params_.hot_threshold && frameOf(p) >= nm_pages_)
+            hot.emplace_back(c, static_cast<uint32_t>(p));
+    });
     std::sort(hot.begin(), hot.end(),
-              [this](uint32_t a, uint32_t b) {
-                  return counts_[a] > counts_[b];
+              [](const Counted &a, const Counted &b) {
+                  return a.first > b.first;
               });
 
-    // NM-resident pages, coldest first (eviction candidates).
-    std::vector<uint32_t> nm_resident;
+    // NM-resident pages in ascending frame order, then coldest first
+    // (eviction candidates).
+    std::vector<Counted> nm_resident;
     nm_resident.reserve(nm_pages_);
-    for (uint64_t f = 0; f < nm_pages_; ++f)
-        nm_resident.push_back(page_at_[f]);
+    for (uint64_t f = 0; f < nm_pages_; ++f) {
+        const uint32_t page = pageAt(f);
+        nm_resident.emplace_back(counts_.get(page, 0), page);
+    }
     std::sort(nm_resident.begin(), nm_resident.end(),
-              [this](uint32_t a, uint32_t b) {
-                  return counts_[a] < counts_[b];
+              [](const Counted &a, const Counted &b) {
+                  return a.first < b.first;
               });
 
     uint32_t migrated = 0;
     size_t victim_idx = 0;
-    for (uint32_t hot_page : hot) {
+    for (const Counted &h : hot) {
         if (migrated >= params_.max_migrations_per_epoch)
             break;
         if (victim_idx >= nm_resident.size())
             break;
-        const uint32_t victim = nm_resident[victim_idx];
+        const Counted &victim = nm_resident[victim_idx];
         // Only evict strictly colder pages.
-        if (counts_[victim] >= counts_[hot_page])
+        if (victim.first >= h.first)
             break;
-        swapPages(hot_page, victim, now);
+        swapPages(h.second, victim.second, now);
         ++victim_idx;
         ++migrated;
     }
@@ -154,7 +160,7 @@ HmaPolicy::runEpoch(Tick now)
     }
 
     // Epoch counters restart.
-    std::fill(counts_.begin(), counts_.end(), 0);
+    counts_.clear();
 }
 
 void

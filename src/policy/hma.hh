@@ -16,8 +16,8 @@
 #define SILC_POLICY_HMA_HH
 
 #include <cstdint>
-#include <vector>
 
+#include "common/sparse_array.hh"
 #include "policy/policy.hh"
 
 namespace silc {
@@ -28,7 +28,8 @@ struct HmaParams
 {
     /** Ticks between epoch boundaries (scaled-down default). */
     Tick epoch_ticks = 2'000'000;
-    /** Access count that marks a page hot. */
+    /** Access count that marks a page hot (at least 1: untouched
+     *  pages are never hot). */
     uint32_t hot_threshold = 50;
     /** Maximum pages migrated per epoch boundary. */
     uint32_t max_migrations_per_epoch = 2048;
@@ -60,19 +61,32 @@ class HmaPolicy : public FlatMemoryPolicy
     uint64_t pagesMigrated() const { return pages_migrated_; }
 
   private:
+    uint32_t
+    frameOf(uint64_t page) const
+    {
+        return frame_of_.get(page, static_cast<uint32_t>(page));
+    }
+
+    uint32_t
+    pageAt(uint64_t frame) const
+    {
+        return page_at_.get(frame, static_cast<uint32_t>(frame));
+    }
+
     void runEpoch(Tick now);
 
     /** Swap the residence of two flat pages (migration traffic). */
     void swapPages(uint64_t page_a, uint64_t page_b, Tick now);
 
     HmaParams params_;
-    uint64_t total_pages_;
     uint64_t nm_pages_;
 
-    /** page -> frame (flat slot) and its inverse. */
-    std::vector<uint32_t> frame_of_;
-    std::vector<uint32_t> page_at_;
-    std::vector<uint32_t> counts_;
+    /** page -> frame (flat slot) and its inverse; an absent page sits
+     *  in its own frame. */
+    SparseArray<uint32_t> frame_of_;
+    SparseArray<uint32_t> page_at_;
+    /** This epoch's access count per page (absent: 0). */
+    SparseArray<uint32_t> counts_;
 
     Tick next_epoch_;
     Tick os_busy_until_ = 0;

@@ -27,16 +27,6 @@ staticBytesFor(const PolicyEnv &env, const MemCacheParams &p)
     return bytes;
 }
 
-MemCacheParams
-pureCacheParams(const DramCacheParams &p)
-{
-    MemCacheParams m;
-    m.mem_percent = 0;
-    m.ways = p.ways;
-    m.fill_on_write = p.fill_on_write;
-    return m;
-}
-
 } // namespace
 
 MemCachePolicy::MemCachePolicy(PolicyEnv env, MemCacheParams params)
@@ -45,11 +35,6 @@ MemCachePolicy::MemCachePolicy(PolicyEnv env, MemCacheParams params)
       static_bytes_(staticBytesFor(env, params)),
       dir_((env.nm->capacity() - static_bytes_) / kSubblockSize,
            params.ways)
-{
-}
-
-MemCachePolicy::MemCachePolicy(PolicyEnv env, DramCacheParams params)
-    : MemCachePolicy(env, pureCacheParams(params))
 {
 }
 

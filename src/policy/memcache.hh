@@ -28,16 +28,8 @@
 namespace silc {
 namespace policy {
 
-/** Pure die-stacked DRAM cache configuration. */
-struct DramCacheParams
-{
-    /** Ways per set (Alloy adopts 1: direct-mapped TAD). */
-    uint32_t ways = 1;
-    /** Allocate on write misses too (false: write-around). */
-    bool fill_on_write = true;
-};
-
-/** MemCache hybrid configuration. */
+/** Cache-like configuration: the MemCache hybrid's defaults; the pure
+ *  DRAM cache is mem_percent 0 (policy::SchemeConfig::dramcache). */
 struct MemCacheParams
 {
     /** Share of NM exposed as flat memory (rest is cache), in [0, 99];
@@ -54,9 +46,6 @@ class MemCachePolicy : public FlatMemoryPolicy
 {
   public:
     MemCachePolicy(PolicyEnv env, MemCacheParams params);
-
-    /** The pure DRAM cache: @p params at mem_percent 0. */
-    MemCachePolicy(PolicyEnv env, DramCacheParams params);
 
     const char *name() const override
     {

@@ -25,8 +25,6 @@ PomPolicy::PomPolicy(PolicyEnv env, PomParams params)
               "(max 255 FM frames per group)",
               static_cast<unsigned long long>(ratio));
     members_ = static_cast<uint32_t>(ratio) + 1;
-    resident_.assign(nm_pages_, 0);
-    counters_.assign(nm_pages_ * members_, 0);
 }
 
 uint64_t
@@ -43,12 +41,6 @@ PomPolicy::fmHome(uint64_t g, uint32_t m) const
         kLargeBlockSize;
 }
 
-uint8_t &
-PomPolicy::counter(uint64_t g, uint32_t m)
-{
-    return counters_[g * members_ + m];
-}
-
 Location
 PomPolicy::locate(Addr paddr) const
 {
@@ -58,7 +50,7 @@ PomPolicy::locate(Addr paddr) const
     const Addr offset = sub & (kLargeBlockSize - 1);
     const uint64_t g = groupOf(page);
     const uint32_t m = memberOf(page);
-    const uint8_t r = resident_[g];
+    const uint8_t r = resident(g);
 
     Location loc;
     if (m == r) {
@@ -93,7 +85,7 @@ PomPolicy::swapFrame(uint64_t g, uint32_t m, CoreId core, Tick now)
 void
 PomPolicy::migrate(uint64_t g, uint32_t m, CoreId core, Tick now)
 {
-    const uint8_t r = resident_[g];
+    const uint8_t r = resident(g);
     silc_assert(m != r);
 
     if (r != 0) {
@@ -103,19 +95,20 @@ PomPolicy::migrate(uint64_t g, uint32_t m, CoreId core, Tick now)
     }
     if (m != 0)
         swapFrame(g, m, core, now);
-    resident_[g] = static_cast<uint8_t>(m);
+    resident_.set(g, static_cast<uint8_t>(m));
     ++migrations_;
 
-    // Reset the group's competing counters.
-    for (uint32_t i = 0; i < members_; ++i)
-        counter(g, i) = 0;
+    // Reset the group's competing counters (absent ones are 0).
+    for (uint32_t i = 0; i < members_; ++i) {
+        if (uint8_t *c = counters_.find(counterKey(g, i)))
+            *c = 0;
+    }
 }
 
 void
 PomPolicy::decayCounters()
 {
-    for (auto &c : counters_)
-        c >>= 1;
+    counters_.forEachMutable([](uint64_t, uint8_t &c) { c >>= 1; });
 }
 
 void
@@ -132,8 +125,8 @@ PomPolicy::demandAccess(Addr paddr, bool is_write, CoreId core, Addr pc,
               static_cast<uint32_t>(kSubblockSize),
               dram::TrafficClass::Demand, core, std::move(done), now);
 
-    if (m != resident_[g]) {
-        uint8_t &ctr = counter(g, m);
+    if (m != resident(g)) {
+        uint8_t &ctr = counters_.getOrCreate(counterKey(g, m));
         if (ctr < 255)
             ++ctr;
         if (ctr >= params_.migration_threshold)
@@ -152,8 +145,12 @@ void
 PomPolicy::checkpoint(Blob &b)
 {
     FlatMemoryPolicy::checkpoint(b);
-    b.items(resident_, "pom residency table size");
-    b.items(counters_, "pom counter table size");
+    b.size(nm_pages_, "pom residency table size");
+    resident_.checkpoint(b, nm_pages_, "pom residency",
+                         [&b](uint8_t &m) { b.u8(m); });
+    b.size(nm_pages_ * members_, "pom counter table size");
+    counters_.checkpoint(b, nm_pages_ * members_, "pom counter",
+                         [&b](uint8_t &c) { b.u8(c); });
     b.u64(accesses_);
     b.u64(migrations_);
     b.u64(restores_);

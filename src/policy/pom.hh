@@ -15,8 +15,8 @@
 #define SILC_POLICY_POM_HH
 
 #include <cstdint>
-#include <vector>
 
+#include "common/sparse_array.hh"
 #include "policy/policy.hh"
 
 namespace silc {
@@ -60,7 +60,15 @@ class PomPolicy : public FlatMemoryPolicy
     /** FM device byte address of member @p m (>= 1) of group @p g. */
     Addr fmHome(uint64_t g, uint32_t m) const;
 
-    uint8_t &counter(uint64_t g, uint32_t m);
+    /** Member occupying the NM frame of group @p g. */
+    uint8_t resident(uint64_t g) const { return resident_.get(g, 0); }
+
+    /** Key of member @p m's competing counter in group @p g. */
+    uint64_t
+    counterKey(uint64_t g, uint32_t m) const
+    {
+        return g * members_ + m;
+    }
 
     /** Swap the 2KB NM frame of group @p g with FM home of member @p m. */
     void swapFrame(uint64_t g, uint32_t m, CoreId core, Tick now);
@@ -73,9 +81,11 @@ class PomPolicy : public FlatMemoryPolicy
     PomParams params_;
     uint64_t nm_pages_;
     uint32_t members_;   ///< K + 1
-    /** Which member occupies the NM frame of each group (0 = native). */
-    std::vector<uint8_t> resident_;
-    std::vector<uint8_t> counters_;
+    /** Which member occupies the NM frame of each group (absent: 0,
+     *  the native one). */
+    SparseArray<uint8_t> resident_;
+    /** Competing counters by counterKey() (absent: 0). */
+    SparseArray<uint8_t> counters_;
     uint64_t accesses_ = 0;
     uint64_t migrations_ = 0;
     uint64_t restores_ = 0;

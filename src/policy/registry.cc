@@ -75,8 +75,9 @@ SchemeRegistry::SchemeRegistry()
           {"dramcache",
            {.fm_multiple_of_nm = false, .checkpointable = true},
            [](const SchemeConfig &cfg, PolicyEnv env) -> PolicyPtr {
-               return std::make_unique<MemCachePolicy>(env,
-                                                       cfg.dramcache);
+               MemCacheParams p = cfg.dramcache;
+               p.mem_percent = 0;
+               return std::make_unique<MemCachePolicy>(env, p);
            }},
           {"memcache",
            {.fm_multiple_of_nm = false, .checkpointable = true},

@@ -48,7 +48,9 @@ struct SchemeConfig
     HmaParams hma;
     PomParams pom;
     CameoParams cameo;
-    DramCacheParams dramcache;
+    /** The pure DRAM cache: direct-mapped (Alloy's tags-and-data);
+     *  its row pins mem_percent to 0. */
+    MemCacheParams dramcache{.mem_percent = 0, .ways = 1};
     MemCacheParams memcache;
 };
 

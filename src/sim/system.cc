@@ -466,14 +466,16 @@ System::checkpoint(Blob &b)
     }
 
     b.section("SILC");
-    // Version 6: no per-core LLC miss or page counts (nothing read
-    // them).  Version 5: SILC-FM's bandwidth balancer carries no
+    // Version 7: the rival policies' tables (the DRAM-cache directory,
+    // CAMEO's permutation, PoM's residency and counters) are written
+    // sparsely, like SILC-FM's.  Version 6: no per-core LLC miss or
+    // page counts (nothing read them).  Version 5: SILC-FM's bandwidth balancer carries no
     // bypassed-window count.  Version 4: caches carry no
     // random-replacement cursor.  Version 3 dropped the L1i (it is not
     // modeled).  Version 2 serialized NM frame metadata sparsely
     // (materialized frames only); version-1 blobs carried the dense
     // per-frame dump.
-    constexpr uint32_t kFormatVersion = 6;
+    constexpr uint32_t kFormatVersion = 7;
     uint32_t version = kFormatVersion;
     b.u32(version);
     if (version != kFormatVersion)

@@ -137,7 +137,7 @@ System::runFunctional()
         return false;
 
     const uint32_t n = cfg_.cores;
-    const uint64_t width = cfg_.core_params.width;
+    const uint64_t width = cpu::kWidth;
     if (!warm_) {
         warm_ = std::make_unique<WarmEngine>(
             n, std::min<unsigned>(parallelThreadsFromEnv(), n));

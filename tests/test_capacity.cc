@@ -1,12 +1,12 @@
 /**
  * @file
  * Capacity-edge regression tests: paper-scale structure sizes, the
- * sparse metadata representations, the 32-bit truncation guards in the
- * rival policies, and the validated environment parsing of the scale
- * knobs.  Everything here must stay cheap — the point of the sparse
- * representations is that a 1 GiB-NM structure costs memory only for
- * what a run actually touches, and these tests construct such
- * structures directly.
+ * sparse metadata representations and checkpoint blobs, the 32-bit
+ * truncation guards in the rival policies, and the validated
+ * environment parsing of the scale knobs.  Everything here must stay
+ * cheap — the point of the sparse representations is that a 1 GiB-NM
+ * structure costs memory only for what a run actually touches, and
+ * these tests construct such structures directly.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,8 @@
 #include "policy/cameo.hh"
 #include "policy/hma.hh"
 #include "policy/pom.hh"
+#include "policy/registry.hh"
+#include "sample/checkpoint.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 
@@ -83,6 +85,22 @@ TEST(Capacity, NmEqualsFmRunsToCompletion)
         SimResult r = system.run();
         EXPECT_FALSE(r.hit_tick_limit) << scheme;
         EXPECT_GT(r.ipc, 0.0) << scheme;
+    }
+}
+
+TEST(Capacity, FreshCheckpointSizeIsCapacityIndependent)
+{
+    // A fresh System has touched nothing, so every checkpointed table is
+    // empty: the blob must not grow with the configured capacity.
+    const policy::SchemeRegistry &reg = policy::SchemeRegistry::instance();
+    for (const std::string &scheme : reg.names()) {
+        if (!reg.resolve(scheme).traits.checkpointable)
+            continue;
+        System small(capacityConfig(scheme, 4_MiB, 16_MiB));
+        System large(capacityConfig(scheme, 256_MiB, 1_GiB));
+        EXPECT_EQ(sample::capture(small, 0).blob.size(),
+                  sample::capture(large, 0).blob.size())
+            << scheme;
     }
 }
 

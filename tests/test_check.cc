@@ -497,10 +497,11 @@ runCacheFaultScenario(policy::MemCachePolicy &p, Addr base,
 class CacheShadowFaults : public CheckFixture
 {
   protected:
-    policy::DramCacheParams
+    policy::MemCacheParams
     dcParams()
     {
-        policy::DramCacheParams p;
+        policy::MemCacheParams p;
+        p.mem_percent = 0;
         p.ways = 1;
         return p;
     }

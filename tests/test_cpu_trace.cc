@@ -347,8 +347,8 @@ TEST(Core, RobLimitsOutstandingWork)
     Core core(0, params, trace, port);
     for (Tick t = 0; t < 2'000; ++t)
         core.tick(t);
-    EXPECT_EQ(core.robOccupancy(), params.rob_entries);
-    EXPECT_EQ(core.dispatched(), params.rob_entries);
+    EXPECT_EQ(core.robOccupancy(), kRobEntries);
+    EXPECT_EQ(core.dispatched(), kRobEntries);
     EXPECT_GT(core.robFullCycles(), 0u);
 }
 

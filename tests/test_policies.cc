@@ -21,6 +21,7 @@
 #include "policy/hma.hh"
 #include "policy/memcache.hh"
 #include "policy/pom.hh"
+#include "policy/registry.hh"
 #include "policy/static_random.hh"
 
 using namespace silc;
@@ -107,6 +108,13 @@ demand(FlatMemoryPolicy &policy, Addr a, Tick now, CoreId core = 0,
     policy.demandAccess(a, false, core, pc,
                         [done](Tick t) { *done = t; }, now);
     return *done;
+}
+
+/** The dramcache row's parameters: all of NM a direct-mapped cache. */
+MemCacheParams
+dramCacheParams()
+{
+    return SchemeConfig{}.dramcache;
 }
 
 } // namespace
@@ -444,6 +452,15 @@ TEST_F(PolicyFixture, HmaRepeatedEpochsStayBijective)
     drain(now + 1, 80'000'000);
 }
 
+TEST_F(PolicyFixture, HmaZeroHotThresholdIsFatal)
+{
+    // The epoch looks for hot pages among the counted ones, so a
+    // threshold that makes an uncounted page hot is refused.
+    HmaParams params = fastHma();
+    params.hot_threshold = 0;
+    EXPECT_DEATH(HmaPolicy(env_, params), "hot_threshold");
+}
+
 // ---- cross-policy property sweeps ---------------------------------------------
 
 /** Every migrating policy keeps a bijective map under random storms. */
@@ -581,7 +598,7 @@ TEST_F(PolicyFixture, HmaMigrationIsBackgroundTraffic)
 TEST_F(PolicyFixture, DramCacheFlatSpaceIsFmAlone)
 {
     // NM is a cache, not memory: the OS-visible space gains nothing.
-    MemCachePolicy p(env_, DramCacheParams{});
+    MemCachePolicy p(env_, dramCacheParams());
     EXPECT_EQ(p.flatSpaceBytes(), fm_->capacity());
     const Location loc = p.locate(3_MiB);
     EXPECT_FALSE(loc.in_nm);
@@ -590,7 +607,7 @@ TEST_F(PolicyFixture, DramCacheFlatSpaceIsFmAlone)
 
 TEST_F(PolicyFixture, DramCacheMissFillsThenHits)
 {
-    MemCachePolicy p(env_, DramCacheParams{});
+    MemCachePolicy p(env_, dramCacheParams());
     demand(p, 2_MiB, 0);
     drain();
     EXPECT_EQ(p.fmServiced(), 1u);
@@ -607,9 +624,8 @@ TEST_F(PolicyFixture, DramCacheMissFillsThenHits)
 TEST_F(PolicyFixture, DramCacheDirtyVictimWritesBackToFmHome)
 {
     // Direct-mapped: block B and block B + slots collide in set B.
-    DramCacheParams params;
-    params.ways = 1;
-    MemCachePolicy p(env_, params);
+    MemCachePolicy p(env_, dramCacheParams());
+    ASSERT_EQ(p.directory().ways(), 1u);
     const uint64_t slots = p.directory().slots();
     const Addr a = 64 * kSubblockSize;
     const Addr conflict = a + slots * kSubblockSize;
@@ -631,7 +647,7 @@ TEST_F(PolicyFixture, DramCacheDirtyVictimWritesBackToFmHome)
 
 TEST_F(PolicyFixture, DramCacheWriteAroundSkipsFill)
 {
-    DramCacheParams params;
+    MemCacheParams params = dramCacheParams();
     params.fill_on_write = false;
     MemCachePolicy p(env_, params);
     p.demandAccess(2_MiB, true, 0, 0x400, nullptr, 0);
@@ -648,7 +664,7 @@ TEST_F(PolicyFixture, DramCacheWriteAroundSkipsFill)
 
 TEST_F(PolicyFixture, DramCacheSnapshotRestoreRoundTrips)
 {
-    MemCachePolicy p(env_, DramCacheParams{});
+    MemCachePolicy p(env_, dramCacheParams());
     Tick now = 0;
     for (int i = 0; i < 32; ++i) {
         p.demandAccess((i * 977) % (4_MiB / kSubblockSize) * kSubblockSize,
@@ -659,7 +675,7 @@ TEST_F(PolicyFixture, DramCacheSnapshotRestoreRoundTrips)
     Blob w;
     p.checkpoint(w);
 
-    MemCachePolicy q(env_, DramCacheParams{});
+    MemCachePolicy q(env_, dramCacheParams());
     Blob r(w.bytes());
     q.checkpoint(r);
     r.done();

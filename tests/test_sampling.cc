@@ -94,7 +94,7 @@ class ReferenceWarmer
                     all_done = false;
                     continue;
                 }
-                for (uint32_t k = 0; k < cfg.core_params.width &&
+                for (uint32_t k = 0; k < cpu::kWidth &&
                                      retired_[c] < budget;
                      ++k) {
                     const trace::TraceInstruction ins =
@@ -750,7 +750,7 @@ TEST(WarmingEngine, FinishTicksMatchTheRetireSchedule)
     System sys(cfg);
     sys.setFunctionalMode(true);
     ASSERT_TRUE(sys.runToBudget());
-    const Tick active = 40'000 / cfg.core_params.width;
+    const Tick active = 40'000 / cpu::kWidth;
     for (uint32_t c = 0; c < cfg.cores; ++c) {
         EXPECT_EQ(sys.core(c).finishTick(),
                   active - 1 + kWarmBlackoutCycles);

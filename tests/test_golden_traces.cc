@@ -32,6 +32,12 @@
  * probes extend the policy's, and PoM, which registers only the base
  * policy probes.
  *
+ * MSHR backpressure is pinned by the System::dumpStats text of an lbm
+ * SILC-FM run whose MSHR file rejects often, per core and globally
+ * (golden_stats_mshr.txt): the cores' memory-stall cycles and the
+ * rejection count move with any change to how a rejected access is
+ * retried.
+ *
  * Regenerating after an intentional behaviour change:
  *
  *     GOLDEN_REGEN=1 ./tests/test_golden_traces
@@ -273,6 +279,26 @@ TEST(GoldenTelemetry, SeriesBytesAreStable)
         expectMatchesGolden(toJson(r),
                             "golden_telemetry_" + scheme + ".json");
     }
+}
+
+TEST(GoldenStats, DumpBytesAreStableUnderMshrPressure)
+{
+    sim::ExperimentOptions opts;
+    opts.cores = 4;
+    opts.instructions_per_core = 20'000;
+    sim::SystemConfig cfg = sim::makeConfig("lbm", "silcfm", opts);
+    // Four cores at two misses each oversubscribe six entries, so both
+    // the per-core and the global limit reject.
+    cfg.mshr_per_core = 2;
+    cfg.mshr_entries = 6;
+    sim::System system(cfg);
+    system.run();
+    // The case must still exercise what it is named for.
+    ASSERT_GT(system.hierarchy().mshrs().rejections(), 10'000u);
+
+    std::ostringstream os;
+    system.dumpStats(os);
+    expectMatchesGolden(os.str(), "golden_stats_mshr.txt");
 }
 
 class GoldenTrace : public ::testing::TestWithParam<GoldenCase>

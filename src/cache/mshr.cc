@@ -77,8 +77,7 @@ MshrFile::allocate(Addr block_addr, CoreId core, MissCallback cb)
         return MshrAllocation::Coalesced;
     }
 
-    if (count_ >= capacity_ ||
-        outstandingFor(core) >= per_core_capacity_) {
+    if (full(core)) {
         ++rejections_;
         return MshrAllocation::NoCapacity;
     }

@@ -66,6 +66,21 @@ class MshrFile
      */
     MshrAllocation allocate(Addr block_addr, CoreId core, MissCallback cb);
 
+    /**
+     * True when allocate() would refuse any block of @p core that is not
+     * outstanding: the file is full, or @p core is at its limit.
+     */
+    bool
+    full(CoreId core) const
+    {
+        return count_ >= capacity_ ||
+            outstandingFor(core) >= per_core_capacity_;
+    }
+
+    /** Count a refusal made without calling allocate() (see
+     *  sim::MemoryHierarchy::stillRejected). */
+    void countRejection() { ++rejections_; }
+
     /** True when an entry for @p block_addr is outstanding. */
     bool outstanding(Addr block_addr) const
     {

@@ -42,6 +42,13 @@ using EventCallback = SmallFunction<void(Tick), 64>;
  * transaction-completion style events land here.  Every run builds its
  * own queue, so events are never cancelled and the queue is never
  * cleared for reuse.
+ *
+ * Heap entries are plain data, {when, seq, slot}: the callbacks live in
+ * a slab indexed by slot, so a heap sift moves 24 bytes instead of
+ * relocating a 72-byte EventCallback through an indirect call.  A
+ * callback can also be parked in the slab ahead of time (park()) and
+ * scheduled by handle later; the DRAM channel queues keep handles, not
+ * callbacks, while a request waits.
  */
 class EventQueue
 {
@@ -52,11 +59,31 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
 
     /**
-     * Schedule @p cb to run at absolute tick @p when.
+     * Schedule @p cb to run at absolute tick @p when: park() plus
+     * schedule(when, handle).
      *
      * @pre when must not be in the past relative to the last runDue() tick.
      */
-    void schedule(Tick when, EventCallback cb);
+    void schedule(Tick when, EventCallback cb)
+    {
+        schedule(when, park(std::move(cb)));
+    }
+
+    /**
+     * Store @p cb in the slab without scheduling it.  The handle must be
+     * scheduled exactly once, which frees it when the event runs; a
+     * handle never scheduled is released with the queue.
+     */
+    uint32_t park(EventCallback cb);
+
+    /**
+     * Schedule the callback parked under @p parked at tick @p when.  Its
+     * tie-breaking position among events of the same tick is taken
+     * here, not at park(): insertion order is scheduling order.
+     *
+     * @pre when must not be in the past relative to the last runDue() tick.
+     */
+    void schedule(Tick when, uint32_t parked);
 
     /**
      * Run every event due at or before @p now, in (tick, insertion) order.
@@ -95,7 +122,7 @@ class EventQueue
     {
         Tick when;
         uint64_t seq;
-        EventCallback cb;
+        uint32_t slot;   ///< index into slab_
     };
 
     struct Later
@@ -116,6 +143,9 @@ class EventQueue
     // popped entries move out cleanly without the const_cast that
     // priority_queue::top() forces.
     std::vector<Entry> heap_;
+    /** Parked and scheduled callbacks; free_ lists the empty slots. */
+    std::vector<EventCallback> slab_;
+    std::vector<uint32_t> free_;
     uint64_t next_seq_ = 0;
     uint64_t executed_ = 0;
     Tick last_run_tick_ = 0;

@@ -84,6 +84,29 @@ class Rng
         return uniform() < p;
     }
 
+    /**
+     * The integer form of probability @p p for chanceBelow(): uniform()
+     * is k * 2^-53 for k = next() >> 11, so uniform() < p exactly when
+     * k < ceil(p * 2^53).  0 for p <= 0 (or NaN), 2^53 for p >= 1.
+     */
+    static uint64_t
+    threshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return uint64_t(1) << 53;
+        return static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+    }
+
+    /** chance(p) for @p t = threshold(p): the same draw and outcome,
+     *  without the conversion to double. */
+    bool
+    chanceBelow(uint64_t t)
+    {
+        return (next() >> 11) < t;
+    }
+
     /** The raw xoshiro256** state, for checkpoint serialization. */
     std::array<uint64_t, 4>
     state() const

@@ -37,19 +37,8 @@ Core::retireWarmed(uint64_t instructions, uint64_t loads, uint64_t stores,
 }
 
 void
-Core::tick(Tick now)
+Core::advance(Tick now)
 {
-    if (done())
-        return;
-
-    // Fully stalled: ROB full behind an unready head.  The full logic
-    // below would do exactly this increment and nothing else, so skip
-    // it until the head can retire (see stall_until_).
-    if (stall_until_ > now) {
-        ++rob_full_cycles_;
-        return;
-    }
-
     // ---- Retire: up to kWidth ready instructions, in order. ----
     uint32_t retired_now = 0;
     while (retired_now < kWidth && head_seq_ < tail_seq_) {
@@ -77,6 +66,12 @@ Core::tick(Tick now)
         if (dispatched_ >= params_.instruction_budget)
             break;
 
+        // A refused access the port would refuse again costs the same
+        // stall cycle without the re-issue.
+        if (rejected_ && port_.stillRejected(id_)) {
+            ++mem_stall_cycles_;
+            break;
+        }
         if (!staged_)
             staged_ = trace_.next();
 
@@ -108,6 +103,7 @@ Core::tick(Tick now)
                 --tail_seq_;
                 slot(seq).ready_tick = kTickNever;
                 ++mem_stall_cycles_;
+                rejected_ = true;
                 break;
             }
             if (ins.is_write)
@@ -120,6 +116,7 @@ Core::tick(Tick now)
         }
 
         staged_.reset();
+        rejected_ = false;
         ++dispatched_;
         ++dispatched_now;
     }

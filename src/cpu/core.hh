@@ -65,6 +65,19 @@ class MemoryPort
      */
     virtual bool access(CoreId core, Addr vaddr, Addr pc, bool is_write,
                         std::function<void(Tick)> done, Tick now) = 0;
+
+    /**
+     * Whether re-issuing the access that access() last refused for
+     * @p core would be refused again, with no other effect.  A port that
+     * returns true counts that refusal as access() would have, and the
+     * core stalls the cycle without re-issuing.  The default says no,
+     * so the core re-issues.
+     */
+    virtual bool stillRejected(CoreId core)
+    {
+        (void)core;
+        return false;
+    }
 };
 
 /** One trace-driven core. */
@@ -75,7 +88,20 @@ class Core
          MemoryPort &port);
 
     /** Advance one cycle: retire then dispatch. */
-    void tick(Tick now);
+    void
+    tick(Tick now)
+    {
+        if (done())
+            return;
+        // Fully stalled: ROB full behind an unready head.  advance()
+        // would do exactly this increment and nothing else, so skip it
+        // until the head can retire (see stall_until_).
+        if (stall_until_ > now) {
+            ++rob_full_cycles_;
+            return;
+        }
+        advance(now);
+    }
 
     /**
      * Functional-warming retire accounting.  In functional mode every
@@ -165,6 +191,9 @@ class Core
 
     RobEntry &slot(uint64_t seq) { return rob_[seq & (kRobEntries - 1)]; }
 
+    /** tick() past its two early returns: retire, then dispatch. */
+    void advance(Tick now);
+
     void onLoadComplete(uint64_t seq, Tick when);
 
     CoreId id_;
@@ -189,6 +218,10 @@ class Core
 
     /** Instruction fetched but not yet dispatched (resource stall). */
     std::optional<trace::TraceInstruction> staged_;
+
+    /** The port refused staged_'s access (see MemoryPort::stillRejected);
+     *  cleared when it dispatches. */
+    bool rejected_ = false;
 
     uint64_t retired_ = 0;
     uint64_t dispatched_ = 0;

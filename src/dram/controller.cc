@@ -45,7 +45,6 @@ ChannelController::ChannelController(const DramTimingParams &params,
         : 0;
 
     slots_.reserve(2 * params_.queue_depth);
-    next_.reserve(2 * params_.queue_depth);
 
     // The refresh deadline is the only wakeup source that exists before
     // any traffic arrives.
@@ -53,26 +52,36 @@ ChannelController::ChannelController(const DramTimingParams &params,
 }
 
 uint32_t
-ChannelController::allocSlot(DecodedRequest &&dec)
+ChannelController::allocSlot(DramRequest &&req, uint32_t bank, int64_t row,
+                             Tick now)
 {
-    uint32_t idx;
+    const Queued q{
+        .addr = req.addr,
+        .row = row,
+        .enqueued = now,
+        .bank = bank,
+        .bytes = req.bytes,
+        .core = req.core,
+        .done = req.on_complete ? events_.park(std::move(req.on_complete))
+                                : kNullSlot,
+        .next = kNullSlot,
+        .traffic = req.traffic,
+        .is_write = req.is_write,
+    };
     if (free_head_ != kNullSlot) {
-        idx = free_head_;
-        free_head_ = next_[idx];
-        slots_[idx] = std::move(dec);
-    } else {
-        idx = static_cast<uint32_t>(slots_.size());
-        slots_.push_back(std::move(dec));
-        next_.push_back(kNullSlot);
+        const uint32_t idx = free_head_;
+        free_head_ = slots_[idx].next;
+        slots_[idx] = q;
+        return idx;
     }
-    next_[idx] = kNullSlot;
-    return idx;
+    slots_.push_back(q);
+    return static_cast<uint32_t>(slots_.size() - 1);
 }
 
 void
 ChannelController::freeSlot(uint32_t idx)
 {
-    next_[idx] = free_head_;
+    slots_[idx].next = free_head_;
     free_head_ = idx;
 }
 
@@ -82,7 +91,7 @@ ChannelController::pushBack(SlotList &q, uint32_t idx)
     if (q.tail == kNullSlot)
         q.head = idx;
     else
-        next_[q.tail] = idx;
+        slots_[q.tail].next = idx;
     q.tail = idx;
     ++q.count;
 }
@@ -91,9 +100,9 @@ void
 ChannelController::unlink(SlotList &q, uint32_t idx, uint32_t prev)
 {
     if (prev == kNullSlot)
-        q.head = next_[idx];
+        q.head = slots_[idx].next;
     else
-        next_[prev] = next_[idx];
+        slots_[prev].next = slots_[idx].next;
     if (q.tail == idx)
         q.tail = prev;
     --q.count;
@@ -102,17 +111,23 @@ ChannelController::unlink(SlotList &q, uint32_t idx, uint32_t prev)
 void
 ChannelController::enqueue(DecodedRequest req, Tick now)
 {
-    req.enqueued = now;
+    enqueue(std::move(req.req), req.bank, req.row, now);
+}
+
+void
+ChannelController::enqueue(DramRequest &&req, uint32_t bank, int64_t row,
+                           Tick now)
+{
     SlotList *q;
-    if (req.req.is_write) {
+    if (req.is_write) {
         q = &write_q_;
-    } else if (req.req.traffic == TrafficClass::Demand ||
-               req.req.traffic == TrafficClass::Metadata) {
+    } else if (req.traffic == TrafficClass::Demand ||
+               req.traffic == TrafficClass::Metadata) {
         q = &read_q_;
     } else {
         q = &bg_read_q_;
     }
-    pushBack(*q, allocSlot(std::move(req)));
+    pushBack(*q, allocSlot(std::move(req), bank, row, now));
 }
 
 void
@@ -195,11 +210,10 @@ ChannelController::tryIssue(Tick now)
     if (pick == kNullSlot)
         return false;
     unlink(*q, pick, prev);
-    DecodedRequest dec = std::move(slots_[pick]);
-    freeSlot(pick);
     if (promoted)
         ++bg_promotions_;
-    issue(dec, now);
+    issue(slots_[pick], now);
+    freeSlot(pick);
     return true;
 }
 
@@ -218,14 +232,14 @@ ChannelController::selectFrFcfs(const SlotList &q, Tick now,
     size_t n = 0;
     for (uint32_t i = q.head;
          i != kNullSlot && n < params_.queue_depth;
-         prev = i, i = next_[i], ++n) {
-        const DecodedRequest &dec = slots_[i];
-        const Bank &bank = banks_[dec.bank];
+         prev = i, i = slots_[i].next, ++n) {
+        const Queued &e = slots_[i];
+        const Bank &bank = banks_[e.bank];
         if (bank.readyAt() > now) {
             *min_ready_out = std::min(*min_ready_out, bank.readyAt());
             continue;
         }
-        if (bank.openRow() == dec.row) {
+        if (bank.openRow() == e.row) {
             *prev_out = prev;
             return i;
         }
@@ -239,12 +253,11 @@ ChannelController::selectFrFcfs(const SlotList &q, Tick now,
 }
 
 void
-ChannelController::issue(DecodedRequest &dec, Tick now)
+ChannelController::issue(const Queued &q, Tick now)
 {
-    Bank &bank = banks_[dec.bank];
-    const Tick burst = params_.toTicks(
-        params_.burstMemCycles(dec.req.bytes));
-    BankService svc = bank.serve(dec.row, now, burst, bus_free_, params_);
+    Bank &bank = banks_[q.bank];
+    const Tick burst = params_.toTicks(params_.burstMemCycles(q.bytes));
+    BankService svc = bank.serve(q.row, now, burst, bus_free_, params_);
 
     bus_free_ = svc.data_done;
     bus_busy_ticks_ += svc.data_done - svc.data_start;
@@ -256,19 +269,19 @@ ChannelController::issue(DecodedRequest &dec, Tick now)
     if (svc.activated)
         ++activations_;
 
-    if (dec.req.is_write) {
+    if (q.is_write) {
         ++writes_served_;
     } else {
         ++reads_served_;
         const double delay =
-            static_cast<double>(svc.data_start - dec.enqueued);
+            static_cast<double>(svc.data_start - q.enqueued);
         read_delay_sum_ += delay;
         if (read_delay_hist_)
             read_delay_hist_->sample(delay);
     }
 
-    if (dec.req.on_complete)
-        events_.schedule(svc.data_done, std::move(dec.req.on_complete));
+    if (q.done != kNullSlot)
+        events_.schedule(svc.data_done, q.done);
 }
 
 void
@@ -317,16 +330,17 @@ ChannelController::queueSnapshot(int which) const
         which == 0 ? read_q_ : which == 1 ? bg_read_q_ : write_q_;
     std::vector<DecodedRequest> out;
     out.reserve(q.count);
-    for (uint32_t i = q.head; i != kNullSlot; i = next_[i]) {
+    for (uint32_t i = q.head; i != kNullSlot; i = slots_[i].next) {
+        const Queued &e = slots_[i];
         DecodedRequest copy;
-        copy.req.addr = slots_[i].req.addr;
-        copy.req.is_write = slots_[i].req.is_write;
-        copy.req.bytes = slots_[i].req.bytes;
-        copy.req.traffic = slots_[i].req.traffic;
-        copy.req.core = slots_[i].req.core;
-        copy.bank = slots_[i].bank;
-        copy.row = slots_[i].row;
-        copy.enqueued = slots_[i].enqueued;
+        copy.req.addr = e.addr;
+        copy.req.is_write = e.is_write;
+        copy.req.bytes = e.bytes;
+        copy.req.traffic = e.traffic;
+        copy.req.core = e.core;
+        copy.bank = e.bank;
+        copy.row = e.row;
+        copy.enqueued = e.enqueued;
         out.push_back(std::move(copy));
     }
     return out;

@@ -19,7 +19,9 @@
  *
  * Queued requests live in a per-channel arena with intrusive FIFO lists
  * per traffic class, so FR-FCFS picks unlink in O(1) instead of the old
- * deque erase-from-middle.
+ * deque erase-from-middle.  An arena entry is a compact record, not the
+ * DecodedRequest it was made from: the completion callback is parked in
+ * the EventQueue once, on enqueue, and the entry keeps its handle.
  */
 
 #ifndef SILC_DRAM_CONTROLLER_HH
@@ -72,6 +74,10 @@ class ChannelController
 
     /** Accept a decoded request (queues are elastic; see DESIGN.md). */
     void enqueue(DecodedRequest req, Tick now);
+
+    /** enqueue() for a request decoded onto @p bank and @p row, without
+     *  building a DecodedRequest first. */
+    void enqueue(DramRequest &&req, uint32_t bank, int64_t row, Tick now);
 
     /**
      * Ensure the channel is scanned no later than tick @p when.  Pulling
@@ -137,6 +143,28 @@ class ChannelController
     std::vector<DecodedRequest> queueSnapshot(int which) const;
 
   private:
+    /**
+     * One queued request: what scheduling, issue and the test snapshot
+     * read, plus the parked completion handle.  The FR-FCFS walk reads
+     * bank, row and next from here, so the entry stays small.
+     */
+    struct Queued
+    {
+        Addr addr;
+        int64_t row;
+        Tick enqueued;
+        uint32_t bank;
+        uint32_t bytes;
+        CoreId core;
+        /** EventQueue::park() handle, or kNullSlot without a callback. */
+        uint32_t done;
+        /** Next entry in the owning list or the free list. */
+        uint32_t next;
+        TrafficClass traffic;
+        bool is_write;
+    };
+    static_assert(sizeof(Queued) == 48);
+
     /** Intrusive FIFO list over the request arena. */
     struct SlotList
     {
@@ -145,7 +173,8 @@ class ChannelController
         uint32_t count = 0;
     };
 
-    uint32_t allocSlot(DecodedRequest &&dec);
+    uint32_t allocSlot(DramRequest &&req, uint32_t bank, int64_t row,
+                       Tick now);
     void freeSlot(uint32_t idx);
     void pushBack(SlotList &q, uint32_t idx);
     void unlink(SlotList &q, uint32_t idx, uint32_t prev);
@@ -174,7 +203,7 @@ class ChannelController
     uint32_t selectFrFcfs(const SlotList &q, Tick now, uint32_t *prev_out,
                           Tick *min_ready_out) const;
 
-    void issue(DecodedRequest &dec, Tick now);
+    void issue(const Queued &q, Tick now);
 
     /** Compute and arm the next wakeup after a scan at @p now. */
     void rearm(Tick now, bool issued);
@@ -185,9 +214,8 @@ class ChannelController
 
     std::vector<Bank> banks_;
 
-    /** Request arena: slots_[i] is linked through next_[i]. */
-    std::vector<DecodedRequest> slots_;
-    std::vector<uint32_t> next_;
+    /** Request arena: each entry is linked through its next field. */
+    std::vector<Queued> slots_;
     uint32_t free_head_ = kNullSlot;
 
     /** Critical-path reads: demand and metadata. */

@@ -72,10 +72,6 @@ DramSystem::issue(DramRequest req, Tick now)
     else
         traffic_.read[cls] += req.bytes;
 
-    DecodedRequest dec;
-    dec.bank = d.bank;
-    dec.row = d.row;
-    dec.req = std::move(req);
     ChannelController &ch = *channels_[d.channel];
 
     // Compute when the channel must be scanned: exactly when the polled
@@ -90,7 +86,7 @@ DramSystem::issue(DramRequest req, Tick now)
     else
         scan_at = now + (step - rem);
 
-    ch.enqueue(std::move(dec), now);
+    ch.enqueue(std::move(req), d.bank, d.row, now);
     ch.requestScanAt(scan_at);
     next_scan_min_ = std::min(next_scan_min_, scan_at);
 }

@@ -258,6 +258,24 @@ class MemoryHierarchy : public cpu::MemoryPort
     bool access(CoreId core, Addr vaddr, Addr pc, bool is_write,
                 std::function<void(Tick)> done, Tick now) override;
 
+    /**
+     * True while the MSHR file is full for @p core, counting the
+     * refusal.  Exact for the access access() last refused: that block
+     * missed L1 and L2 and was not outstanding, and only @p core, which
+     * is stalled on it, could fill or allocate it (per-core address
+     * spaces are disjoint); the detailed loop completes misses only in
+     * events, between core ticks.  So a re-issue would miss both levels
+     * again and allocate() would refuse it (see DESIGN.md).
+     */
+    bool
+    stillRejected(CoreId core) override
+    {
+        if (!mshr_.full(core))
+            return false;
+        mshr_.countRejection();
+        return true;
+    }
+
     uint64_t llcMisses() const { return llc_misses_total_; }
 
     /** Mean ticks from LLC miss issue to fill. */

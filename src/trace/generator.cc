@@ -51,7 +51,12 @@ mpkiClassName(MpkiClass c)
 
 SyntheticGenerator::SyntheticGenerator(WorkloadProfile profile,
                                        uint64_t seed)
-    : profile_(std::move(profile)), rng_(seed)
+    : profile_(std::move(profile)), rng_(seed),
+      mem_threshold_(Rng::threshold(profile_.mem_fraction)),
+      write_threshold_(Rng::threshold(profile_.write_fraction)),
+      friendly_threshold_(
+          Rng::threshold(profile_.cache_friendly_fraction)),
+      stream_threshold_(Rng::threshold(profile_.stream_fraction))
 {
     const uint64_t pages = profile_.footprintPages();
     if (pages == 0)
@@ -120,7 +125,7 @@ void
 SyntheticGenerator::startBurst()
 {
     const uint64_t pages = profile_.footprintPages();
-    if (rng_.uniform() < profile_.stream_fraction) {
+    if (rng_.chanceBelow(stream_threshold_)) {
         // Sequential streaming burst touching every subblock.
         burst_is_stream_ = true;
         burst_left_ = runLength(rng_, profile_.stream_run_subblocks);
@@ -164,7 +169,7 @@ SyntheticGenerator::next()
     ++instr_count_;
     TraceInstruction ins;
 
-    if (rng_.uniform() >= profile_.mem_fraction) {
+    if (!rng_.chanceBelow(mem_threshold_)) {
         nonmem_pc_ += 4;
         if (nonmem_pc_ > kCodeBase + 64 * 1024)
             nonmem_pc_ = kCodeBase;
@@ -173,7 +178,7 @@ SyntheticGenerator::next()
     }
 
     ins.is_mem = true;
-    ins.is_write = rng_.uniform() < profile_.write_fraction;
+    ins.is_write = rng_.chanceBelow(write_threshold_);
     ++mem_ops_;
 
     if (phase_countdown_ != 0 && --phase_countdown_ == 0) {
@@ -181,7 +186,7 @@ SyntheticGenerator::next()
         phase_countdown_ = profile_.phase_interval;
     }
 
-    if (rng_.uniform() < profile_.cache_friendly_fraction) {
+    if (rng_.chanceBelow(friendly_threshold_)) {
         // Cache-resident region: high L1/L2 hit rate, controls MPKI.
         const uint64_t lines = profile_.friendly_bytes / kSubblockSize;
         ins.vaddr = kFriendlyBase + rng_.below(lines) * kSubblockSize;

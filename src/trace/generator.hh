@@ -172,6 +172,13 @@ class SyntheticGenerator : public TraceSource
     Rng rng_;
     std::unique_ptr<ZipfSampler> zipf_;
 
+    /** Rng::threshold of the profile's mem, write, cache-friendly and
+     *  stream fractions. */
+    uint64_t mem_threshold_;
+    uint64_t write_threshold_;
+    uint64_t friendly_threshold_;
+    uint64_t stream_threshold_;
+
     /** rank -> page permutation (re-seeded on phase changes). */
     std::vector<uint32_t> hot_perm_;
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -147,6 +148,68 @@ TEST(EventQueue, CountsExecuted)
     EXPECT_EQ(q.executed(), 4u);
 }
 
+TEST(EventQueue, RecycledSlabSlotsKeepFifoTieBreak)
+{
+    // Drain a first batch so its slab slots go back on the free list,
+    // then schedule a same-tick batch: the slots are reused in reverse,
+    // but the events still fire in the order they were scheduled.
+    EventQueue q;
+    std::vector<int> order;
+    for (int i = 0; i < 6; ++i)
+        q.schedule(1, [&order, i](Tick) { order.push_back(i); });
+    q.runDue(1);
+    ASSERT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    order.clear();
+    for (int i = 0; i < 6; ++i)
+        q.schedule(3, [&order, i](Tick) { order.push_back(i); });
+    q.schedule(2, [&order](Tick) { order.push_back(-1); });
+    q.runDue(3);
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5}));
+}
+
+TEST(EventQueue, DrainThatGrowsTheSlabRunsEveryCallbackOnce)
+{
+    // Each event schedules two more until 2,000 have been scheduled,
+    // far past the slab's initial capacity, so the slab reallocates
+    // while a callback moved out of it is running.  Same-tick children
+    // run in the same drain, in scheduling order.
+    EventQueue q;
+    std::vector<int> order;
+    int scheduled = 0;
+    std::function<void(int)> spawn = [&](int id) {
+        ++scheduled;
+        q.schedule(10, [&, id](Tick t) {
+            EXPECT_EQ(t, 10u);
+            order.push_back(id);
+            for (int k = 0; k < 2 && scheduled < 2000; ++k)
+                spawn(scheduled);
+        });
+    };
+    spawn(0);
+    EXPECT_EQ(q.runDue(10), 2000u);
+    ASSERT_EQ(order.size(), 2000u);
+    for (int i = 0; i < 2000; ++i)
+        EXPECT_EQ(order[i], i);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ParkedCallbackOrderedWhenScheduled)
+{
+    // A callback parked before two same-tick events but scheduled after
+    // them runs after them: ties break by scheduling order.
+    EventQueue q;
+    std::vector<int> order;
+    const uint32_t parked =
+        q.park([&order](Tick) { order.push_back(0); });
+    q.schedule(4, [&order](Tick) { order.push_back(1); });
+    q.schedule(4, [&order](Tick) { order.push_back(2); });
+    EXPECT_EQ(q.size(), 2u);
+    q.schedule(4, parked);
+    EXPECT_EQ(q.nextEventTick(), 4u);
+    q.runDue(4);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
+}
+
 // ---- small function ------------------------------------------------------
 
 TEST(SmallFunction, InvokesAndReportsInlineStorage)
@@ -284,6 +347,31 @@ TEST(Rng, UniformInUnitInterval)
         sum += u;
     }
     EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
+}
+
+TEST(Rng, ThresholdDrawsMatchUniformDraws)
+{
+    // chanceBelow(threshold(p)) must be uniform() < p, draw for draw.
+    for (const double p : {0.0, 1e-300, 0.25, 0.3, 0.97, 1.0 - 0x1.0p-53,
+                           1.0}) {
+        Rng a(99);
+        Rng b(99);
+        const uint64_t t = Rng::threshold(p);
+        uint64_t hits = 0;
+        for (int i = 0; i < 1'000'000; ++i) {
+            const bool want = a.uniform() < p;
+            ASSERT_EQ(b.chanceBelow(t), want) << "p=" << p << " draw " << i;
+            hits += want;
+        }
+        if (p == 0.0 || p == 1e-300) {
+            EXPECT_EQ(hits, 0u);
+        } else if (p == 1.0) {
+            EXPECT_EQ(hits, 1'000'000u);
+        }
+    }
+    EXPECT_EQ(Rng::threshold(-0.5), 0u);
+    EXPECT_EQ(Rng::threshold(2.0), uint64_t(1) << 53);
+    EXPECT_EQ(Rng::threshold(0.5), uint64_t(1) << 52);
 }
 
 TEST(Zipf, AlphaZeroIsUniform)

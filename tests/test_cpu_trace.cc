@@ -394,6 +394,98 @@ TEST(Core, MemoryBackpressureStallsDispatch)
     EXPECT_EQ(core.loads(), 1u);
 }
 
+namespace {
+
+/**
+ * A FixedLatencyPort (latency 20) that refuses every access in the tick
+ * windows [5, 60) and [100, 130).  With @p report_still it also answers
+ * stillRejected() truthfully, counting each refusal there as access()
+ * does; without, the core must re-issue.
+ */
+class GatedPort : public FixedLatencyPort
+{
+  public:
+    explicit GatedPort(bool report_still)
+        : FixedLatencyPort(20), report_still_(report_still)
+    {
+    }
+
+    bool
+    access(CoreId core, Addr vaddr, Addr pc, bool is_write,
+           std::function<void(Tick)> done, Tick now) override
+    {
+        if (closed(now)) {
+            ++refusals_;
+            ++closed_accesses_;
+            return false;
+        }
+        return FixedLatencyPort::access(core, vaddr, pc, is_write,
+                                        std::move(done), now);
+    }
+
+    bool
+    stillRejected(CoreId) override
+    {
+        if (!report_still_ || !closed(now_))
+            return false;
+        ++refusals_;
+        return true;
+    }
+
+    static bool
+    closed(Tick t)
+    {
+        return (t >= 5 && t < 60) || (t >= 100 && t < 130);
+    }
+
+    Tick now_ = 0;
+    uint64_t refusals_ = 0;
+    uint64_t closed_accesses_ = 0;
+
+  private:
+    bool report_still_;
+};
+
+} // namespace
+
+TEST(Core, StillRejectedStallsWithoutReissueLikeARefusedReissue)
+{
+    std::vector<TraceInstruction> script;
+    for (int i = 0; i < 400; ++i)
+        script.push_back(TraceInstruction{true, i % 3 == 0,
+                                          Addr(0x1000 + 64 * i), 0x400});
+    ScriptedTrace trace_a(script);
+    ScriptedTrace trace_b(script);
+    GatedPort reissued(false);
+    GatedPort reported(true);
+    CoreParams params;
+    params.instruction_budget = 400;
+    Core a(0, params, trace_a, reissued);
+    Core b(0, params, trace_b, reported);
+    for (Tick t = 0; t < 10'000 && !(a.done() && b.done()); ++t) {
+        reissued.now_ = reported.now_ = t;
+        a.tick(t);
+        b.tick(t);
+        reissued.drain(t);
+        reported.drain(t);
+    }
+    ASSERT_TRUE(a.done() && b.done());
+
+    // Both windows refused a staged access for many cycles.
+    EXPECT_GT(a.memStallCycles(), 60u);
+    EXPECT_EQ(reissued.closed_accesses_, a.memStallCycles());
+    // While stillRejected() held, access() was not called: one refused
+    // access() per window, the rest reported.
+    EXPECT_EQ(reported.closed_accesses_, 2u);
+
+    EXPECT_EQ(b.memStallCycles(), a.memStallCycles());
+    EXPECT_EQ(reported.refusals_, reissued.refusals_);
+    EXPECT_EQ(b.robFullCycles(), a.robFullCycles());
+    EXPECT_EQ(b.finishTick(), a.finishTick());
+    EXPECT_EQ(b.loads(), a.loads());
+    EXPECT_EQ(b.stores(), a.stores());
+}
+
 TEST(Core, MlpOverlapsIndependentMisses)
 {
     // 8 independent loads of 200 ticks each: with MLP they finish in

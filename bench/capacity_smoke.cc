@@ -5,10 +5,10 @@
  * the scale the SILC_* environment dictates, printing a one-line digest
  * and optionally writing the results JSON.
  *
- * This is the paper-capacity CI entry point: run it under
- * /usr/bin/time -v with SILC_NM_MIB=1024 SILC_FM_MIB=4096 SILC_CHECK=1
- * and feed the log to scripts/check_rss.py to enforce that paper-scale
- * capacities stay memory-lean (the sparse metadata contract).
+ * This is the paper-capacity CI entry point: run it through
+ * scripts/check_rss.py with SILC_NM_MIB=1024 SILC_FM_MIB=4096
+ * SILC_CHECK=1 to enforce that paper-scale capacities stay memory-lean
+ * (the sparse metadata contract).
  */
 
 #include <cstdio>

@@ -1,40 +1,22 @@
 #!/usr/bin/env python3
 """Enforce a peak-RSS ceiling on a simulation run.
 
-Two modes:
-
-  check_rss.py --max-mib 2048 --log time.log
-      Parse a `/usr/bin/time -v` log ("Maximum resident set size
-      (kbytes): N") and fail if the peak exceeded the ceiling.
-
   check_rss.py --max-mib 2048 -- ./bench/capacity_smoke --json out.json
-      Run the command, measure the children's ru_maxrss via getrusage,
-      and fail if it exceeded the ceiling.  Works where /usr/bin/time
-      is not installed.
 
-Exit status: 0 under the ceiling, 1 over it (or when the measurement is
-missing), propagating the child's failure first in run mode.
+Runs the command, measures the children's ru_maxrss via getrusage, and
+fails if it exceeded the ceiling.  Needs no /usr/bin/time.
+
+Exit status: 0 under the ceiling, 1 over it, propagating the child's
+failure first.
 
 CI uses this to pin the sparse-metadata contract: a paper-scale
 NM 1 GiB / FM 4 GiB run must not cost capacity-proportional memory.
 """
 
 import argparse
-import re
 import resource
 import subprocess
 import sys
-
-
-def peak_from_log(path: str) -> int:
-    """Peak RSS in KiB from a `/usr/bin/time -v` log."""
-    pattern = re.compile(r"Maximum resident set size \(kbytes\):\s*(\d+)")
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
-        for line in f:
-            m = pattern.search(line)
-            if m:
-                return int(m.group(1))
-    sys.exit(f"check_rss: no 'Maximum resident set size' line in {path}")
 
 
 def peak_from_run(cmd: list[str]) -> int:
@@ -57,20 +39,16 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-mib", type=int, required=True,
                         help="peak-RSS ceiling in MiB")
-    parser.add_argument("--log", help="/usr/bin/time -v log to parse")
     parser.add_argument("cmd", nargs=argparse.REMAINDER,
                         help="-- command to run and measure")
     args = parser.parse_args()
 
-    if args.log:
-        peak_kib = peak_from_log(args.log)
-    else:
-        cmd = args.cmd
-        if cmd and cmd[0] == "--":
-            cmd = cmd[1:]
-        if not cmd:
-            parser.error("need --log or a command after --")
-        peak_kib = peak_from_run(cmd)
+    cmd = args.cmd
+    if cmd and cmd[0] == "--":
+        cmd = cmd[1:]
+    if not cmd:
+        parser.error("need a command after --")
+    peak_kib = peak_from_run(cmd)
 
     peak_mib = peak_kib / 1024.0
     print(f"check_rss: peak RSS {peak_mib:.1f} MiB "

@@ -109,12 +109,6 @@ ChannelController::unlink(SlotList &q, uint32_t idx, uint32_t prev)
 }
 
 void
-ChannelController::enqueue(DecodedRequest req, Tick now)
-{
-    enqueue(std::move(req.req), req.bank, req.row, now);
-}
-
-void
 ChannelController::enqueue(DramRequest &&req, uint32_t bank, int64_t row,
                            Tick now)
 {
@@ -323,26 +317,15 @@ ChannelController::rearm(Tick now, bool issued)
     requestScanAt(next);
 }
 
-std::vector<DecodedRequest>
+std::vector<Tick>
 ChannelController::queueSnapshot(int which) const
 {
     const SlotList &q =
         which == 0 ? read_q_ : which == 1 ? bg_read_q_ : write_q_;
-    std::vector<DecodedRequest> out;
+    std::vector<Tick> out;
     out.reserve(q.count);
-    for (uint32_t i = q.head; i != kNullSlot; i = slots_[i].next) {
-        const Queued &e = slots_[i];
-        DecodedRequest copy;
-        copy.req.addr = e.addr;
-        copy.req.is_write = e.is_write;
-        copy.req.bytes = e.bytes;
-        copy.req.traffic = e.traffic;
-        copy.req.core = e.core;
-        copy.bank = e.bank;
-        copy.row = e.row;
-        copy.enqueued = e.enqueued;
-        out.push_back(std::move(copy));
-    }
+    for (uint32_t i = q.head; i != kNullSlot; i = slots_[i].next)
+        out.push_back(slots_[i].enqueued);
     return out;
 }
 

@@ -19,9 +19,9 @@
  *
  * Queued requests live in a per-channel arena with intrusive FIFO lists
  * per traffic class, so FR-FCFS picks unlink in O(1) instead of the old
- * deque erase-from-middle.  An arena entry is a compact record, not the
- * DecodedRequest it was made from: the completion callback is parked in
- * the EventQueue once, on enqueue, and the entry keeps its handle.
+ * deque erase-from-middle.  An arena entry is a compact record, not a
+ * copy of the request: the completion callback is parked in the
+ * EventQueue once, on enqueue, and the entry keeps its handle.
  */
 
 #ifndef SILC_DRAM_CONTROLLER_HH
@@ -39,15 +39,6 @@
 
 namespace silc {
 namespace dram {
-
-/** A request decoded onto a channel's geometry. */
-struct DecodedRequest
-{
-    DramRequest req;
-    uint32_t bank = 0;     ///< flat bank index (rank folded in)
-    int64_t row = 0;
-    Tick enqueued = 0;
-};
 
 /** Null index for the request arena's intrusive lists. */
 constexpr uint32_t kNullSlot = ~uint32_t(0);
@@ -72,11 +63,8 @@ class ChannelController
     ChannelController(const DramTimingParams &params, EventQueue &events,
                       stats::Distribution *read_delay_hist = nullptr);
 
-    /** Accept a decoded request (queues are elastic; see DESIGN.md). */
-    void enqueue(DecodedRequest req, Tick now);
-
-    /** enqueue() for a request decoded onto @p bank and @p row, without
-     *  building a DecodedRequest first. */
+    /** Accept a request decoded onto flat bank index @p bank (rank
+     *  folded in) and @p row (queues are elastic; see DESIGN.md). */
     void enqueue(DramRequest &&req, uint32_t bank, int64_t row, Tick now);
 
     /**
@@ -139,14 +127,15 @@ class ChannelController
     Tick nextRefreshAt() const { return next_refresh_; }
     bool drainingWrites() const { return draining_writes_; }
     size_t numBanks() const { return banks_.size(); }
-    /** Snapshot of one queue in FIFO order; 0=read, 1=bg, 2=write. */
-    std::vector<DecodedRequest> queueSnapshot(int which) const;
+    /** Enqueue ticks of one queue in FIFO order; 0=read, 1=bg,
+     *  2=write. */
+    std::vector<Tick> queueSnapshot(int which) const;
 
   private:
     /**
-     * One queued request: what scheduling, issue and the test snapshot
-     * read, plus the parked completion handle.  The FR-FCFS walk reads
-     * bank, row and next from here, so the entry stays small.
+     * One queued request: what scheduling and issue read, plus the
+     * parked completion handle.  The FR-FCFS walk reads bank, row and
+     * next from here, so the entry stays small.
      */
     struct Queued
     {

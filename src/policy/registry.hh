@@ -74,8 +74,9 @@ struct SchemeTraits
     bool fm_multiple_of_nm = true;
     /** Its state round-trips through FlatMemoryPolicy::checkpoint(), so
      *  it can be sampled (sample/sampling.hh).  Schemes whose behaviour
-     *  is coupled to detailed-mode tick counts (HMA's epochs) are not,
-     *  and run in full detail when sampling is requested. */
+     *  is coupled to detailed-mode tick counts (HMA's epochs) are not:
+     *  System::setFunctionalMode() refuses them, and they run in full
+     *  detail when sampling is requested. */
     bool checkpointable = false;
 };
 

@@ -274,12 +274,6 @@ SamplingController::run()
     sim::SystemConfig wcfg = cfg_;
     wcfg.telemetry_epoch_ticks = 0;
 
-    const policy::SchemeInfo &scheme =
-        policy::SchemeRegistry::instance().resolve(cfg_.scheme);
-    if (!scheme.traits.checkpointable) {
-        fatal("scheme '%s' does not support checkpointed sampling",
-              scheme.name.c_str());
-    }
     sim::System warm(wcfg);
     warm.setFunctionalMode(true);
 

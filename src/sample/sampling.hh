@@ -12,6 +12,9 @@
  *     locks, predictor, balancer, activity counters) all update exactly
  *     as in detailed mode, but LLC misses complete synchronously: no
  *     MSHRs, no DRAM timing, no queueing (System::setFunctionalMode()).
+ *     Warming replays the policy's access calls and nothing else: no
+ *     event, device tick or policy tick runs, so a scheme whose policy
+ *     acts on tick() (HMA) cannot warm and is not sampled.
  *     At every systematic interval of SILC_SAMPLE_PERIOD per-core
  *     instructions the warming system is checkpointed to an in-memory
  *     blob (sample/checkpoint.hh).
@@ -180,7 +183,8 @@ class SamplingController
     SamplingController(const SamplingController &) = delete;
     SamplingController &operator=(const SamplingController &) = delete;
 
-    /** Run warming + replay; fatal if the policy cannot sample. */
+    /** Run warming + replay; fatal (in System::setFunctionalMode())
+     *  if the scheme cannot sample. */
     sim::SimResult run();
 
     /** Most checkpoint blobs alive at once: 2 x pool width. */

@@ -424,6 +424,14 @@ System::runToBudget()
 void
 System::setFunctionalMode(bool on)
 {
+    // The warming engine replays only the policy's access calls, never
+    // its tick(): a policy that acts there cannot be warmed.
+    const policy::SchemeInfo &scheme =
+        policy::SchemeRegistry::instance().resolve(cfg_.scheme);
+    if (on && !scheme.traits.checkpointable) {
+        fatal("scheme '%s' acts on tick(), so it cannot run in "
+              "functional mode or be sampled", scheme.name.c_str());
+    }
     policy_->setFunctionalMode(on);
     functional_ = on;
 }

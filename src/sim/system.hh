@@ -170,7 +170,9 @@ class System
      * warming engine: caches, translation, and policy metadata update
      * as usual, but LLC misses complete synchronously (no MSHR, no DRAM
      * traffic) — the fast-forward phase between detailed sampling
-     * windows.
+     * windows.  Turning it on is fatal for a scheme that is not
+     * checkpointable (policy::SchemeTraits): its policy acts on
+     * tick(), which functional warming never runs.
      */
     void setFunctionalMode(bool on);
 

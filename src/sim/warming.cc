@@ -277,54 +277,20 @@ System::runFunctional()
 
     // ---- T: the policy tail, one chunk behind -----------------------
     //
-    // Per cycle the loop ran events, then the cores, then the DRAM and
-    // policy ticks.  Only the recorded policy calls remain to run here;
-    // on cycles without one, only the events and ticks that are due
-    // (the others are no-ops) need to run.
-    Tick pos = start; // first cycle whose events and ticks have not run
-    auto tick_wake = [&] {
-        Tick w = std::min(fm_->nextWakeTick(), policy_->nextWakeTick());
-        return nm_ ? std::min(w, nm_->nextWakeTick()) : w;
-    };
-    auto end_of_cycle = [&](Tick t) {
-        if (nm_)
-            nm_->tick(t);
-        fm_->tick(t);
-        policy_->tick(t);
-    };
-    auto idle_until = [&](Tick t) {
-        while (true) {
-            const Tick w = std::max(
-                pos, std::min(events_.nextEventTick(), tick_wake()));
-            if (w >= t)
-                return;
-            events_.runDue(w);
-            end_of_cycle(w);
-            pos = w + 1;
-        }
-    };
+    // The recorded calls, in order, at their cycles.  Nothing else the
+    // per-cycle loop ran can act here: no event is pending, no request
+    // reaches a device, and the policy does not act on tick()
+    // (setFunctionalMode refuses such schemes).
     auto replay = [&](unsigned buf) {
         const WarmCalls &rec = warm_->calls(buf);
-        const WarmCall *call = rec.calls.data();
-        const WarmCall *const last_call = call + rec.calls.size();
-        while (call != last_call) {
-            const uint32_t off = call->cycle;
-            const Tick t = rec.base + off;
-            idle_until(t);
-            if (events_.nextEventTick() <= t)
-                events_.runDue(t);
-            for (; call != last_call && call->cycle == off; ++call) {
-                if (call->demand) {
-                    policy_->demandAccess(call->addr, call->is_write,
-                                          call->core, call->pc, nullptr,
-                                          t);
-                } else {
-                    policy_->writeback(call->addr, call->core, t);
-                }
+        for (const WarmCall &call : rec.calls) {
+            const Tick t = rec.base + call.cycle;
+            if (call.demand) {
+                policy_->demandAccess(call.addr, call.is_write, call.core,
+                                      call.pc, nullptr, t);
+            } else {
+                policy_->writeback(call.addr, call.core, t);
             }
-            if (tick_wake() <= t)
-                end_of_cycle(t);
-            pos = t + 1;
         }
     };
     // The tail of chunk k runs while chunk k+2 is prepared, which fills
@@ -336,9 +302,8 @@ System::runFunctional()
     // While this thread runs S2 of chunk k, the helpers run the P
     // phases of chunk k+1, which touch only the lanes, the traces, the
     // private L1s and the translation, and T of chunk k-1, which
-    // touches only the policy, its oracles, the event queue and the
-    // DRAM systems.  Segment boundaries (checkpoints) drain the
-    // pipeline: the last two tails run here.
+    // touches only the policy and its oracles.  Segment boundaries
+    // (checkpoints) drain the pipeline: the last two tails run here.
     auto prepare = [&](unsigned buf, bool tail) {
         p_begin = p_end;
         p_end = std::min(p_begin + span, last + 1);
@@ -376,12 +341,7 @@ System::runFunctional()
     if (behind)
         replay(buf ^ 1);
     replay(buf);
-    idle_until(last + 1);
-    if (pos <= last) {
-        // Nothing was due on the last cycle; stamp it as the loop did.
-        events_.runDue(last);
-        end_of_cycle(last);
-    }
+    silc_assert(events_.empty());
 
     cycle_ = all_done ? end : cfg_.max_ticks;
     return all_done;

@@ -19,14 +19,17 @@
  *   S2 (serial)    the L2 half: merge the misses by position, run their
  *                  L2 lookups and fills, and record the policy calls
  *                  (demandAccess, writebacks) they make;
- *   T  (serial)    the policy tail: replay those calls at their cycles
- *                  with the per-cycle event, DRAM and policy hooks.
+ *   T  (serial)    the policy tail: replay those calls, in order, at
+ *                  their cycles.
  *
  * P1, S1 and P2 of chunk k+1 run on the pool while the calling thread
  * runs S2 of chunk k, and T of chunk k-1 runs as one more lane of that
  * P2 stage: the policy reads no L2 state and the L2 none of the
- * policy's, so all of them touch disjoint state.  DESIGN.md
- * "Functional warming" has the state split.
+ * policy's, so all of them touch disjoint state.  Nothing else the
+ * per-cycle loop ran can act in functional mode: no event is pending,
+ * no request reaches a device, and System::setFunctionalMode() refuses
+ * a policy that acts on tick().  DESIGN.md "Functional warming" has
+ * the state split.
  */
 
 #ifndef SILC_SIM_WARMING_HH

@@ -640,18 +640,16 @@ struct ControllerDriver
     enqueue(Addr addr, bool is_write, TrafficClass cls, uint32_t bank,
             int64_t row, Tick now, bool event_driven)
     {
-        DecodedRequest dec;
-        dec.req.addr = addr;
-        dec.req.is_write = is_write;
-        dec.req.traffic = cls;
+        DramRequest req;
+        req.addr = addr;
+        req.is_write = is_write;
+        req.traffic = cls;
         if (!is_write) {
-            dec.req.on_complete = [this, addr](Tick t) {
+            req.on_complete = [this, addr](Tick t) {
                 completions.push_back({t, addr});
             };
         }
-        dec.bank = bank;
-        dec.row = row;
-        ctrl.enqueue(std::move(dec), now);
+        ctrl.enqueue(std::move(req), bank, row, now);
         if (event_driven) {
             // Mirror DramSystem::issue(): the scan phase for this tick
             // has already run, so a boundary tick arms the next boundary.
@@ -809,13 +807,11 @@ TEST(EventDriven, DrainHysteresisReleasesAboveEmptyAtDepth8)
     ChannelController ctrl(p, events);
 
     for (uint32_t i = 0; i < 8; ++i) {
-        DecodedRequest dec;
-        dec.req.addr = static_cast<Addr>(i) * kSubblockSize;
-        dec.req.is_write = true;
-        dec.req.traffic = TrafficClass::Writeback;
-        dec.bank = i % ctrl.numBanks();
-        dec.row = 0;
-        ctrl.enqueue(std::move(dec), 0);
+        DramRequest req;
+        req.addr = static_cast<Addr>(i) * kSubblockSize;
+        req.is_write = true;
+        req.traffic = TrafficClass::Writeback;
+        ctrl.enqueue(std::move(req), i % ctrl.numBanks(), 0, 0);
     }
 
     bool engaged = false;
@@ -846,16 +842,14 @@ TEST(EventDriven, AgingPromotesStarvedBackgroundRead)
     bool bg_done = false;
     Tick bg_done_at = 0;
     {
-        DecodedRequest dec;
-        dec.req.addr = 0x10000;
-        dec.req.traffic = TrafficClass::Migration;
-        dec.req.on_complete = [&](Tick t) {
+        DramRequest req;
+        req.addr = 0x10000;
+        req.traffic = TrafficClass::Migration;
+        req.on_complete = [&](Tick t) {
             bg_done = true;
             bg_done_at = t;
         };
-        dec.bank = 0;
-        dec.row = 7;
-        ctrl.enqueue(std::move(dec), 0);
+        ctrl.enqueue(std::move(req), 0, 7, 0);
     }
 
     // Saturate the channel with demand reads to the same bank forever:
@@ -865,13 +859,11 @@ TEST(EventDriven, AgingPromotesStarvedBackgroundRead)
     for (Tick t = 0; t < p.toTicks(4096); ++t) {
         if (t % p.toTicks(1) == 0) {
             while (ctrl.readQueueDepth() < p.queue_depth) {
-                DecodedRequest dec;
-                dec.req.addr = (a += kSubblockSize);
-                dec.req.traffic = TrafficClass::Demand;
-                dec.req.on_complete = [&](Tick) { ++demand_done; };
-                dec.bank = 0;
-                dec.row = 0;
-                ctrl.enqueue(std::move(dec), t);
+                DramRequest req;
+                req.addr = (a += kSubblockSize);
+                req.traffic = TrafficClass::Demand;
+                req.on_complete = [&](Tick) { ++demand_done; };
+                ctrl.enqueue(std::move(req), 0, 0, t);
             }
             ctrl.scan(t);
         }
@@ -904,27 +896,27 @@ TEST(EventDriven, ArenaSurvivesChurn)
         const uint32_t burst = 1 + static_cast<uint32_t>(rng.below(12));
         const Tick base = static_cast<Tick>(round) * 4096;
         for (uint32_t i = 0; i < burst; ++i) {
-            DecodedRequest dec;
-            dec.req.addr = (a += kSubblockSize);
-            dec.req.is_write = rng.below(3) == 0;
-            dec.req.traffic = dec.req.is_write
+            DramRequest req;
+            req.addr = (a += kSubblockSize);
+            req.is_write = rng.below(3) == 0;
+            req.traffic = req.is_write
                 ? TrafficClass::Writeback
                 : (rng.below(2) != 0 ? TrafficClass::Demand
                                      : TrafficClass::Migration);
-            dec.bank = static_cast<uint32_t>(
+            const auto bank = static_cast<uint32_t>(
                 rng.below(ctrl.numBanks()));
-            dec.row = static_cast<int64_t>(rng.below(8));
-            if (dec.req.is_write)
+            const auto row = static_cast<int64_t>(rng.below(8));
+            if (req.is_write)
                 ++enqueued_writes;
             else
                 ++enqueued_reads;
-            ctrl.enqueue(std::move(dec), base);
+            ctrl.enqueue(std::move(req), bank, row, base);
         }
         // FIFO snapshots stay enqueue-ordered.
         for (int q = 0; q < 3; ++q) {
-            const auto snap = ctrl.queueSnapshot(q);
+            const std::vector<Tick> snap = ctrl.queueSnapshot(q);
             for (size_t i = 1; i < snap.size(); ++i)
-                ASSERT_LE(snap[i - 1].enqueued, snap[i].enqueued);
+                ASSERT_LE(snap[i - 1], snap[i]);
         }
         // Randomly drain some or all of the queue.
         const bool full_drain = rng.below(3) == 0;

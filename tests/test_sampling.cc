@@ -140,8 +140,10 @@ class ReferenceWarmer
  * Warm two identical systems in segments of @p period instructions per
  * core, as SamplingController does (budget 0 first, the whole budget
  * last) — one through runToBudget(), one through ReferenceWarmer — and
- * require identical pause cycles, retire counts, DRAM refreshes and
- * checkpoint blobs at every segment boundary.
+ * require identical pause cycles, retire counts and checkpoint blobs at
+ * every segment boundary.  The engine runs only the policy calls, which
+ * is exact because nothing else the reference runs can act: at every
+ * boundary its event queue is empty and its devices were never ticked.
  */
 void
 expectEngineMatchesReference(const SystemConfig &cfg, uint64_t period)
@@ -161,9 +163,12 @@ expectEngineMatchesReference(const SystemConfig &cfg, uint64_t period)
         ASSERT_EQ(engine.currentCycle(), warmer.cycle());
         for (uint32_t c = 0; c < cfg.cores; ++c)
             ASSERT_EQ(engine.core(c).retired(), warmer.retired(c));
-        ASSERT_EQ(engine.fm().refreshes(), ref.fm().refreshes());
+        ASSERT_TRUE(engine.events().empty());
+        ASSERT_EQ(engine.fm().refreshes(), 0u);
+        ASSERT_TRUE(engine.fm().idle());
         if (engine.nm() != nullptr) {
-            ASSERT_EQ(engine.nm()->refreshes(), ref.nm()->refreshes());
+            ASSERT_EQ(engine.nm()->refreshes(), 0u);
+            ASSERT_TRUE(engine.nm()->idle());
         }
         ASSERT_TRUE(capture(engine, budget).blob ==
                     capture(ref, budget).blob);
@@ -777,6 +782,17 @@ TEST(WarmingEngineDeath, EventQueueMustBeEmpty)
     sys.setFunctionalMode(true);
     sys.events().schedule(5, [](Tick) {});
     EXPECT_DEATH(sys.runToBudget(), "empty event queue");
+}
+
+TEST(WarmingEngineDeath, SchemeMustNotActOnTicks)
+{
+    // HMA's epochs run from tick(), which functional warming never
+    // runs: functional mode is refused, and with it a sampled run.
+    const SystemConfig cfg = sampleConfig("mcf", "hma", 2, 60'000);
+    System sys(cfg);
+    EXPECT_DEATH(sys.setFunctionalMode(true), "scheme 'hma'");
+    SamplingController ctl(cfg, smokeSamplingConfig());
+    EXPECT_DEATH(ctl.run(), "scheme 'hma'");
 }
 
 TEST(WarmingEngineDeath, NoStagedInstruction)

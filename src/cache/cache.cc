@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 #include "common/serialize.hh"
 
@@ -13,6 +15,10 @@ CacheParams::validate() const
         fatal("%s: line size must be a power of two", name.c_str());
     if (associativity == 0)
         fatal("%s: zero associativity", name.c_str());
+    if (associativity > kMaxAssociativity) {
+        fatal("%s: associativity %u exceeds the %u ways a set's match "
+              "mask holds", name.c_str(), associativity, kMaxAssociativity);
+    }
     if (size_bytes % (static_cast<uint64_t>(line_bytes) * associativity)
         != 0) {
         fatal("%s: size not divisible by way size", name.c_str());
@@ -28,7 +34,10 @@ Cache::Cache(CacheParams params)
     num_sets_ = params_.numSets();
     line_shift_ = floorLog2(params_.line_bytes);
     set_bits_ = floorLog2(num_sets_);
-    lines_.assign(num_sets_ * params_.associativity, Line{});
+    const uint64_t ways = num_sets_ * params_.associativity;
+    tags_.assign(ways, kAddrInvalid);
+    lru_.assign(ways, 0);
+    dirty_.assign(ways, 0);
 }
 
 uint64_t
@@ -49,66 +58,57 @@ Cache::lineAddr(Addr tag, uint64_t set) const
     return ((tag << set_bits_) | set) << line_shift_;
 }
 
-const Cache::Line *
-Cache::findLine(Addr tag, uint64_t set) const
+WayMask
+Cache::match(uint64_t base, Addr tag) const
 {
-    const Line *base = &lines_[set * params_.associativity];
-    for (uint32_t w = 0; w < params_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
-    }
-    return nullptr;
+    // Compare every way and branch once, in the caller: a block sits in
+    // at most one way, so the mask's lowest set bit is the hit.
+    const Addr *tags = &tags_[base];
+    WayMask hit = 0;
+    for (uint32_t w = 0; w < params_.associativity; ++w)
+        hit |= static_cast<WayMask>(tags[w] == tag) << w;
+    return hit;
 }
 
-Cache::Line *
-Cache::findLine(Addr tag, uint64_t set)
+void
+Cache::touch(uint64_t way, bool is_write)
 {
-    return const_cast<Line *>(
-        static_cast<const Cache *>(this)->findLine(tag, set));
-}
-
-Cache::Line *
-Cache::scanSet(Addr tag, uint64_t set, Line **victim_out)
-{
-    // One pass per lookup: the matching line if present, plus the first
-    // invalid way (the preferred victim) and the LRU-minimum way for the
-    // miss path — access() and fill() used to walk the set once to find
-    // the line and again to pick a victim.  The LRU minimum runs over
-    // every way regardless of validity; it is only consulted when no
-    // invalid way exists, in which case the two sets coincide.
-    Line *base = &lines_[set * params_.associativity];
-    Line *invalid = nullptr;
-    Line *lru_min = base;
-    for (uint32_t w = 0; w < params_.associativity; ++w) {
-        if (base[w].valid) {
-            if (base[w].tag == tag)
-                return &base[w];
-        } else if (invalid == nullptr) {
-            invalid = &base[w];
-        }
-        if (base[w].lru < lru_min->lru)
-            lru_min = &base[w];
-    }
-    *victim_out = invalid != nullptr ? invalid : lru_min;
-    return nullptr;
+    lru_[way] = ++lru_clock_;
+    if (is_write)
+        dirty_[way] = 1;
 }
 
 AccessOutcome
-Cache::install(Line &victim, Addr tag, uint64_t set, bool dirty)
+Cache::install(uint64_t base, Addr tag, uint64_t set, bool dirty)
 {
-    AccessOutcome out;
-    if (victim.valid) {
-        ++evictions_;
-        if (victim.dirty) {
-            ++writebacks_;
-            out.writeback = true;
-            out.writeback_addr = lineAddr(victim.tag, set);
+    // The victim is the first way with the smallest stamp.  An empty way
+    // keeps stamp 0 and every install stamps ++lru_clock_ >= 1, so that
+    // is the first empty way, else the least recently used.  Keep the
+    // smallest stamp in a local: gcc then picks the victim with cmov,
+    // where a compare against lru_[victim] compiled to a data-dependent
+    // branch and measured slower on miss-heavy runs.
+    const uint64_t *stamps = &lru_[base];
+    uint32_t oldest = 0;
+    uint64_t oldest_stamp = stamps[0];
+    for (uint32_t w = 1; w < params_.associativity; ++w) {
+        if (stamps[w] < oldest_stamp) {
+            oldest_stamp = stamps[w];
+            oldest = w;
         }
     }
-    victim.tag = tag;
-    victim.valid = true;
-    victim.dirty = dirty;
-    victim.lru = ++lru_clock_;
+    const uint64_t victim = base + oldest;
+    AccessOutcome out;
+    if (tags_[victim] != kAddrInvalid) {
+        ++evictions_;
+        if (dirty_[victim]) {
+            ++writebacks_;
+            out.writeback = true;
+            out.writeback_addr = lineAddr(tags_[victim], set);
+        }
+    }
+    tags_[victim] = tag;
+    dirty_[victim] = dirty;
+    lru_[victim] = ++lru_clock_;
     return out;
 }
 
@@ -116,61 +116,70 @@ AccessOutcome
 Cache::access(Addr addr, bool is_write)
 {
     const uint64_t set = setIndex(addr);
+    const uint64_t base = set * params_.associativity;
     const Addr tag = tagOf(addr);
-    Line *victim = nullptr;
-    if (Line *line = scanSet(tag, set, &victim)) {
+    if (const WayMask hit = match(base, tag)) {
         ++hits_;
-        line->lru = ++lru_clock_;
-        if (is_write)
-            line->dirty = true;
+        touch(base + std::countr_zero(hit), is_write);
         return {.hit = true};
     }
     ++misses_;
-    return install(*victim, tag, set, is_write);
+    return install(base, tag, set, is_write);
 }
 
 AccessOutcome
 Cache::fill(Addr addr, bool dirty)
 {
     const uint64_t set = setIndex(addr);
+    const uint64_t base = set * params_.associativity;
     const Addr tag = tagOf(addr);
-    Line *victim = nullptr;
-    if (Line *line = scanSet(tag, set, &victim)) {
+    if (const WayMask hit = match(base, tag)) {
         if (dirty)
-            line->dirty = true;
+            dirty_[base + std::countr_zero(hit)] = 1;
         return {.hit = true};
     }
-    return install(*victim, tag, set, dirty);
+    return install(base, tag, set, dirty);
 }
 
 bool
 Cache::accessIfHit(Addr addr, bool is_write)
 {
-    Line *line = findLine(tagOf(addr), setIndex(addr));
-    if (line == nullptr)
+    const uint64_t base = setIndex(addr) * params_.associativity;
+    const WayMask hit = match(base, tagOf(addr));
+    if (hit == 0)
         return false;
     ++hits_;
-    line->lru = ++lru_clock_;
-    if (is_write)
-        line->dirty = true;
+    touch(base + std::countr_zero(hit), is_write);
     return true;
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    return findLine(tagOf(addr), setIndex(addr)) != nullptr;
+    return match(setIndex(addr) * params_.associativity, tagOf(addr)) != 0;
 }
 
 void
 Cache::checkpoint(Blob &b)
 {
-    b.size(lines_.size(), (params_.name + " geometry").c_str());
-    for (Line &l : lines_) {
-        b.u64(l.tag);
-        b.flag(l.valid);
-        b.flag(l.dirty);
-        b.u64(l.lru);
+    b.size(tags_.size(), (params_.name + " geometry").c_str());
+    for (size_t w = 0; w < tags_.size(); ++w) {
+        b.u64(tags_[w]);
+        bool valid = tags_[w] != kAddrInvalid;
+        b.flag(valid);
+        bool dirty = dirty_[w] != 0;
+        b.flag(dirty);
+        dirty_[w] = dirty;
+        b.u64(lru_[w]);
+        // The tag states validity, and victim choice needs an empty
+        // way's stamp at 0 (see install).
+        if (valid != (tags_[w] != kAddrInvalid) ||
+            (!valid && lru_[w] != 0)) {
+            fatal("%s checkpoint: way %zu has valid bit %d, tag 0x%llx, "
+                  "stamp %llu", params_.name.c_str(), w, valid ? 1 : 0,
+                  static_cast<unsigned long long>(tags_[w]),
+                  static_cast<unsigned long long>(lru_[w]));
+        }
     }
     b.u64(lru_clock_);
 }

@@ -14,6 +14,7 @@
 #define SILC_CACHE_CACHE_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,12 @@ namespace silc {
 class Blob;
 
 namespace cache {
+
+/** One bit per way of a set: the result of comparing its tags. */
+using WayMask = uint64_t;
+
+/** Most ways a set may have: one per bit of a WayMask. */
+constexpr uint32_t kMaxAssociativity = std::numeric_limits<WayMask>::digits;
 
 /** Cache geometry and behaviour. */
 struct CacheParams
@@ -113,29 +120,26 @@ class Cache
     }
 
     /**
-     * Checkpoint the array contents (tags, valid/dirty bits, LRU state).
-     * Hit/miss statistics are deliberately not captured: replays restore
-     * into a fresh cache and measure from its zero counters.
+     * Checkpoint the array contents: per way its tag, valid bit, dirty
+     * bit and LRU stamp.  The valid bit is the tag's (tag !=
+     * kAddrInvalid); a blob whose valid bit disagrees, or whose empty
+     * way holds a stamp, is fatal on reading.  Hit/miss statistics are
+     * deliberately not captured: replays restore into a fresh cache and
+     * measure from its zero counters.
      */
     void checkpoint(Blob &b);
 
   private:
-    struct Line
-    {
-        Addr tag = kAddrInvalid;
-        bool valid = false;
-        bool dirty = false;
-        uint64_t lru = 0;
-    };
-
-    const Line *findLine(Addr tag, uint64_t set) const;
-    Line *findLine(Addr tag, uint64_t set);
-    /** Find @p tag in @p set; on miss, also report the way a fill
-     *  replaces: the first invalid way, else the least-recently-used. */
-    Line *scanSet(Addr tag, uint64_t set, Line **victim_out);
-    /** The miss half of access() and fill(): evict @p victim (reporting
-     *  a dirty one) and install @p tag of @p set in its place. */
-    AccessOutcome install(Line &victim, Addr tag, uint64_t set,
+    /** Bit w set when way w of the set whose first way is @p base holds
+     *  @p tag; zero on a miss. */
+    WayMask match(uint64_t base, Addr tag) const;
+    /** A hit on way @p way: stamp it most recently used, and dirty it
+     *  on a write. */
+    void touch(uint64_t way, bool is_write);
+    /** The miss half of access() and fill(): evict the victim of @p set
+     *  (whose first way is @p base), reporting a dirty one, and install
+     *  @p tag in its place. */
+    AccessOutcome install(uint64_t base, Addr tag, uint64_t set,
                           bool dirty);
 
     uint64_t setIndex(Addr addr) const;
@@ -146,7 +150,16 @@ class Cache
     uint64_t num_sets_;
     uint32_t line_shift_;
     uint32_t set_bits_;
-    std::vector<Line> lines_;
+    /**
+     * The ways of set s are [s * associativity, (s + 1) * associativity)
+     * of three parallel arrays, so a lookup reads only the tags.  Ways
+     * are never invalidated: an empty way holds tag kAddrInvalid, stamp
+     * 0 and a clean bit until its first install.
+     */
+    std::vector<Addr> tags_;
+    /** LRU stamps: lru_clock_ at the way's last install or hit. */
+    std::vector<uint64_t> lru_;
+    std::vector<uint8_t> dirty_;
     uint64_t lru_clock_ = 0;
 
     uint64_t hits_ = 0;

@@ -72,10 +72,15 @@ Core::advance(Tick now)
             ++mem_stall_cycles_;
             break;
         }
-        if (!staged_)
-            staged_ = trace_.next();
-
-        const trace::TraceInstruction &ins = *staged_;
+        // Fetch in place: read the instruction where next() returned
+        // it, and copy it into staged_ only when the port refuses its
+        // access.  next() writes its result with narrow stores; a
+        // whole-struct copy right after the call (assigning next() to
+        // staged_, say) reloads them with one wide load that cannot be
+        // store-forwarded, a stall on every fetched instruction.  Check
+        // the codegen (objdump -d) after touching this.
+        const trace::TraceInstruction ins =
+            staged_ ? *staged_ : trace_.next();
         const uint64_t seq = tail_seq_;
 
         if (ins.is_mem) {
@@ -104,6 +109,7 @@ Core::advance(Tick now)
                 slot(seq).ready_tick = kTickNever;
                 ++mem_stall_cycles_;
                 rejected_ = true;
+                staged_ = ins;
                 break;
             }
             if (ins.is_write)

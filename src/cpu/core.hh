@@ -216,7 +216,9 @@ class Core
      */
     Tick stall_until_ = 0;
 
-    /** Instruction fetched but not yet dispatched (resource stall). */
+    /** An instruction whose access the port refused, kept for its
+     *  re-issue; empty otherwise (advance() reads a freshly fetched
+     *  instruction in place). */
     std::optional<trace::TraceInstruction> staged_;
 
     /** The port refused staged_'s access (see MemoryPort::stillRejected);

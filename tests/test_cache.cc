@@ -11,6 +11,7 @@
 
 #include "cache/cache.hh"
 #include "cache/mshr.hh"
+#include "common/serialize.hh"
 
 using namespace silc;
 using namespace silc::cache;
@@ -181,6 +182,121 @@ TEST_P(CacheCapacity, OversizedWorkingSetThrashes)
 
 INSTANTIATE_TEST_SUITE_P(Assoc, CacheCapacity,
                          ::testing::Values(1u, 2u, 4u, 8u, 16u));
+
+namespace {
+
+/** The @p i-th line of set 3 of an 8-set cache of 64-byte lines. */
+Addr
+line(uint64_t i)
+{
+    return (i * 8 + 3) * 64;
+}
+
+} // namespace
+
+TEST(Cache, FillsEmptyWaysInOrderThenLru)
+{
+    for (const uint32_t ways : {1u, 4u, 16u, kMaxAssociativity}) {
+        SCOPED_TRACE(testing::Message() << ways << " ways");
+        CacheParams p = smallCache(ways);
+        p.size_bytes = 8ull * p.line_bytes * ways;   // 8 sets
+
+        Cache c(p);
+        // Dirty fills, so every eviction names its victim.
+        for (uint32_t i = 0; i < ways; ++i) {
+            const AccessOutcome out = c.access(line(i), true);
+            EXPECT_FALSE(out.hit);
+            EXPECT_FALSE(out.writeback) << "fill " << i;
+        }
+        EXPECT_EQ(c.evictions(), 0u);
+        // Touch in reverse: line ways-1 becomes least recently used.
+        for (uint32_t i = ways; i-- > 0;)
+            EXPECT_TRUE(c.access(line(i), false).hit);
+        for (uint32_t i = 0; i < ways; ++i) {
+            const AccessOutcome out = c.access(line(ways + i), false);
+            EXPECT_FALSE(out.hit);
+            ASSERT_TRUE(out.writeback) << "miss " << i;
+            EXPECT_EQ(out.writeback_addr, line(ways - 1 - i));
+        }
+        EXPECT_EQ(c.evictions(), ways);
+
+        // A half-full set restored into a fresh cache behaves as the
+        // original: empty ways fill first, then the same LRU victims.
+        Cache a(p);
+        for (uint32_t i = 0; i < ways / 2; ++i)
+            a.access(line(i), i % 2 == 0);
+        Blob w;
+        a.checkpoint(w);
+        const std::vector<uint8_t> bytes = w.take();
+        Cache b(p);
+        Blob r(bytes);
+        b.checkpoint(r);
+        r.done();
+        for (uint32_t i = ways / 2; i < ways; ++i) {
+            EXPECT_FALSE(a.access(line(i), false).writeback);
+            EXPECT_FALSE(b.access(line(i), false).writeback);
+        }
+        for (uint64_t k = 0; k < 6ull * ways; ++k) {
+            const Addr addr = line(k * 7 % (3 * ways));
+            const AccessOutcome oa = a.access(addr, k % 3 == 0);
+            const AccessOutcome ob = b.access(addr, k % 3 == 0);
+            EXPECT_EQ(oa.hit, ob.hit) << "access " << k;
+            EXPECT_EQ(oa.writeback, ob.writeback) << "access " << k;
+            EXPECT_EQ(oa.writeback_addr, ob.writeback_addr)
+                << "access " << k;
+        }
+        Blob wa;
+        a.checkpoint(wa);
+        Blob wb;
+        b.checkpoint(wb);
+        EXPECT_EQ(wa.take(), wb.take());
+    }
+}
+
+TEST(CacheDeath, AssociativityBeyondTheMatchMaskIsFatal)
+{
+    CacheParams p = smallCache(kMaxAssociativity);
+    p.size_bytes = uint64_t{p.line_bytes} * kMaxAssociativity;
+    p.validate();
+    p.associativity = kMaxAssociativity + 1;
+    p.size_bytes = uint64_t{p.line_bytes} * p.associativity;
+    EXPECT_EXIT(p.validate(), ::testing::ExitedWithCode(1),
+                "associativity 65 exceeds the 64 ways");
+}
+
+TEST(CacheDeath, CheckpointValidBitMustMatchTheTag)
+{
+    // Way 0 of set 0 holds a line, way 1 is empty.  Each way is a u64
+    // tag, a valid byte, a dirty byte and a u64 stamp, after the u64
+    // way count.
+    Cache c(smallCache(2));
+    c.access(0x0000, false);
+    Blob w;
+    c.checkpoint(w);
+    const std::vector<uint8_t> bytes = w.take();
+    constexpr size_t kWay = 8 + 1 + 1 + 8;
+    ASSERT_EQ(bytes.size(), 8 + 16 * kWay + 8);
+    const auto restore = [](std::vector<uint8_t> blob) {
+        Cache fresh(smallCache(2));
+        Blob in(blob);
+        fresh.checkpoint(in);
+    };
+    restore(bytes);
+
+    std::vector<uint8_t> invalid_line = bytes;
+    invalid_line[8 + 8] = 0;
+    EXPECT_EXIT(restore(invalid_line), ::testing::ExitedWithCode(1),
+                "test checkpoint: way 0 has valid bit 0, tag 0x0");
+    std::vector<uint8_t> valid_empty = bytes;
+    valid_empty[8 + kWay + 8] = 1;
+    EXPECT_EXIT(restore(valid_empty), ::testing::ExitedWithCode(1),
+                "test checkpoint: way 1 has valid bit 1");
+    std::vector<uint8_t> stamped_empty = bytes;
+    stamped_empty[8 + kWay + 10] = 5;
+    EXPECT_EXIT(restore(stamped_empty), ::testing::ExitedWithCode(1),
+                "test checkpoint: way 1 has valid bit 0, tag "
+                "0xffffffffffffffff, stamp 5");
+}
 
 // ---- MSHRs ----------------------------------------------------------------
 

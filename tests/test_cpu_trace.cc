@@ -240,14 +240,19 @@ class ScriptedTrace : public TraceSource
     TraceInstruction
     next() override
     {
+        ++calls_;
         if (pos_ < script_.size())
             return script_[pos_++];
         return TraceInstruction{};   // non-memory filler
     }
 
+    /** next() calls so far. */
+    uint64_t calls() const { return calls_; }
+
   private:
     std::vector<TraceInstruction> script_;
     size_t pos_ = 0;
+    uint64_t calls_ = 0;
 };
 
 /** Memory port with a fixed latency and optional admission control. */
@@ -484,6 +489,96 @@ TEST(Core, StillRejectedStallsWithoutReissueLikeARefusedReissue)
     EXPECT_EQ(b.finishTick(), a.finishTick());
     EXPECT_EQ(b.loads(), a.loads());
     EXPECT_EQ(b.stores(), a.stores());
+}
+
+namespace {
+
+/** One access() call as the port saw it. */
+struct PortCall
+{
+    Addr vaddr;
+    Addr pc;
+    bool is_write;
+    bool accepted;
+};
+
+/**
+ * A FixedLatencyPort (latency 30) that refuses the first three of
+ * every seven access() calls and records every call.
+ */
+class RecordingPort : public FixedLatencyPort
+{
+  public:
+    RecordingPort() : FixedLatencyPort(30) {}
+
+    bool
+    access(CoreId core, Addr vaddr, Addr pc, bool is_write,
+           std::function<void(Tick)> done, Tick now) override
+    {
+        const bool accept = calls.size() % 7 >= 3;
+        calls.push_back({vaddr, pc, is_write, accept});
+        return accept && FixedLatencyPort::access(core, vaddr, pc, is_write,
+                                                  std::move(done), now);
+    }
+
+    std::vector<PortCall> calls;
+};
+
+} // namespace
+
+TEST(Core, RefusedAccessIsReissuedUnchanged)
+{
+    // Loads, stores and non-memory instructions, every field distinct.
+    std::vector<TraceInstruction> script;
+    std::vector<TraceInstruction> mem;
+    for (int i = 0; i < 300; ++i) {
+        const TraceInstruction ins{i % 4 != 3, i % 5 == 0,
+                                   Addr(0x1000 + 64 * i),
+                                   Addr(0x400 + 4 * i)};
+        script.push_back(ins);
+        if (ins.is_mem)
+            mem.push_back(ins);
+    }
+    ScriptedTrace trace(script);
+    RecordingPort port;
+    CoreParams params;
+    params.instruction_budget = script.size();
+    Core core(0, params, trace, port);
+    for (Tick t = 0; t < 100'000 && !core.done(); ++t) {
+        core.tick(t);
+        port.drain(t);
+    }
+    ASSERT_TRUE(core.done());
+
+    // The accepted accesses are the script's memory instructions, in
+    // order.
+    std::vector<PortCall> accepted;
+    uint64_t refused = 0;
+    for (size_t i = 0; i < port.calls.size(); ++i) {
+        const PortCall &c = port.calls[i];
+        if (c.accepted) {
+            accepted.push_back(c);
+            continue;
+        }
+        // A refused access is re-issued next, with the same fields.
+        ++refused;
+        ASSERT_LT(i + 1, port.calls.size());
+        const PortCall &again = port.calls[i + 1];
+        EXPECT_EQ(again.vaddr, c.vaddr) << "call " << i;
+        EXPECT_EQ(again.pc, c.pc) << "call " << i;
+        EXPECT_EQ(again.is_write, c.is_write) << "call " << i;
+    }
+    EXPECT_GT(refused, mem.size() / 2);
+    ASSERT_EQ(accepted.size(), mem.size());
+    for (size_t i = 0; i < mem.size(); ++i) {
+        EXPECT_EQ(accepted[i].vaddr, mem[i].vaddr) << "access " << i;
+        EXPECT_EQ(accepted[i].pc, mem[i].pc) << "access " << i;
+        EXPECT_EQ(accepted[i].is_write, mem[i].is_write) << "access " << i;
+    }
+    EXPECT_EQ(core.memStallCycles(), refused);
+    // Each instruction was fetched once: a refusal keeps it staged.
+    EXPECT_EQ(trace.calls(), core.dispatched());
+    EXPECT_EQ(core.dispatched(), script.size());
 }
 
 TEST(Core, MlpOverlapsIndependentMisses)
